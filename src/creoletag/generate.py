@@ -1,9 +1,11 @@
 """Surface realization from flat semantic specifications.
 
 The generator is a directed realizer: it knows which auxiliary trees
-realize which feature (a slot plan), drives the engine through the
-candidate plans (predicate slot choices are applied to prefix states
-shared across plans, one fold per slot), keeps the derivations whose
+realize which feature (a slot plan) and drives the engine through the
+candidate plans, folding the NP and Pred slots one at a time over
+prefix states shared across plans.  Derivation reads neither lan nor
+the TMA bundle, so a paradigm table derives once (per row for NPs) and
+filters per dialect: only the goal half keeps the derivations whose
 collapsed features unify with the goal, applies the fusion rules and
 groups the survivors.  The blind alternative,
 :func:`creoletag.engine.enumerate_derivations`, stays an independent
@@ -59,8 +61,9 @@ class TMA:
     def __post_init__(self):
         if self.asp not in ASPECTS:
             raise InvalidSpec("asp must be one of %s" % (ASPECTS,))
-        if self.prx and self.psp:
-            raise InvalidSpec("prx replaces the plain future; drop psp")
+        if self.prx and (self.psp or self.cnd):
+            raise InvalidSpec("prx replaces the plain future; drop %s" % (
+                "psp" if self.psp else "cnd, which expands to pas+psp"))
         if self.cnd and (self.pas or self.psp):
             raise InvalidSpec("cnd expands to pas+psp internally; "
                               "do not set them explicitly")
@@ -95,38 +98,46 @@ class Realization:
     features: FeatureStruct = EMPTY
 
 
-def semspec_from_json(data) -> SemSpec:
-    """Build a SemSpec from the CLI's JSON document."""
-    if not isinstance(data, dict) or not data:
-        raise InvalidSpec("semantic input must be a non-empty JSON object")
-    known = {"pred", "args", "tma", "lan"}
-    unknown = set(data) - known
+_JSON_KINDS = dict.fromkeys(("spe", "dem", "pas", "psp", "prx", "cnd"), bool)
+_JSON_KINDS.update(args=list, tma=dict, lan=list)
+
+
+def _typed(where, obj, known):
+    """`obj` if it is a JSON object of `known` fields, each of the JSON
+    type `_JSON_KINDS` names, or else a string."""
+    if not isinstance(obj, dict):
+        raise InvalidSpec("%s must be a JSON object" % where)
+    unknown = set(obj) - known
     if unknown:
-        raise InvalidSpec("unknown fields: %s" % ", ".join(sorted(unknown)))
+        raise InvalidSpec("%s has unknown fields: %s"
+                          % (where, ", ".join(sorted(unknown))))
+    for key, value in obj.items():
+        kind = _JSON_KINDS.get(key, str)
+        if not isinstance(value, kind):
+            raise InvalidSpec("%s: %s must be a %s, not %r"
+                              % (where, key, kind.__name__, value))
+    return obj
+
+
+def semspec_from_json(data) -> SemSpec:
+    """Build a SemSpec from the CLI's JSON document.  A value of the
+    wrong JSON type is rejected, never coerced."""
+    if not data:
+        raise InvalidSpec("semantic input must be a non-empty JSON object")
+    _typed("semantic input", data, {"pred", "args", "tma", "lan"})
     args = []
     for i, item in enumerate(data.get("args", [])):
         if not isinstance(item, dict) or "lexeme" not in item:
             raise InvalidSpec("args[%d] needs at least a lexeme" % i)
-        extra = set(item) - {"lexeme", "nbr", "spe", "dem", "complement"}
-        if extra:
-            raise InvalidSpec("args[%d] has unknown fields: %s"
-                              % (i, ", ".join(sorted(extra))))
-        args.append(NPSpec(lexeme=item["lexeme"],
-                           nbr=item.get("nbr", "sg"),
-                           spe=bool(item.get("spe", False)),
-                           dem=bool(item.get("dem", False)),
-                           complement=item.get("complement")))
-    tma_data = data.get("tma", {})
-    if not isinstance(tma_data, dict):
-        raise InvalidSpec("tma must be an object")
-    tma = TMA(pas=bool(tma_data.get("pas", False)),
-              psp=bool(tma_data.get("psp", False)),
-              prx=bool(tma_data.get("prx", False)),
-              cnd=bool(tma_data.get("cnd", False)),
-              asp=tma_data.get("asp", "none"))
+        args.append(NPSpec(**_typed("args[%d]" % i, item, {
+            "lexeme", "nbr", "spe", "dem", "complement"})))
+    tma = TMA(**_typed("tma", data.get("tma", {}),
+                       {"pas", "psp", "prx", "cnd", "asp"}))
     lan = data.get("lan")
+    if lan is not None and not (lan and all(isinstance(c, str) for c in lan)):
+        raise InvalidSpec("lan must be a non-empty list of language codes")
     return SemSpec(pred=data.get("pred"), args=tuple(args), tma=tma,
-                   lan=frozenset(lan) if lan else None)
+                   lan=None if lan is None else frozenset(lan))
 
 
 # --- fusion -----------------------------------------------------------------
@@ -244,46 +255,49 @@ def _apply_op(grammar, states, op, address, tree_name, lexeme_id):
     return result
 
 
-def _run_plan(grammar, base_tree, ops):
-    try:
-        states = [engine.instantiate(grammar, grammar.tree(base_tree))]
-    except _DERIVATION_ERRORS:
-        return []
-    for op, address, tree_name, lexeme_id in ops:
-        states = _apply_op(grammar, states, op, address, tree_name, lexeme_id)
+def _fold(grammar, states, slots, address):
+    """Adjoin the slots' choices at `address`, one fold per slot: the
+    states after a slot are the concatenation, over its choices, of the
+    choice applied to the shared states after the previous slot (the
+    empty choice passes them through), so a prefix common to several
+    plans is derived once."""
+    for slot in slots:
+        folded = []
+        for choice in slot:
+            current = states
+            for tree_name, lexeme_id in choice:
+                current = _apply_op(grammar, current, "adjoin", address,
+                                    tree_name, lexeme_id)
+            folded.extend(current)
+        states = folded
     return states
 
 
-def _np_plans(np_spec: NPSpec):
-    comp = ((("adjoin", (0,), "aux-N-Comp", np_spec.complement),)
-            if np_spec.complement else ())
-    noun = (("subst", (0,), "alpha-N", np_spec.lexeme),)
-    yield "alpha-NP-promote", noun + comp
-    for dem_slot in _NP_DEM_SLOTS:
-        for closure in _NP_CLOSURES:
-            ops = noun + comp
-            for tree_name, lexeme_id in dem_slot + closure:
-                ops = ops + (("adjoin", (0,), tree_name, lexeme_id),)
-            yield "alpha-NP-full", ops
-
-
 def _np_derivations(grammar, np_spec: NPSpec):
+    """Each base tree substitutes the noun once, then folds its slots: the
+    complement (one choice), and for the full NP demonstrative and closure."""
     if not grammar.has_lexeme(np_spec.lexeme):
         raise InvalidSpec("unknown lexeme %r" % np_spec.lexeme)
     if np_spec.complement and not grammar.has_lexeme(np_spec.complement):
         raise InvalidSpec("unknown complement lexeme %r" % np_spec.complement)
+    comp = ((("aux-N-Comp", np_spec.complement),),)
+    comp = (comp,) if np_spec.complement else ()
     out = []
-    for base, ops in _np_plans(np_spec):
-        out.extend(_run_plan(grammar, base, ops))
+    for base, slots in (("alpha-NP-promote", comp),
+                        ("alpha-NP-full", comp + (_NP_DEM_SLOTS, _NP_CLOSURES))):
+        try:
+            states = [engine.instantiate(grammar, grammar.tree(base))]
+        except _DERIVATION_ERRORS:
+            continue
+        states = _apply_op(grammar, states, "subst", (0,), "alpha-N",
+                           np_spec.lexeme)
+        out.extend(_fold(grammar, states, slots, (0,)))
     return out
 
 
 def _pred_derivations(grammar, pred: str):
-    """Every derivation of `pred` under the TMA slot plans, one fold per
-    slot: the states after a slot are the concatenation, over its
-    choices, of the choice applied to the shared states after the
-    previous slot (the empty choice passes them through), so a prefix
-    common to several plans is derived once."""
+    """Every derivation of `pred` under the TMA slots, all variants of
+    the predicate folded together."""
     if not grammar.has_lexeme(pred):
         raise InvalidSpec("unknown lexeme %r" % pred)
     states = []
@@ -293,16 +307,7 @@ def _pred_derivations(grammar, pred: str):
                 grammar, grammar.tree("alpha-Pred"), pred, index))
         except _DERIVATION_ERRORS:
             continue
-    for slot in _TMA_SLOTS:
-        folded = []
-        for choice in slot:
-            current = states
-            for tree_name, lexeme_id in choice:
-                current = _apply_op(grammar, current, "adjoin", (),
-                                    tree_name, lexeme_id)
-            folded.extend(current)
-        states = folded
-    return states
+    return _fold(grammar, states, _TMA_SLOTS, ())
 
 
 def _part_matches(grammar, derived, goals):
@@ -384,17 +389,12 @@ def _pred_goals(grammar, tma: TMA, lan):
     """
     full = grammar.schema.full("lan") if "lan" in grammar.schema else None
     lan = lan or full
-    goals = []
-    if not tma.cnd:
-        goal = _tma_values(tma)
-        if lan:
-            goal["lan"] = lan
-        goals.append(FeatureStruct(goal))
-        return goals
     direct = _tma_values(tma)
     if lan:
         direct["lan"] = lan
-    goals.append(FeatureStruct(direct))
+    goals = [FeatureStruct(direct)]
+    if not tma.cnd:
+        return goals
     has_dedicated, covered = _dedicated_cnd(grammar)
     if full is None:
         if has_dedicated:
@@ -510,24 +510,33 @@ def realizations_from_finals(grammar, finals, goals, pred_id=None):
     return kept
 
 
-def generate(grammar: Grammar, spec: SemSpec):
-    """All maximal realizations of a semantic specification, merged and
-    deterministically ordered.  Raises NoRealization when nothing derives."""
-    category, goals = _goal_for(grammar, spec)
+def _finals(grammar, category, spec: SemSpec):
+    """Derive, then finalize: (FinalizeResult, trace) pairs.  NP and Pred
+    read neither lan nor TMA, so one run serves every dialect and bundle;
+    a sentence keeps only the parts that match their own goals."""
     if category == "NP":
         derivations = _np_derivations(grammar, spec.args[0])
     elif category == "Pred":
         derivations = _pred_derivations(grammar, spec.pred)
     else:
         derivations = _sentence_derivations(grammar, spec)
-
     finals = []
     for derived in derivations:
         try:
             finals.append((engine.finalize(grammar, derived), derived.history))
         except (CollapseFailure, PendingSite):
             continue
+    return finals
 
+
+def generate(grammar: Grammar, spec: SemSpec, finals=None):
+    """All maximal realizations of a semantic specification, merged and
+    deterministically ordered.  Raises NoRealization when nothing derives.
+    Given `finals` (of a spec differing at most in lan and TMA), skip to
+    the goals."""
+    category, goals = _goal_for(grammar, spec)
+    if finals is None:
+        finals = _finals(grammar, category, spec)
     out = realizations_from_finals(grammar, finals, goals, spec.pred)
     if not out:
         raise NoRealization("nothing derives the requested specification")
@@ -570,9 +579,9 @@ TMA_ROWS = (
 )
 
 
-def _cell(grammar, spec, row, dialect):
+def _cell(grammar, spec, row, dialect, finals=None):
     try:
-        reals = generate(grammar, spec)
+        reals = generate(grammar, spec, finals)
     except NoRealization:
         raise MissingCell(row, dialect) from None
     if len(reals) != 1:
@@ -591,10 +600,11 @@ def table_np(grammar: Grammar):
     dialects = grammar.schema.domain("lan").values
     rows = []
     for row_name, np_spec in NP_ROWS:
+        finals = _finals(grammar, "NP", SemSpec(args=(np_spec,)))
         cells = []
         for dialect in dialects:
             spec = SemSpec(args=(np_spec,), lan=frozenset([dialect]))
-            cells.append(_cell(grammar, spec, row_name, dialect))
+            cells.append(_cell(grammar, spec, row_name, dialect, finals))
         rows.append((row_name, cells))
     return rows
 
@@ -602,12 +612,13 @@ def table_np(grammar: Grammar):
 def table_tma(grammar: Grammar):
     """The tense/aspect marking grid for the predicate DANCE."""
     dialects = grammar.schema.domain("lan").values
+    finals = _finals(grammar, "Pred", SemSpec(pred="DANCE"))
     rows = []
     for row_name, tma in TMA_ROWS:
         cells = []
         for dialect in dialects:
             spec = SemSpec(pred="DANCE", tma=tma, lan=frozenset([dialect]))
-            cells.append(_cell(grammar, spec, row_name, dialect))
+            cells.append(_cell(grammar, spec, row_name, dialect, finals))
         rows.append((row_name, cells))
     return rows
 

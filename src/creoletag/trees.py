@@ -65,12 +65,6 @@ class ElementaryTree:
     def nodes(self):
         return self.root.walk()
 
-    def foot_address(self):
-        for address, node in self.nodes():
-            if node.kind == FOOT:
-                return address
-        return None
-
     def anchor_address(self):
         for address, node in self.nodes():
             if node.kind == ANCHOR:

@@ -41,6 +41,18 @@ class TestGenerate:
         path = sem_file({})
         assert main(["generate", "--sem", path]) == 3
 
+    @pytest.mark.parametrize("data", [
+        {"args": [{"lexeme": "TABLE", "spe": "false"}]},
+        {"args": [{"lexeme": "TABLE"}], "lan": "HT"},
+        {"args": [{"lexeme": "TABLE"}], "lan": []},
+        {"args": [{"lexeme": "TABLE", "nbr": 2}]},
+        {"pred": "DANCE", "tma": {"asp": 1}},
+    ], ids=["flag-string", "lan-string", "lan-empty", "nbr-number",
+            "asp-number"])
+    def test_mistyped_json_is_bad_input(self, sem_file, capsys, data):
+        assert main(["generate", "--sem", sem_file(data)]) == 3
+        assert capsys.readouterr().out == ""
+
     def test_no_realization(self, sem_file, capsys):
         path = sem_file({"pred": "DANCE",
                          "tma": {"psp": True, "asp": "frq"}})

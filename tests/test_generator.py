@@ -5,11 +5,24 @@ import pytest
 from creoletag import engine
 from creoletag.errors import InvalidSpec, NoRealization
 from creoletag.generate import (NPSpec, SemSpec, TMA, apply_fusion, generate,
-                                semspec_from_json)
+                                semspec_from_json, table_np, table_tma)
 
 
 def tokens_of(reals):
     return [" ".join(r.tokens) for r in reals]
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """Calls per engine operation from here to the end of the test.  The
+    counts guard the 5 s table gates of criteria 1-2 on any machine."""
+    calls = dict.fromkeys(("instantiate", "substitute", "adjoin", "finalize"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(engine, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(engine, name, counted)
+    return calls
 
 
 class TestFusion:
@@ -88,23 +101,24 @@ class TestPredicateRealization:
         assert tokens_of(gp) == ["té ké dansé"]
 
     def test_tma_cell_derives_each_shared_prefix_once(self, grammar,
-                                                      monkeypatch):
-        # Guards criterion 2 (the TMA table's 5 s gate) on any machine:
+                                                      engine_calls):
         # a walk that re-derives the prefixes slot plans share costs this
-        # cell 648 instantiations and 583 adjunctions.
-        calls = {"instantiate": 0, "adjoin": 0}
-        for name in calls:
-            def counted(*args, _name=name, _real=getattr(engine, name),
-                        **kwargs):
-                calls[_name] += 1
-                return _real(*args, **kwargs)
-            monkeypatch.setattr(engine, name, counted)
+        # cell 648 instantiations and 583 adjunctions
         reals = generate(grammar, SemSpec(
             pred="DANCE", tma=TMA(pas=True, psp=True, asp="imp"),
             lan=frozenset(["HT"])))
         assert tokens_of(reals) == ["ta vap danse"]
-        assert calls["instantiate"] <= 17
-        assert calls["adjoin"] <= 167
+        assert engine_calls["instantiate"] <= 17
+        assert engine_calls["adjoin"] <= 167
+
+    def test_tma_table_derives_once(self, grammar, engine_calls):
+        # every row is DANCE and derivation reads neither lan nor TMA, so
+        # the 48 cells share one derivation run (1 536 finalizations when
+        # each cell derives its own)
+        assert len(table_tma(grammar)) == 12
+        assert engine_calls["finalize"] <= 32
+        assert engine_calls["instantiate"] <= 17
+        assert engine_calls["adjoin"] <= 167
 
 
 class TestNounPhraseRealization:
@@ -143,6 +157,25 @@ class TestNounPhraseRealization:
                 again = generate(grammar, SemSpec(
                     args=spec.args, lan=frozenset([dialect])))
                 assert real.tokens in [r.tokens for r in again]
+
+    def test_np_cell_derives_each_shared_prefix_once(self, grammar,
+                                                     engine_calls):
+        # 22 plans each restarting from the bare NP tree cost this cell
+        # 22 substitutions, 161 instantiations and 120 adjunctions
+        reals = generate(grammar, SemSpec(
+            args=(NPSpec("TABLE", nbr="pl", spe=True, dem=True),),
+            lan=frozenset(["GP"])))
+        assert tokens_of(reals) == ["sé tab lasa"]
+        assert engine_calls["substitute"] <= 2
+        assert engine_calls["instantiate"] <= 41
+        assert engine_calls["adjoin"] <= 108
+        assert engine_calls["finalize"] == 19
+
+    def test_np_table_derives_each_row_once(self, grammar, engine_calls):
+        # the 4 dialect columns of a row share its derivations (1 848
+        # substitutions when each cell derives its own)
+        assert len(table_np(grammar)) == 15
+        assert engine_calls["substitute"] <= 42
 
     def test_sentence_with_subject(self, grammar):
         reals = generate(grammar, SemSpec(
@@ -183,6 +216,11 @@ class TestSpecValidation:
     def test_prx_excludes_psp(self):
         with pytest.raises(InvalidSpec):
             TMA(prx=True, psp=True)
+
+    def test_prx_excludes_cnd(self):
+        # cnd expands to pas+psp, which prx excludes
+        with pytest.raises(InvalidSpec, match="cnd"):
+            TMA(prx=True, cnd=True)
 
     def test_cnd_excludes_explicit_past(self):
         with pytest.raises(InvalidSpec):
@@ -226,3 +264,30 @@ class TestSpecValidation:
         assert spec.args[0].nbr == "pl"
         assert spec.tma.pas and spec.tma.asp == "imp"
         assert spec.lan == frozenset(["MQ"])
+
+    def test_json_flags_must_be_booleans(self):
+        # bool("false") is true: this once asked for the specific NP
+        with pytest.raises(InvalidSpec, match="spe"):
+            semspec_from_json({"args": [{"lexeme": "TABLE", "spe": "false"}]})
+        with pytest.raises(InvalidSpec, match="dem"):
+            semspec_from_json({"args": [{"lexeme": "TABLE", "dem": 1}]})
+        with pytest.raises(InvalidSpec, match="pas"):
+            semspec_from_json({"pred": "DANCE", "tma": {"pas": "true"}})
+
+    def test_json_lan_must_be_a_list(self):
+        # a string once became its letters: "HT" -> {H, T}
+        with pytest.raises(InvalidSpec, match="lan"):
+            semspec_from_json({"pred": "DANCE", "lan": "HT"})
+        with pytest.raises(InvalidSpec, match="lan"):
+            semspec_from_json({"pred": "DANCE", "lan": ["HT", 7]})
+
+    def test_json_lan_must_not_be_empty(self):
+        # an empty list once meant every dialect
+        with pytest.raises(InvalidSpec, match="lan"):
+            semspec_from_json({"pred": "DANCE", "lan": []})
+
+    def test_json_nbr_and_asp_must_be_strings(self):
+        with pytest.raises(InvalidSpec, match="nbr must be a str"):
+            semspec_from_json({"args": [{"lexeme": "TABLE", "nbr": 2}]})
+        with pytest.raises(InvalidSpec, match="asp must be a str"):
+            semspec_from_json({"pred": "DANCE", "tma": {"asp": None}})
