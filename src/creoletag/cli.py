@@ -55,8 +55,13 @@ def cmd_generate(args):
         print("cannot read semantic input: %s" % exc, file=sys.stderr)
         return EXIT_BAD_INPUT
     spec = semspec_from_json(data)
-    if args.lan:
-        requested = frozenset(args.lan.split(","))
+    if args.lan is not None:
+        codes = args.lan.split(",")
+        empty = [str(i) for i, code in enumerate(codes, 1) if not code.strip()]
+        if empty:
+            raise InvalidSpec("--lan %r: empty language code at entry %s"
+                              % (args.lan, ", ".join(empty)))
+        requested = frozenset(codes)
         spec = replace(spec,
                        lan=(spec.lan & requested if spec.lan else requested))
     try:

@@ -360,7 +360,7 @@ def replay(grammar: Grammar, history) -> DerivedTree:
     return derived
 
 
-# --- brute-force enumeration ----------------------------------------------
+# --- enumeration -------------------------------------------------------------
 
 def _node_at(root, address):
     node = root
@@ -369,7 +369,7 @@ def _node_at(root, address):
     return node
 
 
-def _instantiations(grammar, tree, lexemes=None, surfaces=None):
+def _instantiations(grammar, tree, lexemes, vocabulary):
     """All ways to instantiate one elementary tree, deterministically ordered."""
     anchor_label = tree.anchor_label
     if anchor_label is None:
@@ -382,7 +382,7 @@ def _instantiations(grammar, tree, lexemes=None, surfaces=None):
         if lexemes is not None and lexeme.id not in lexemes:
             continue
         for index, variant in enumerate(lexeme.variants):
-            if surfaces is not None and variant.surface and variant.surface not in surfaces:
+            if vocabulary is not None and variant.surface and variant.surface not in vocabulary:
                 continue
             try:
                 out.append(instantiate(grammar, tree, lexeme.id, index))
@@ -391,7 +391,18 @@ def _instantiations(grammar, tree, lexemes=None, surfaces=None):
     return out
 
 
-def _saturated(grammar, label, budget, lexemes, surfaces, memo):
+def _frontier(root):
+    """Anchored tokens in order; zero forms contribute none."""
+    return tuple(node.surface for _, node in root.walk()
+                 if node.kind == ANCHOR and node.surface)
+
+
+def _is_subsequence(short, long):
+    rest = iter(long)
+    return all(token in rest for token in short)
+
+
+def _saturated(grammar, label, budget, instances, memo):
     """Complete initial-derived trees of a category: every substitution
     site recursively filled with minimal fillers, no adjunctions.  Costs
     count the substitutions spent.  Adjunction is left to the caller,
@@ -404,14 +415,13 @@ def _saturated(grammar, label, budget, lexemes, surfaces, memo):
     for tree in grammar.initial_trees():
         if tree.root.label != label:
             continue
-        for inst in _instantiations(grammar, tree, lexemes, surfaces):
-            out.extend(_fill_sites(grammar, inst, budget,
-                                   lexemes, surfaces, memo))
+        for inst in instances(tree):
+            out.extend(_fill_sites(grammar, inst, budget, instances, memo))
     memo[key] = out
     return out
 
 
-def _fill_sites(grammar, derived, budget, lexemes, surfaces, memo):
+def _fill_sites(grammar, derived, budget, instances, memo):
     sites = derived.pending_sites
     if not sites:
         return [(derived, 0)]
@@ -421,7 +431,7 @@ def _fill_sites(grammar, derived, budget, lexemes, surfaces, memo):
     if budget < 1:
         return results
     for filler, subcost in _saturated(grammar, site.label, budget - 1,
-                                      lexemes, surfaces, memo):
+                                      instances, memo):
         cost = 1 + subcost
         if cost > budget:
             continue
@@ -430,28 +440,51 @@ def _fill_sites(grammar, derived, budget, lexemes, surfaces, memo):
         except (UnificationFailure, NotASubstitutionSite):
             continue
         for full, more in _fill_sites(grammar, nxt, budget - cost,
-                                      lexemes, surfaces, memo):
+                                      instances, memo):
             results.append((full, cost + more))
     return results
 
 
 def enumerate_derivations(grammar: Grammar, goal_label: str,
                           goal_fs: FeatureStruct, max_steps: int,
-                          lexemes=None, surfaces=None):
+                          lexemes=None, frontiers=None):
     """Every finalizable derivation within the step bound whose collapsed
     root features unify with the goal.
 
     The bound counts substitutions plus adjunctions.  `lexemes`
     optionally restricts which lexemes may anchor trees (the semantic
     input selects the content words; pass ids for every lexeme the
-    derivation may use).  `surfaces` optionally restricts anchor surfaces
-    (zero forms always pass).  Results are deduplicated by (frontier,
+    derivation may use).  `frontiers` optionally maps target frontiers
+    (tuples of anchored tokens) to their own step bounds, each capped by
+    `max_steps`: anchors are then restricted to the targets' tokens
+    (zero forms always pass), and only derivations whose frontier is a
+    target and whose cost is within that target's bound are returned.
+    One call serves every target, so derivations they share are built
+    once.  Substitution and adjunction only insert tokens, so a partial
+    derivation whose frontier is not a subsequence of some target it can
+    still afford is cut at once.  Results are deduplicated by (frontier,
     features) keeping the lexicographically least trace, and returned
     sorted by trace.
     """
-    memo = {}
-    bases = _saturated(grammar, goal_label, max_steps, lexemes, surfaces, memo)
-    aux_pool = grammar.auxiliary_trees()
+    vocabulary = None
+    if frontiers is not None:
+        frontiers = {f: min(bound, max_steps) for f, bound in frontiers.items()}
+        vocabulary = set().union(*frontiers)
+        widest_first = sorted(frontiers.items(), key=lambda item: -item[1])
+        reach = {}  # frontier -> largest bound of a target that contains it
+    cache = {}
+
+    def instances(tree):
+        # immutable, and renamed apart whenever they are spliced in
+        if tree.name not in cache:
+            cache[tree.name] = _instantiations(grammar, tree, lexemes,
+                                               vocabulary)
+        return cache[tree.name]
+
+    bases = _saturated(grammar, goal_label, max_steps, instances, {})
+    aux_by_label = {}
+    for tree in grammar.auxiliary_trees():
+        aux_by_label.setdefault(tree.root.label, []).extend(instances(tree))
     results = {}
 
     def consider(derived):
@@ -466,26 +499,36 @@ def enumerate_derivations(grammar: Grammar, goal_label: str,
         if prior is None or derived.trace_key() < prior[0].trace_key():
             results[key] = (derived, final)
 
-    def explore(derived, steps_left):
-        consider(derived)
-        if steps_left <= 0:
+    def explore(derived, cost):
+        if frontiers is None:
+            consider(derived)
+            bound = max_steps
+        else:
+            frontier = _frontier(derived.root)
+            if frontier not in reach:
+                reach[frontier] = next(
+                    (b for target, b in widest_first
+                     if _is_subsequence(frontier, target)), -1)
+            bound = reach[frontier]
+            if cost > bound:
+                return
+            if cost <= frontiers.get(frontier, -1):
+                consider(derived)
+        if cost >= bound:
             return
         for address, node in sorted(derived.root.walk()):
             if node.kind in (ANCHOR, SUBST, FOOT) or node.was_foot:
                 continue
-            for tree in aux_pool:
-                if tree.root.label != node.label:
+            for aux in aux_by_label.get(node.label, ()):
+                try:
+                    nxt = adjoin(grammar, derived, address, aux)
+                except (UnificationFailure, LabelMismatch,
+                        NotAnAdjunctionSite):
                     continue
-                for aux in _instantiations(grammar, tree, lexemes, surfaces):
-                    try:
-                        nxt = adjoin(grammar, derived, address, aux)
-                    except (UnificationFailure, LabelMismatch,
-                            NotAnAdjunctionSite):
-                        continue
-                    explore(nxt, steps_left - 1)
+                explore(nxt, cost + 1)
 
     for base, cost in bases:
-        explore(base, max_steps - cost)
+        explore(base, cost)
 
     ordered = sorted(results.values(), key=lambda pair: pair[0].trace_key())
     return [pair[0] for pair in ordered]

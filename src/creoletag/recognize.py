@@ -1,24 +1,27 @@
 """Recognition and dialect identification over the shipped grammar.
 
-The recognizer is filtered brute force: enumerate derivations with a
-step bound tied to the token count, keep those whose post-fusion
-frontier equals the input, and report which language sets are consistent
-with the whole string and with each word.  Before matching, fused
-Haitian forms are expanded by reverse fusion lookup (tap -> te ap) and
-every decomposition is tried.
+Fused Haitian forms are first expanded by reverse fusion lookup (tap ->
+te ap), which gives every decomposition of the input.  One derivation
+search then serves them all: each decomposition is a target frontier
+with a step bound tied to its token count, partial derivations that no
+target can still contain are cut, and the hits whose post-fusion
+frontier equals the input are reported with the language sets
+consistent with the whole string and with each word.
 
 When no language-consistent derivation exists, the input is reparsed
-with the language attribute erased from the whole grammar.  Structurally
-valid but dialect-mixed strings then come back flagged `mixed`, with a
-per-token report of which dialects each word belongs to.
+with the language attribute erased from the whole grammar (built once
+per grammar object).  Structurally valid but dialect-mixed strings then
+come back flagged `mixed`, with a per-token report of which dialects
+each word belongs to.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from . import engine
-from .errors import CollapseFailure, InvalidSpec, NoAnalysis, PendingSite
+from .errors import InvalidSpec, NoAnalysis
 from .featstruct import EMPTY, FeatureStruct
 from .generate import apply_fusion, fuse_with_sources
 from .grammar import Grammar
@@ -124,27 +127,41 @@ def _choose_candidates(per_token_candidates):
 
 
 def _search(grammar, tokens, goal, max_extra=2):
-    """Derivations (in `grammar`) whose post-fusion frontier is `tokens`."""
-    hits = []
+    """Derivations (in `grammar`) whose post-fusion frontier is `tokens`,
+    grouped by decomposition in `_decompositions` order."""
+    decomps = _decompositions(tokens, grammar.fusion_rules)
+    frontiers = {decomp: len(decomp) + max_extra for decomp in decomps}
+    derivations = engine.enumerate_derivations(
+        grammar, goal, EMPTY, max(frontiers.values()), frontiers=frontiers)
     full = grammar.schema.full("lan") if "lan" in grammar.schema else None
-    for decomp in _decompositions(tokens, grammar.fusion_rules):
-        surfaces = set(decomp)
-        derivations = engine.enumerate_derivations(
-            grammar, goal, EMPTY, len(decomp) + max_extra, surfaces=surfaces)
-        for derived in derivations:
-            try:
-                final = engine.finalize(grammar, derived)
-            except (CollapseFailure, PendingSite):
-                continue
-            if final.frontier != decomp:
-                continue
-            lan = final.features.get("lan", full) if full else frozenset()
-            fused = tuple(apply_fusion(list(final.frontier), lan,
-                                       grammar.fusion_rules))
-            if fused != tokens:
-                continue
-            hits.append((derived, final, lan))
-    return hits
+    by_decomp = {decomp: [] for decomp in decomps}
+    for derived in derivations:
+        final = engine.finalize(grammar, derived)
+        lan = final.features.get("lan", full) if full else frozenset()
+        fused = tuple(apply_fusion(list(final.frontier), lan,
+                                   grammar.fusion_rules))
+        if fused != tokens:
+            continue
+        by_decomp[final.frontier].append((derived, final, lan))
+    return [hit for decomp in decomps for hit in by_decomp[decomp]]
+
+
+_RELAXED = {}  # id(grammar) -> project_language(grammar)
+
+
+def _relaxed(grammar):
+    """project_language(grammar), built once per grammar object.
+
+    Grammar defines __eq__ and so is unhashable: the memo is keyed by
+    identity, and an entry goes when its grammar does."""
+    key = id(grammar)
+    if key not in _RELAXED:
+        relaxed = project_language(grammar)
+        if relaxed is grammar:  # nothing erased; an entry would pin it
+            return grammar
+        _RELAXED[key] = relaxed
+        weakref.finalize(grammar, _RELAXED.pop, key, None)
+    return _RELAXED[key]
 
 
 def recognize(grammar: Grammar, tokens, goal: str = "NP"):
@@ -173,7 +190,7 @@ def recognize(grammar: Grammar, tokens, goal: str = "NP"):
     if analyses:
         return _sorted_analyses(analyses)
 
-    relaxed = project_language(grammar)
+    relaxed = _relaxed(grammar)
     for derived, final, _ in _search(relaxed, tokens, goal):
         merged = _merged_token_sources(relaxed, final, frozenset())
         candidates = []

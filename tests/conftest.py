@@ -1,5 +1,6 @@
 import pytest
 
+from creoletag import engine
 from creoletag.creole import shipped_grammar
 
 
@@ -13,3 +14,18 @@ def particle_lexemes(grammar):
     """Lexeme ids of everything that is not a content word."""
     content = {"N", "V", "Nprop"}
     return {l.id for l in grammar.lexicon if l.category not in content}
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """Calls per engine operation from here to the end of the test.  The
+    counts guard the 5 s table gates of criteria 1-2 and the recognizer's
+    work on any machine."""
+    calls = dict.fromkeys(("instantiate", "substitute", "adjoin", "finalize",
+                           "enumerate_derivations"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(engine, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(engine, name, counted)
+    return calls

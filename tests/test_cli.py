@@ -53,6 +53,17 @@ class TestGenerate:
         assert main(["generate", "--sem", sem_file(data)]) == 3
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("lan,entries", [
+        ("", "entry 1"), ("HT,,GP", "entry 2"), (",HT,", "entry 1, 3"),
+    ], ids=["empty", "inner-blank", "outer-blanks"])
+    def test_empty_lan_entry_is_bad_input(self, sem_file, capsys, lan,
+                                          entries):
+        path = sem_file({"args": [{"lexeme": "TABLE"}]})
+        assert main(["generate", "--sem", path, "--lan", lan]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "empty language code at %s" % entries in err
+
     def test_no_realization(self, sem_file, capsys):
         path = sem_file({"pred": "DANCE",
                          "tma": {"psp": True, "asp": "frq"}})

@@ -2,7 +2,6 @@
 
 import pytest
 
-from creoletag import engine
 from creoletag.errors import InvalidSpec, NoRealization
 from creoletag.generate import (NPSpec, SemSpec, TMA, apply_fusion, generate,
                                 semspec_from_json, table_np, table_tma)
@@ -10,19 +9,6 @@ from creoletag.generate import (NPSpec, SemSpec, TMA, apply_fusion, generate,
 
 def tokens_of(reals):
     return [" ".join(r.tokens) for r in reals]
-
-
-@pytest.fixture
-def engine_calls(monkeypatch):
-    """Calls per engine operation from here to the end of the test.  The
-    counts guard the 5 s table gates of criteria 1-2 on any machine."""
-    calls = dict.fromkeys(("instantiate", "substitute", "adjoin", "finalize"), 0)
-    for name in calls:
-        def counted(*args, _name=name, _real=getattr(engine, name), **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
-        monkeypatch.setattr(engine, name, counted)
-    return calls
 
 
 class TestFusion:

@@ -1,9 +1,16 @@
 """Recognition, round trips and dialect identification."""
 
+import gc
+import itertools
+
 import pytest
 
 from creoletag import engine
+from creoletag import recognize as recognize_module
+from creoletag.creole import golden_path, grammar_text
+from creoletag.dsl import load_grammar
 from creoletag.errors import NoAnalysis
+from creoletag.featstruct import EMPTY
 from creoletag.generate import apply_fusion
 from creoletag.recognize import MixedReport, identify_dialect, recognize
 
@@ -50,6 +57,109 @@ class TestRecognize:
                 fused = apply_fusion(list(final.frontier), lan,
                                      grammar.fusion_rules)
                 assert tuple(fused) == tuple(text.split())
+
+    def test_stack_is_one_search(self, grammar, engine_calls):
+        # one search per decomposition costs this stack 50 searches, 5 862
+        # instantiations, 4 408 adjunctions and 1 294 finalizations
+        with pytest.raises(NoAnalysis):
+            recognize(grammar, "ta vap ta vap danse", "Pred")
+        assert engine_calls["enumerate_derivations"] <= 2
+        assert engine_calls["instantiate"] <= 18
+        assert engine_calls["adjoin"] <= 216
+        assert engine_calls["finalize"] == 0
+
+    def test_relaxed_grammar_built_once_per_grammar(self, monkeypatch):
+        project_language = recognize_module.project_language
+        built = []
+
+        def counted(grammar):
+            built.append(grammar)
+            return project_language(grammar)
+
+        monkeypatch.setattr(recognize_module, "project_language", counted)
+        first = load_grammar(grammar_text())
+        for _ in range(2):
+            assert all(a.mixed for a in recognize(first, "sé zwazo la", "NP"))
+        assert built == [first]
+        other = load_grammar(grammar_text())
+        assert all(a.mixed for a in recognize(other, "sé zwazo la", "NP"))
+        assert [g is other for g in built] == [False, True]
+        key = id(other)
+        del other, built[1]
+        gc.collect()
+        assert key not in recognize_module._RELAXED
+
+
+def _per_decomposition_search(grammar, tokens, goal, max_extra=2):
+    """One blind search per decomposition, kept apart by lexemes only."""
+    hits = []
+    full = grammar.schema.full("lan") if "lan" in grammar.schema else None
+    for decomp in recognize_module._decompositions(tokens,
+                                                   grammar.fusion_rules):
+        lexemes = {lexeme.id for lexeme in grammar.lexicon
+                   if any(not v.surface or v.surface in decomp
+                          for v in lexeme.variants)}
+        for derived in engine.enumerate_derivations(
+                grammar, goal, EMPTY, len(decomp) + max_extra,
+                lexemes=lexemes):
+            final = engine.finalize(grammar, derived)
+            if final.frontier != decomp:
+                continue
+            lan = final.features.get("lan", full) if full else frozenset()
+            fused = tuple(apply_fusion(list(final.frontier), lan,
+                                       grammar.fusion_rules))
+            if fused == tokens:
+                hits.append((derived, final, lan))
+    return hits
+
+
+def _short_golden_strings():
+    """(string, goal) for every golden form of at most three tokens."""
+    out = set()
+    for name, goal in (("np", "NP"), ("tma", "Pred")):
+        rows = golden_path(name).read_text(encoding="utf-8").splitlines()[1:]
+        for row in rows:
+            for cell in row.split("\t")[1:]:
+                out.update((form, goal) for form in cell.split(" / ")
+                           if len(form.split()) <= 3)
+    return out
+
+
+def test_one_search_matches_per_decomposition_oracle(grammar, monkeypatch):
+    """One search over every decomposition finds what a search per
+    decomposition finds."""
+    # a target keeps its own step bound: with the looser bound of a longer
+    # target, zero forms (danse + a zero aspect) add analyses
+    targets = {("danse",): 0, ("te", "danse"): 2}
+    together = engine.enumerate_derivations(grammar, "Pred", EMPTY, 2,
+                                            frontiers=targets)
+    apart = [derived for target, bound in targets.items()
+             for derived in engine.enumerate_derivations(
+                 grammar, "Pred", EMPTY, bound, frontiers={target: bound})]
+    assert sorted(d.trace_key() for d in together) == \
+        sorted(d.trace_key() for d in apart)
+
+    stacks = [" ".join(pair) + " danse"
+              for pair in itertools.product(("tap", "vap", "ta"), repeat=2)
+              if pair != ("ta", "vap")]
+    inputs = sorted(_short_golden_strings()
+                    | {("tap danse", "Pred"), ("ta vap danse", "Pred")}
+                    | {(stack, "Pred") for stack in stacks})
+
+    def outcome(text, goal):
+        try:
+            analyses = recognize(grammar, text, goal)
+        except NoAnalysis:
+            return None
+        return [(a.features, a.lan_set, a.per_token_lan, a.trace, a.mixed)
+                for a in analyses]
+
+    shared = [outcome(text, goal) for text, goal in inputs]
+    monkeypatch.setattr(recognize_module, "_search",
+                        _per_decomposition_search)
+    for (text, goal), got in zip(inputs, shared):
+        assert got == outcome(text, goal), text
+    assert sum(got is None for got in shared) == len(stacks)
 
 
 class TestIdentifyDialect:
