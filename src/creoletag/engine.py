@@ -324,7 +324,8 @@ def finalize(grammar: Grammar, derived: DerivedTree) -> FinalizeResult:
     for address, node in sorted(derived.root.walk()):
         unified = unify(node.top, node.bottom, grammar.schema, env)
         if unified is None:
-            raise CollapseFailure(address)
+            raise CollapseFailure(address, _disjoint(node.top, env,
+                                                     node.bottom, env))
         fs, env = unified
         if address == ():
             collapsed_root = fs
@@ -445,26 +446,46 @@ def _fill_sites(grammar, derived, budget, instances, memo):
     return results
 
 
+def _disjoint(a, a_env, b, b_env):
+    """The first attribute that `a` and `b` bind to disjoint subsets, each
+    side's variables resolved through its own bindings, or None.  Bindings
+    only narrow, so unifying the two then fails too."""
+    for attr, cell in a.items():
+        other = b.get(attr)
+        if other is None:
+            continue
+        if isinstance(cell, Var):
+            cell = a_env.value(cell)
+        if isinstance(other, Var):
+            other = b_env.value(other)
+        if cell is not None and other is not None and not cell & other:
+            return attr
+    return None
+
+
 def enumerate_derivations(grammar: Grammar, goal_label: str,
                           goal_fs: FeatureStruct, max_steps: int,
-                          lexemes=None, frontiers=None):
+                          lexemes=None, frontiers=None, content=()):
     """Every finalizable derivation within the step bound whose collapsed
-    root features unify with the goal.
+    root features unify with the goal, as (derived, final) pairs.
 
     The bound counts substitutions plus adjunctions.  `lexemes`
     optionally restricts which lexemes may anchor trees (the semantic
     input selects the content words; pass ids for every lexeme the
-    derivation may use).  `frontiers` optionally maps target frontiers
-    (tuples of anchored tokens) to their own step bounds, each capped by
-    `max_steps`: anchors are then restricted to the targets' tokens
-    (zero forms always pass), and only derivations whose frontier is a
-    target and whose cost is within that target's bound are returned.
-    One call serves every target, so derivations they share are built
-    once.  Substitution and adjunction only insert tokens, so a partial
-    derivation whose frontier is not a subsequence of some target it can
-    still afford is cut at once.  Results are deduplicated by (frontier,
-    features) keeping the lexicographically least trace, and returned
-    sorted by trace.
+    derivation may use).  `content` lists lexeme ids every result
+    anchors exactly as often as listed; a partial derivation that
+    anchors one more often is cut.  `frontiers` optionally maps target
+    frontiers (tuples of anchored tokens) to their own step bounds, each
+    capped by `max_steps`: anchors are then restricted to the targets'
+    tokens (zero forms always pass), and only derivations whose frontier
+    is a target and whose cost is within that target's bound are
+    returned.  One call serves every target, so derivations they share
+    are built once.  Substitution and adjunction only insert tokens, so
+    a partial derivation whose frontier is not a subsequence of some
+    target it can still afford is cut at once.  An adjunction or a
+    finalization that :func:`_disjoint` shows must fail is not tried.
+    Results are deduplicated by (frontier, features) keeping the
+    lexicographically least trace, and returned sorted by trace.
     """
     vocabulary = None
     if frontiers is not None:
@@ -481,13 +502,33 @@ def enumerate_derivations(grammar: Grammar, goal_label: str,
                                                vocabulary)
         return cache[tree.name]
 
-    bases = _saturated(grammar, goal_label, max_steps, instances, {})
     aux_by_label = {}
-    for tree in grammar.auxiliary_trees():
-        aux_by_label.setdefault(tree.root.label, []).extend(instances(tree))
+
+    def auxiliaries(label):
+        # (instance, foot) pairs, built when a node of the label is reached
+        if label not in aux_by_label:
+            aux_by_label[label] = [
+                (aux, next(n for _, n in aux.root.walk() if n.kind == FOOT))
+                for tree in grammar.auxiliary_trees()
+                if tree.root.label == label for aux in instances(tree)]
+        return aux_by_label[label]
+
+    def surplus(derived):
+        # anchors of each content lexeme beyond its listed count
+        if not content:
+            return ()
+        anchored = [node.lexeme for _, node in derived.root.walk()
+                    if node.kind == ANCHOR]
+        return [anchored.count(l) - content.count(l) for l in content]
+
+    bases = _saturated(grammar, goal_label, max_steps, instances, {})
     results = {}
 
-    def consider(derived):
+    def consider(derived, extra):
+        env = derived.env
+        if any(extra) or any(_disjoint(node.top, env, node.bottom, env)
+                             for _, node in derived.root.walk()):
+            return
         try:
             final = finalize(grammar, derived)
         except (CollapseFailure, PendingSite):
@@ -500,8 +541,11 @@ def enumerate_derivations(grammar: Grammar, goal_label: str,
             results[key] = (derived, final)
 
     def explore(derived, cost):
+        extra = surplus(derived)
+        if any(n > 0 for n in extra):
+            return
         if frontiers is None:
-            consider(derived)
+            consider(derived, extra)
             bound = max_steps
         else:
             frontier = _frontier(derived.root)
@@ -513,13 +557,17 @@ def enumerate_derivations(grammar: Grammar, goal_label: str,
             if cost > bound:
                 return
             if cost <= frontiers.get(frontier, -1):
-                consider(derived)
+                consider(derived, extra)
         if cost >= bound:
             return
+        env = derived.env
         for address, node in sorted(derived.root.walk()):
             if node.kind in (ANCHOR, SUBST, FOOT) or node.was_foot:
                 continue
-            for aux in aux_by_label.get(node.label, ()):
+            for aux, foot in auxiliaries(node.label):
+                if _disjoint(node.top, env, aux.root.top, aux.env) or \
+                        _disjoint(node.bottom, env, foot.bottom, aux.env):
+                    continue
                 try:
                     nxt = adjoin(grammar, derived, address, aux)
                 except (UnificationFailure, LabelMismatch,
@@ -531,4 +579,9 @@ def enumerate_derivations(grammar: Grammar, goal_label: str,
         explore(base, cost)
 
     ordered = sorted(results.values(), key=lambda pair: pair[0].trace_key())
-    return [pair[0] for pair in ordered]
+    # explore refers to itself, so this frame's closures outlive the call
+    # until the cycle collector runs; empty what they hold now
+    results.clear()
+    cache.clear()
+    aux_by_label.clear()
+    return ordered

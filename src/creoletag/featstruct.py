@@ -143,6 +143,16 @@ class FeatureStruct(Mapping):
                 return cell
         raise KeyError(attr)
 
+    # read _items directly: Mapping's versions go through __getitem__
+    def get(self, attr, default=None):
+        for key, cell in self._items:
+            if key == attr:
+                return cell
+        return default
+
+    def items(self):
+        return self._items
+
     def __iter__(self):
         return (attr for attr, _ in self._items)
 
@@ -241,7 +251,7 @@ def unify(a: FeatureStruct, b: FeatureStruct, schema: Schema,
     schema.check(a)
     schema.check(b)
     env = env or Bindings()
-    out = dict(a)
+    out = dict(a.items())
     for attr, cell in b.items():
         if attr not in out:
             out[attr] = cell

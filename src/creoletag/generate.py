@@ -1,15 +1,15 @@
 """Surface realization from flat semantic specifications.
 
-The generator is a directed realizer: it knows which auxiliary trees
-realize which feature (a slot plan) and drives the engine through the
-candidate plans, folding the NP and Pred slots one at a time over
-prefix states shared across plans.  Derivation reads neither lan nor
-the TMA bundle, so a paradigm table derives once (per row for NPs) and
-filters per dialect: only the goal half keeps the derivations whose
-collapsed features unify with the goal, applies the fusion rules and
-groups the survivors.  The blind alternative,
-:func:`creoletag.engine.enumerate_derivations`, stays an independent
-route so the two can be compared in tests.
+A noun phrase or a predicate is one derivation search,
+:func:`creoletag.engine.enumerate_derivations`, over the grammar's own
+trees: the specification's content lexemes anchor it, each exactly
+once, and any other lexeme may come in as a particle wherever the
+grammar lets it.  A sentence fills the sites of the grammar's S-rooted
+trees with the parts that match their own goals.  Derivation reads
+neither lan nor the TMA bundle, so a paradigm table derives once (per
+row for NPs) and filters per dialect: only the goal half keeps the
+derivations whose collapsed features unify with the goal, applies the
+fusion rules and groups the survivors.
 
 Realizations identical in tokens merge with unioned language sets (the
 dialectal continuum made visible); a realization whose language set is
@@ -19,13 +19,13 @@ optional Guianese imperfective particle and the k'alé/kay doublet).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import engine
-from .errors import (CollapseFailure, InvalidSpec, LabelMismatch, MissingCell,
-                     NoRealization, NotAnAdjunctionSite, NotASubstitutionSite,
-                     PendingSite, UnificationFailure)
+from .errors import (CollapseFailure, InvalidSpec, MissingCell, NoRealization,
+                     NotASubstitutionSite, UnificationFailure)
 from .featstruct import EMPTY, FeatureStruct, unify
 from .grammar import Grammar
 
@@ -192,152 +192,68 @@ def fuse_with_sources(entries, lan_set, rules, anchor_index=None):
     return out
 
 
-# --- plan-driven derivation building ----------------------------------------
+# --- derivation ---------------------------------------------------------------
 
-_NP_DEM_SLOTS = (
-    (),
-    (("aux-Dem-ht", "DEM_HT"),),
-    (("aux-Dem-gf", "DEM_GF"),),
-)
-
-_NP_CLOSURES = (
-    (("aux-Indef-Art", "INDEF"),),
-    (("aux-Spec-Art", "ART"),),
-    (("aux-Dem-Det-gpmq", "DEM_ART"),),
-    (("aux-Plur-ht", "PLUR_YO"),),
-    (("aux-Plur-gf", "PLUR_YA"),),
-    (("aux-Spec-Art", "ART"), ("aux-Plur-gpmq", "PLUR_SE")),
-    (("aux-Dem-Det-gpmq", "DEM_ART"), ("aux-Plur-gpmq", "PLUR_SE")),
-)
-
-_TMA_SLOTS = (
-    ((), (("aux-Imperfective-general", "IMPF_KA"),),
-     (("aux-Imperfective-zero", "IMPF_ZERO"),),
-     (("aux-Progressive-ht", "PROG_AP"),),
-     (("aux-Imperfective-ht-bound", "PROG_AP"),)),
-    ((), (("aux-Prospective", "PROSP"),)),
-    ((), (("aux-Past", "PAST"),)),
-    ((), (("aux-NearFuture", "PROX"),)),
-    ((), (("aux-Conditional-mq", "COND"),)),
-)
-
-_DERIVATION_ERRORS = (UnificationFailure, LabelMismatch,
-                      NotASubstitutionSite, NotAnAdjunctionSite)
+# the categories of the lexemes a SemSpec names; a lexeme of any other
+# category is a particle the search may add wherever the grammar allows
+_CONTENT_CATEGORIES = frozenset(("N", "Nprop", "V"))
+# substitutions plus adjunctions per search, as in criterion 7's oracle
+_MAX_STEPS = 5
 
 
-def _apply_op(grammar, states, op, address, tree_name, lexeme_id):
-    # nothing to extend, or a specialized grammar dropped the tree or lexeme
-    if not states or not grammar.has_tree(tree_name):
-        return []
-    if lexeme_id is not None and not grammar.has_lexeme(lexeme_id):
-        return []
-    tree = grammar.tree(tree_name)
-    parts = []
-    if lexeme_id is None:
-        parts.append(engine.instantiate(grammar, tree))
+def _derivations(grammar, category, spec: SemSpec):
+    """(derived, final) pairs.  An NP or a Pred is one search that
+    anchors each content lexeme of the spec exactly once and reads
+    neither lan nor TMA; a sentence is assembled from such parts."""
+    if category == "S":
+        return _sentences(grammar, spec)
+    if category == "Pred":
+        content = (spec.pred,)
     else:
-        lexeme = grammar.lexeme(lexeme_id)
-        for index in range(len(lexeme.variants)):
-            try:
-                parts.append(engine.instantiate(grammar, tree, lexeme.id, index))
-            except _DERIVATION_ERRORS:
-                continue
-    result = []
-    for state in states:
-        for part in parts:
-            try:
-                if op == "subst":
-                    result.append(engine.substitute(grammar, state, address, part))
-                else:
-                    result.append(engine.adjoin(grammar, state, address, part))
-            except _DERIVATION_ERRORS:
-                continue
-    return result
+        content = tuple(lexeme_id for lexeme_id in (
+            spec.args[0].lexeme, spec.args[0].complement) if lexeme_id)
+    for lexeme_id in content:
+        if not grammar.has_lexeme(lexeme_id):
+            raise InvalidSpec("unknown lexeme %r" % lexeme_id)
+    lexemes = {lexeme.id for lexeme in grammar.lexicon
+               if lexeme.category not in _CONTENT_CATEGORIES}
+    return engine.enumerate_derivations(
+        grammar, category, EMPTY, _MAX_STEPS, lexemes=lexemes.union(content),
+        content=content)
 
 
-def _fold(grammar, states, slots, address):
-    """Adjoin the slots' choices at `address`, one fold per slot: the
-    states after a slot are the concatenation, over its choices, of the
-    choice applied to the shared states after the previous slot (the
-    empty choice passes them through), so a prefix common to several
-    plans is derived once."""
-    for slot in slots:
-        folded = []
-        for choice in slot:
-            current = states
-            for tree_name, lexeme_id in choice:
-                current = _apply_op(grammar, current, "adjoin", address,
-                                    tree_name, lexeme_id)
-            folded.extend(current)
-        states = folded
-    return states
-
-
-def _np_derivations(grammar, np_spec: NPSpec):
-    """Each base tree substitutes the noun once, then folds its slots: the
-    complement (one choice), and for the full NP demonstrative and closure."""
-    if not grammar.has_lexeme(np_spec.lexeme):
-        raise InvalidSpec("unknown lexeme %r" % np_spec.lexeme)
-    if np_spec.complement and not grammar.has_lexeme(np_spec.complement):
-        raise InvalidSpec("unknown complement lexeme %r" % np_spec.complement)
-    comp = ((("aux-N-Comp", np_spec.complement),),)
-    comp = (comp,) if np_spec.complement else ()
+def _sentences(grammar, spec: SemSpec):
+    """Fill the sites of every unanchored S-rooted initial tree with the
+    parts that match their own goals (the sentence root itself only
+    constrains lan)."""
+    goals = {"NP": [_np_goal(spec.args[0], spec.lan)],
+             "Pred": _pred_goals(grammar, spec.tma, spec.lan)}
+    parts = {label: [derived for derived, final
+                     in _derivations(grammar, label, spec)
+                     if any(unify(final.features, goal, grammar.schema)
+                            is not None for goal in goals[label])]
+             for label in goals}
     out = []
-    for base, slots in (("alpha-NP-promote", comp),
-                        ("alpha-NP-full", comp + (_NP_DEM_SLOTS, _NP_CLOSURES))):
-        try:
-            states = [engine.instantiate(grammar, grammar.tree(base))]
-        except _DERIVATION_ERRORS:
+    for tree in grammar.initial_trees():
+        if tree.root.label != "S" or tree.anchor_label:
             continue
-        states = _apply_op(grammar, states, "subst", (0,), "alpha-N",
-                           np_spec.lexeme)
-        out.extend(_fold(grammar, states, slots, (0,)))
-    return out
-
-
-def _pred_derivations(grammar, pred: str):
-    """Every derivation of `pred` under the TMA slots, all variants of
-    the predicate folded together."""
-    if not grammar.has_lexeme(pred):
-        raise InvalidSpec("unknown lexeme %r" % pred)
-    states = []
-    for index in range(len(grammar.lexeme(pred).variants)):
-        try:
-            states.append(engine.instantiate(
-                grammar, grammar.tree("alpha-Pred"), pred, index))
-        except _DERIVATION_ERRORS:
-            continue
-    return _fold(grammar, states, _TMA_SLOTS, ())
-
-
-def _part_matches(grammar, derived, goals):
-    try:
-        final = engine.finalize(grammar, derived)
-    except (CollapseFailure, PendingSite):
-        return False
-    return any(unify(final.features, goal, grammar.schema) is not None
-               for goal in goals)
-
-
-def _sentence_derivations(grammar, spec: SemSpec):
-    """Assemble subject + predicate, keeping only parts that match their
-    own goals (the sentence root itself only constrains lan)."""
-    np_goal = _np_goal(spec.args[0], spec.lan)
-    pred_goals = _pred_goals(grammar, spec.tma, spec.lan)
-    nps = [d for d in _np_derivations(grammar, spec.args[0])
-           if _part_matches(grammar, d, [np_goal])]
-    preds = [d for d in _pred_derivations(grammar, spec.pred)
-             if _part_matches(grammar, d, pred_goals)]
-    out = []
-    for np_der in nps:
-        for pred_der in preds:
+        bare = engine.instantiate(grammar, tree)
+        states = [bare]
+        for address in bare.pending_sites:
+            fillers = parts.get(bare.node_at(address).label, ())
+            filled = []
+            for state, filler in itertools.product(states, fillers):
+                try:
+                    filled.append(engine.substitute(grammar, state, address,
+                                                    filler))
+                except (UnificationFailure, NotASubstitutionSite):
+                    continue
+            states = filled
+        for state in states:
             try:
-                s = engine.instantiate(grammar, grammar.tree("alpha-S"))
-                s = engine.substitute(grammar, s, (0,), np_der)
-                s = engine.substitute(grammar, s, (1,), pred_der)
-            except _DERIVATION_ERRORS:
+                out.append((state, engine.finalize(grammar, state)))
+            except CollapseFailure:
                 continue
-            out.append(s)
     return out
 
 
@@ -443,8 +359,8 @@ def _anchor_index(final, pred_id):
 def realizations_from_finals(grammar, finals, goals, pred_id=None):
     """Filter finalized derivations by goal, fuse, merge and fold.
 
-    `finals` is an iterable of (FinalizeResult, trace) pairs.  Shared by
-    the plan-driven generator and the enumeration-based oracle route.
+    `finals` is an iterable of (FinalizeResult, trace) pairs, as
+    :func:`_finals` makes them or any other search's results.
     """
     lan_full = grammar.schema.full("lan") if "lan" in grammar.schema else None
     hits = []
@@ -511,22 +427,10 @@ def realizations_from_finals(grammar, finals, goals, pred_id=None):
 
 
 def _finals(grammar, category, spec: SemSpec):
-    """Derive, then finalize: (FinalizeResult, trace) pairs.  NP and Pred
-    read neither lan nor TMA, so one run serves every dialect and bundle;
-    a sentence keeps only the parts that match their own goals."""
-    if category == "NP":
-        derivations = _np_derivations(grammar, spec.args[0])
-    elif category == "Pred":
-        derivations = _pred_derivations(grammar, spec.pred)
-    else:
-        derivations = _sentence_derivations(grammar, spec)
-    finals = []
-    for derived in derivations:
-        try:
-            finals.append((engine.finalize(grammar, derived), derived.history))
-        except (CollapseFailure, PendingSite):
-            continue
-    return finals
+    """(FinalizeResult, trace) pairs, the goal half's input.  For NP and
+    Pred they serve every dialect and TMA bundle."""
+    return [(final, derived.history)
+            for derived, final in _derivations(grammar, category, spec)]
 
 
 def generate(grammar: Grammar, spec: SemSpec, finals=None):

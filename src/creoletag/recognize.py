@@ -135,8 +135,7 @@ def _search(grammar, tokens, goal, max_extra=2):
         grammar, goal, EMPTY, max(frontiers.values()), frontiers=frontiers)
     full = grammar.schema.full("lan") if "lan" in grammar.schema else None
     by_decomp = {decomp: [] for decomp in decomps}
-    for derived in derivations:
-        final = engine.finalize(grammar, derived)
+    for derived, final in derivations:
         lan = final.features.get("lan", full) if full else frozenset()
         fused = tuple(apply_fusion(list(final.frontier), lan,
                                    grammar.fusion_rules))

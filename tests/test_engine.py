@@ -229,8 +229,9 @@ class TestShippedOperations:
         derived = engine.instantiate(grammar, "alpha-N", "PERSON", 0)
         sa = engine.instantiate(grammar, "aux-Dem-ht", "DEM_HT", 0)
         derived = engine.adjoin(grammar, derived, (), sa)
-        with pytest.raises(CollapseFailure):
+        with pytest.raises(CollapseFailure) as err:
             engine.finalize(grammar, derived)
+        assert err.value.attr == "bar"
 
     @staticmethod
     def _variant(grammar, lexeme_id, surface):
@@ -288,7 +289,7 @@ class TestEnumeration:
                               "dem": frozenset("+")})
         derivations = engine.enumerate_derivations(
             grammar, "NP", goal, 4, lexemes=particle_lexemes | {"PERSON"})
-        frontiers = [engine.finalize(grammar, d).frontier for d in derivations]
+        frontiers = [final.frontier for _, final in derivations]
         assert frontiers == [("sa", "moun", "yan")]
 
     def test_zero_steps_empty(self, grammar, particle_lexemes):
@@ -304,8 +305,9 @@ class TestEnumeration:
                                              lexemes=lexemes)
         second = engine.enumerate_derivations(grammar, "NP", goal, 3,
                                               lexemes=lexemes)
-        assert [d.history for d in first] == [d.history for d in second]
-        keys = [d.trace_key() for d in first]
+        assert [d.history for d, _ in first] == \
+            [d.history for d, _ in second]
+        keys = [d.trace_key() for d, _ in first]
         assert keys == sorted(keys)
 
     def test_table_noun_frontier_census(self, grammar, particle_lexemes):
@@ -314,8 +316,8 @@ class TestEnumeration:
         derivations = engine.enumerate_derivations(
             grammar, "NP", FeatureStruct(), 4,
             lexemes=particle_lexemes | {"TABLE"})
-        frontiers = sorted({" ".join(engine.finalize(grammar, d).frontier)
-                            for d in derivations})
+        frontiers = sorted({" ".join(final.frontier)
+                            for _, final in derivations})
         assert frontiers == [
             "an tab", "on tab", "roun tab",
             "sa tab a", "sa tab ya",
@@ -332,8 +334,7 @@ class TestEnumeration:
             grammar, "NP", FeatureStruct(), 3,
             lexemes=particle_lexemes | {"DOG"})
         assert derivations
-        for derived in derivations:
-            final = engine.finalize(grammar, derived)
+        for _, final in derivations:
             root_lan = final.features.get(
                 "lan", grammar.schema.full("lan"))
             for _, lexeme, variant in final.lexical:

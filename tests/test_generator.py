@@ -1,10 +1,19 @@
 """Generator behaviour: realization, fusion, merging, alternatives."""
 
-import pytest
+import itertools
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from creoletag import engine
+from creoletag.creole import DIALECTS, golden_path, grammar_text
+from creoletag.dsl import load_grammar
 from creoletag.errors import InvalidSpec, NoRealization
-from creoletag.generate import (NPSpec, SemSpec, TMA, apply_fusion, generate,
-                                semspec_from_json, table_np, table_tma)
+from creoletag.generate import (ASPECTS, NUMBERS, NPSpec, SemSpec, TMA,
+                                apply_fusion, format_table, generate,
+                                golden_corpus, semspec_from_json, table_np,
+                                table_tma)
 
 
 def tokens_of(reals):
@@ -168,6 +177,103 @@ class TestNounPhraseRealization:
             pred="DANCE", args=(NPSpec("TABLE", nbr="pl", spe=True),),
             tma=TMA(pas=True), lan=frozenset(["GP"])))
         assert tokens_of(reals) == ["sé tab la té dansé"]
+
+
+def outcome(grammar, spec):
+    """What generate gives, trace aside (it names trees), or its error."""
+    try:
+        reals = generate(grammar, spec)
+    except NoRealization:
+        return "NoRealization"
+    return [(r.tokens, r.lan_set, r.alternatives, r.features) for r in reals]
+
+
+class TestGrammarDriven:
+    def test_tree_names_are_not_hard_coded(self, grammar):
+        renamed = load_grammar(grammar_text().replace("(tree ", "(tree t-"))
+        assert renamed.has_tree("t-alpha-N")
+        assert not renamed.has_tree("alpha-N")
+        for name, table in (("np", table_np), ("tma", table_tma)):
+            assert format_table(renamed, table(renamed)) == \
+                golden_path(name).read_text(encoding="utf-8")
+        spec = SemSpec(pred="DANCE", args=(NPSpec("BIRD", nbr="pl", spe=True),),
+                       tma=TMA(pas=True, asp="imp"))
+        assert outcome(renamed, spec) == outcome(grammar, spec)
+        assert outcome(grammar, spec) != "NoRealization"
+
+
+def _bundles():
+    out = []
+    for pas, psp, prx, cnd in itertools.product((False, True), repeat=4):
+        for asp in ASPECTS:
+            try:
+                out.append(TMA(pas=pas, psp=psp, prx=prx, cnd=cnd, asp=asp))
+            except InvalidSpec:
+                continue
+    return out
+
+
+BUNDLES = _bundles()
+NOUNS = ("PERSON", "TABLE", "DOG", "BIRD")
+COMPLEMENTS = (None, "SAINT-THOMAS", "SAINT-LAURENT")
+
+
+@pytest.fixture(scope="module")
+def unpruned(grammar):
+    """outcome() with the search's variable-free clash test turned off.
+    Each unpruned search runs once per (label, content lexemes): generate
+    searches with a constant goal, bound and particle set."""
+    searches = {}
+    search = engine.enumerate_derivations
+
+    def cached(grammar, label, *args, **kwargs):
+        key = (label, kwargs["content"])
+        if key not in searches:
+            searches[key] = search(grammar, label, *args, **kwargs)
+        return searches[key]
+
+    def run(spec):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "_disjoint", lambda *args: None)
+            patch.setattr(engine, "enumerate_derivations", cached)
+            return outcome(grammar, spec)
+    return run
+
+
+class TestPruningSoundness:
+    """The search skips adjunctions and finalizations that the clash test
+    shows must fail; skipping them may not change what generate gives."""
+
+    def test_golden_corpus(self, grammar, unpruned):
+        for spec in golden_corpus():
+            assert outcome(grammar, spec) == unpruned(spec), spec
+
+    def test_every_noun_and_complement_at_pl_dem(self, grammar, unpruned):
+        for noun, complement in itertools.product(NOUNS, COMPLEMENTS):
+            spec = SemSpec(args=(NPSpec(noun, nbr="pl", dem=True,
+                                        complement=complement),))
+            assert outcome(grammar, spec) == unpruned(spec), spec
+
+    def test_every_tma_bundle(self, grammar, unpruned):
+        assert len(BUNDLES) == 28
+        for tma in BUNDLES:
+            spec = SemSpec(pred="DANCE", tma=tma)
+            assert outcome(grammar, spec) == unpruned(spec), spec
+
+    @settings(max_examples=40, deadline=None)
+    @given(noun=st.sampled_from(NOUNS), nbr=st.sampled_from(NUMBERS),
+           determination=st.sampled_from(((False, False), (True, False),
+                                          (True, True))),
+           complement=st.sampled_from(COMPLEMENTS),
+           tma=st.sampled_from(BUNDLES), pred=st.sampled_from((None, "DANCE")),
+           lan=st.one_of(st.none(), st.sets(st.sampled_from(DIALECTS),
+                                            min_size=1)))
+    def test_property(self, grammar, unpruned, noun, nbr, determination,
+                      complement, tma, pred, lan):
+        spe, dem = determination
+        spec = SemSpec(pred=pred, tma=tma, lan=lan, args=(
+            NPSpec(noun, nbr=nbr, spe=spe, dem=dem, complement=complement),))
+        assert outcome(grammar, spec) == unpruned(spec)
 
 
 class TestExclusivity:

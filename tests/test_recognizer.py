@@ -99,10 +99,9 @@ def _per_decomposition_search(grammar, tokens, goal, max_extra=2):
         lexemes = {lexeme.id for lexeme in grammar.lexicon
                    if any(not v.surface or v.surface in decomp
                           for v in lexeme.variants)}
-        for derived in engine.enumerate_derivations(
+        for derived, final in engine.enumerate_derivations(
                 grammar, goal, EMPTY, len(decomp) + max_extra,
                 lexemes=lexemes):
-            final = engine.finalize(grammar, derived)
             if final.frontier != decomp:
                 continue
             lan = final.features.get("lan", full) if full else frozenset()
@@ -133,11 +132,11 @@ def test_one_search_matches_per_decomposition_oracle(grammar, monkeypatch):
     targets = {("danse",): 0, ("te", "danse"): 2}
     together = engine.enumerate_derivations(grammar, "Pred", EMPTY, 2,
                                             frontiers=targets)
-    apart = [derived for target, bound in targets.items()
-             for derived in engine.enumerate_derivations(
+    apart = [pair for target, bound in targets.items()
+             for pair in engine.enumerate_derivations(
                  grammar, "Pred", EMPTY, bound, frontiers={target: bound})]
-    assert sorted(d.trace_key() for d in together) == \
-        sorted(d.trace_key() for d in apart)
+    assert sorted(d.trace_key() for d, _ in together) == \
+        sorted(d.trace_key() for d, _ in apart)
 
     stacks = [" ".join(pair) + " danse"
               for pair in itertools.product(("tap", "vap", "ta"), repeat=2)
