@@ -141,6 +141,14 @@ def _want_atom(form, what):
     return form
 
 
+def _nth_atom(form, index, what):
+    """The atom at `form.items[index]`; a missing one is a syntax error
+    at the form."""
+    if index >= len(form.items):
+        raise GrammarSyntaxError("expected %s" % what, form.line, form.col)
+    return _want_atom(form.items[index], what)
+
+
 def _head(form):
     if not isinstance(form, SList) or not form.items:
         line = form.line if isinstance(form, (SList, Atom)) else 0
@@ -183,9 +191,7 @@ def _parse_feature_clauses(forms, where):
 def _parse_node(form):
     if _head(form) != "node":
         raise GrammarSyntaxError("expected (node ...)", form.line, form.col)
-    if len(form.items) < 2:
-        raise GrammarSyntaxError("node without a label", form.line, form.col)
-    label = _want_atom(form.items[1], "node label").text
+    label = _nth_atom(form, 1, "node label").text
     kind = INTERNAL
     top = FeatureStruct()
     bottom = FeatureStruct()
@@ -193,7 +199,7 @@ def _parse_node(form):
     for clause in form.items[2:]:
         word = _head(clause)
         if word == "kind":
-            kw = _want_atom(clause.items[1], "node kind").text
+            kw = _nth_atom(clause, 1, "node kind").text
             if kw not in _KIND_WORDS:
                 raise GrammarSyntaxError("unknown node kind %r" % kw,
                                          clause.line, clause.col)
@@ -215,16 +221,13 @@ def _parse_node(form):
 
 
 def _parse_tree(form):
-    if len(form.items) < 3:
-        raise GrammarSyntaxError("tree needs a name, a class and a root node",
-                                 form.line, form.col)
-    name = _want_atom(form.items[1], "tree name").text
+    name = _nth_atom(form, 1, "tree name").text
     klass = None
     root = None
     for clause in form.items[2:]:
         word = _head(clause)
         if word == "class":
-            kw = _want_atom(clause.items[1], "tree class").text
+            kw = _nth_atom(clause, 1, "tree class").text
             if kw not in _CLASS_WORDS:
                 raise GrammarSyntaxError("unknown tree class %r" % kw,
                                          clause.line, clause.col)
@@ -241,22 +244,16 @@ def _parse_tree(form):
 
 
 def _parse_lexeme(form):
-    if len(form.items) < 3:
-        raise GrammarSyntaxError("lexeme needs an id and a category",
-                                 form.line, form.col)
-    lid = _want_atom(form.items[1], "lexeme id").text
+    lid = _nth_atom(form, 1, "lexeme id").text
     category = None
     variants = []
     for clause in form.items[2:]:
         word = _head(clause)
         if word == "cat":
-            category = _want_atom(clause.items[1], "category").text
+            category = _nth_atom(clause, 1, "category").text
         elif word == "variant":
-            if len(clause.items) < 2:
-                raise GrammarSyntaxError("variant without a surface",
-                                         clause.line, clause.col)
-            surface_atom = clause.items[1]
-            if not isinstance(surface_atom, Atom) or not surface_atom.quoted:
+            surface_atom = _nth_atom(clause, 1, "a quoted variant surface")
+            if not surface_atom.quoted:
                 raise GrammarSyntaxError("variant surface must be quoted",
                                          clause.line, clause.col)
             features = _parse_feature_clauses(clause.items[2:], "variant")
@@ -319,14 +316,14 @@ def load_grammar(text: str) -> Grammar:
     for form in parse_forms(text):
         word = _head(form)
         if word == "grammar":
-            name = _want_atom(form.items[1], "grammar name").text
+            name = _nth_atom(form, 1, "grammar name").text
             version = "1"
             for clause in form.items[2:]:
                 if _head(clause) == "version":
-                    version = _want_atom(clause.items[1], "version").text
+                    version = _nth_atom(clause, 1, "version").text
             metadata = Metadata(name=name, version=version)
         elif word == "domain":
-            name = _want_atom(form.items[1], "domain name").text
+            name = _nth_atom(form, 1, "domain name").text
             if len(form.items) != 3 or not isinstance(form.items[2], SList):
                 raise GrammarSyntaxError("domain %r needs one value list" % name,
                                          form.line, form.col)

@@ -14,6 +14,13 @@ foot position.  Adjunction is never allowed at a node that originated
 as a foot; the particle stacks of the grammar grow by adjoining at the
 fresh root copy instead, so every node hosts at most one auxiliary.
 
+Variables are named by the step that brought them in: instantiation
+keeps the grammar's names, and each splice tags every variable of the
+incoming tree and its bindings with its frame, the host's history
+length, so an instance spliced twice never shares a variable with
+itself.  Goals are checked against the schema where they enter, as
+grammar material is at load; unification checks nothing.
+
 Derived trees are immutable; every operation returns a new tree and
 either succeeds or raises without touching its inputs.
 """
@@ -27,7 +34,7 @@ from .errors import (AnchorUnificationFailure, CollapseFailure, LabelMismatch,
                      NotAnAdjunctionSite, NotASubstitutionSite, PendingSite,
                      UnificationFailure)
 from .featstruct import Bindings, FeatureStruct, Var, unify
-from .grammar import Grammar, Variant
+from .grammar import Grammar
 from .trees import ANCHOR, AUXILIARY, FOOT, INITIAL, SUBST
 
 _OP_ORDER = {"instantiate": 0, "substitute": 1, "adjoin": 2}
@@ -78,7 +85,6 @@ class DerivedTree:
     klass: str
     env: Bindings
     history: tuple = ()
-    next_var: int = 0
 
     @property
     def pending_sites(self):
@@ -107,52 +113,33 @@ class FinalizeResult:
 
 # --- helpers ---------------------------------------------------------------
 
-def _fresh_nodes(node, mapping):
-    """Copy an elementary TreeNode into a DNode with variables renamed."""
-    return DNode(
-        label=node.label,
-        kind=node.kind,
-        top=node.top.rename(mapping),
-        bottom=node.bottom.rename(mapping),
-        children=tuple(_fresh_nodes(c, mapping) for c in node.children),
-    )
+def _dnode(node):
+    """Copy an elementary TreeNode into a DNode, variable names kept."""
+    return DNode(label=node.label, kind=node.kind, top=node.top,
+                 bottom=node.bottom,
+                 children=tuple(_dnode(c) for c in node.children))
 
 
-def _shift_fs(fs, offset):
-    out = {}
-    for attr, cell in fs.items():
-        if isinstance(cell, Var) and cell.name.startswith("v"):
-            out[attr] = Var("v%d" % (int(cell.name[1:]) + offset))
-        else:
-            out[attr] = cell
-    return FeatureStruct(out)
+def _splice_in(host: DerivedTree, part: DerivedTree):
+    """`part`'s root and the host's bindings extended with part's, every
+    variable of `part` tagged with the splice's frame, distinct within a
+    derivation.  ';' ends a grammar atom, so no grammar variable looks
+    tagged."""
+    tag = "%d;" % len(host.history)
 
+    def tagged(fs):
+        return FeatureStruct({attr: Var(tag + cell.name)
+                              if isinstance(cell, Var) else cell
+                              for attr, cell in fs.items()})
 
-def _shift_node(node, offset):
-    return replace(node,
-                   top=_shift_fs(node.top, offset),
-                   bottom=_shift_fs(node.bottom, offset),
-                   children=tuple(_shift_node(c, offset) for c in node.children))
+    def node(n):
+        return replace(n, top=tagged(n.top), bottom=tagged(n.bottom),
+                       children=tuple(node(c) for c in n.children))
 
-
-def _shift_env(env: Bindings, offset) -> Bindings:
-    def shift_name(name):
-        return "v%d" % (int(name[1:]) + offset) if name.startswith("v") else name
-
-    raw = {}
-    for name, value in env._map.items():  # noqa: SLF001 - same-module friend
-        raw[shift_name(name)] = shift_name(value) if isinstance(value, str) else value
-    return Bindings(raw)
-
-
-def _shift_tree(derived: DerivedTree, offset: int) -> DerivedTree:
-    if offset == 0:
-        return derived
-    return DerivedTree(root=_shift_node(derived.root, offset),
-                       klass=derived.klass,
-                       env=_shift_env(derived.env, offset),
-                       history=derived.history,
-                       next_var=derived.next_var + offset)
+    env = dict(host.env._map)  # noqa: SLF001 - same-package friend
+    for name, value in part.env._map.items():  # noqa: SLF001
+        env[tag + name] = tag + value if isinstance(value, str) else value
+    return node(part.root), Bindings(env)
 
 
 def _replace_at(node, address, new_node):
@@ -164,43 +151,32 @@ def _replace_at(node, address, new_node):
     return replace(node, children=tuple(children))
 
 
-def _merge_env(a: Bindings, b: Bindings) -> Bindings:
-    raw = dict(a._map)  # noqa: SLF001
-    raw.update(b._map)  # noqa: SLF001
-    return Bindings(raw)
-
-
 # --- operations ------------------------------------------------------------
 
 def instantiate(grammar: Grammar, tree, lexeme_id: Optional[str] = None,
-                variant_index: Optional[int] = None,
-                variant: Optional[Variant] = None) -> DerivedTree:
-    """Make a fresh derived tree from an elementary tree.
-
-    Variables are renamed apart and, when the tree is lexicalized, the
-    anchor's bottom is unified with the lexeme variant's features.
+                variant_index: Optional[int] = None) -> DerivedTree:
+    """Make a derived tree from an elementary tree, its variables named
+    as the grammar names them.  When the tree is lexicalized, the
+    anchor's bottom is unified with the lexeme variant's features (whose
+    variables, if any, share the tree's names).
     """
     if isinstance(tree, str):
         tree = grammar.tree(tree)
-    if variant is None and lexeme_id is not None:
-        lexeme = grammar.lexeme(lexeme_id)
-        variant = lexeme.variants[variant_index]
-
-    names = sorted(tree.root.variables())
-    mapping = {name: Var("v%d" % i) for i, name in enumerate(names)}
-    root = _fresh_nodes(tree.root, mapping)
+    root = _dnode(tree.root)
     env = Bindings()
     anchor_addr = tree.anchor_address()
 
-    if variant is not None:
+    if lexeme_id is not None:
+        lexeme = grammar.lexeme(lexeme_id)
+        variant = lexeme.variants[variant_index]
         if anchor_addr is None:
             raise AnchorUnificationFailure(
                 "tree %r has no anchor slot for %r" % (tree.name, variant.surface))
-        anchor = _node_at(root, anchor_addr)
-        if lexeme_id is not None and grammar.lexeme(lexeme_id).category != anchor.label:
+        anchor = _dnode(tree.node_at(anchor_addr))
+        if lexeme.category != anchor.label:
             raise AnchorUnificationFailure(
                 "lexeme %s is not of category %s" % (lexeme_id, anchor.label))
-        unified = unify(anchor.bottom, variant.features, grammar.schema, env)
+        unified = unify(anchor.bottom, variant.features, env)
         if unified is None:
             raise AnchorUnificationFailure(
                 "%r does not fit the anchor of %r" % (variant.surface, tree.name))
@@ -214,7 +190,7 @@ def instantiate(grammar: Grammar, tree, lexeme_id: Optional[str] = None,
 
     step = Step("instantiate", tree.name, (), lexeme_id, variant_index)
     return DerivedTree(root=root, klass=tree.klass, env=env,
-                       history=(step,), next_var=len(names))
+                       history=(step,))
 
 
 def substitute(grammar: Grammar, host: DerivedTree, address,
@@ -235,14 +211,13 @@ def substitute(grammar: Grammar, host: DerivedTree, address,
         raise NotASubstitutionSite("site %s cannot take a %s filler"
                                    % (site.label, filler.root.label))
 
-    filler = _shift_tree(filler, host.next_var)
-    env = _merge_env(host.env, filler.env)
-    unified = unify(site.top, filler.root.top, grammar.schema, env)
+    filler_root, env = _splice_in(host, filler)
+    unified = unify(site.top, filler_root.top, env)
     if unified is None:
         raise UnificationFailure("substitution at %r: top features clash" % (address,))
     top, env = unified
 
-    new_node = replace(filler.root, top=top)
+    new_node = replace(filler_root, top=top)
     root = _replace_at(host.root, address, new_node)
     if len(filler.history) == 1:
         first = filler.history[0]
@@ -251,8 +226,7 @@ def substitute(grammar: Grammar, host: DerivedTree, address,
         step = Step("substitute", filler.history[0].tree, address,
                     nested=filler.history)
     return DerivedTree(root=root, klass=host.klass, env=env,
-                       history=host.history + (step,),
-                       next_var=filler.next_var)
+                       history=host.history + (step,))
 
 
 def adjoin(grammar: Grammar, host: DerivedTree, address,
@@ -273,23 +247,17 @@ def adjoin(grammar: Grammar, host: DerivedTree, address,
         raise LabelMismatch("cannot adjoin %s tree at %s node"
                             % (aux.root.label, node.label))
 
-    foot_addr = None
-    for a, n in aux.root.walk():
-        if n.kind == FOOT:
-            foot_addr = a
-            break
-    if foot_addr is None:
+    aux_root, env = _splice_in(host, aux)
+    foot_addr, foot = next(((a, n) for a, n in aux_root.walk()
+                            if n.kind == FOOT), (None, None))
+    if foot is None:
         raise NotAnAdjunctionSite("auxiliary tree lost its foot")
 
-    aux = _shift_tree(aux, host.next_var)
-    env = _merge_env(host.env, aux.env)
-    foot = aux.node_at(foot_addr)
-
-    unified = unify(node.top, aux.root.top, grammar.schema, env)
+    unified = unify(node.top, aux_root.top, env)
     if unified is None:
         raise UnificationFailure("adjunction at %r: top features clash" % (address,))
     new_top, env = unified
-    unified = unify(node.bottom, foot.bottom, grammar.schema, env)
+    unified = unify(node.bottom, foot.bottom, env)
     if unified is None:
         raise UnificationFailure("adjunction at %r: bottom/foot features clash"
                                  % (address,))
@@ -298,7 +266,7 @@ def adjoin(grammar: Grammar, host: DerivedTree, address,
     # the lower copy keeps the foot's top plane and the host node's children
     lower = DNode(label=node.label, kind="internal", top=foot.top,
                   bottom=low_bottom, children=node.children, was_foot=True)
-    spliced = _replace_at(aux.root, foot_addr, lower)
+    spliced = _replace_at(aux_root, foot_addr, lower)
     upper = replace(spliced, top=new_top)
     root = _replace_at(host.root, address, upper)
 
@@ -308,8 +276,7 @@ def adjoin(grammar: Grammar, host: DerivedTree, address,
     else:
         step = Step("adjoin", aux.history[0].tree, address, nested=aux.history)
     return DerivedTree(root=root, klass=host.klass, env=env,
-                       history=host.history + (step,),
-                       next_var=aux.next_var)
+                       history=host.history + (step,))
 
 
 def finalize(grammar: Grammar, derived: DerivedTree) -> FinalizeResult:
@@ -322,7 +289,7 @@ def finalize(grammar: Grammar, derived: DerivedTree) -> FinalizeResult:
     env = derived.env
     collapsed_root = None
     for address, node in sorted(derived.root.walk()):
-        unified = unify(node.top, node.bottom, grammar.schema, env)
+        unified = unify(node.top, node.bottom, env)
         if unified is None:
             raise CollapseFailure(address, _disjoint(node.top, env,
                                                      node.bottom, env))
@@ -362,13 +329,6 @@ def replay(grammar: Grammar, history) -> DerivedTree:
 
 
 # --- enumeration -------------------------------------------------------------
-
-def _node_at(root, address):
-    node = root
-    for i in address:
-        node = node.children[i]
-    return node
-
 
 def _instantiations(grammar, tree, lexemes, vocabulary):
     """All ways to instantiate one elementary tree, deterministically ordered."""
@@ -485,8 +445,10 @@ def enumerate_derivations(grammar: Grammar, goal_label: str,
     target it can still afford is cut at once.  An adjunction or a
     finalization that :func:`_disjoint` shows must fail is not tried.
     Results are deduplicated by (frontier, features) keeping the
-    lexicographically least trace, and returned sorted by trace.
+    lexicographically least trace, and returned sorted by trace.  The
+    goal is checked against the grammar's schema here, where it enters.
     """
+    grammar.schema.check(goal_fs)
     vocabulary = None
     if frontiers is not None:
         frontiers = {f: min(bound, max_steps) for f, bound in frontiers.items()}
@@ -496,7 +458,7 @@ def enumerate_derivations(grammar: Grammar, goal_label: str,
     cache = {}
 
     def instances(tree):
-        # immutable, and renamed apart whenever they are spliced in
+        # immutable, and tagged apart at every splice
         if tree.name not in cache:
             cache[tree.name] = _instantiations(grammar, tree, lexemes,
                                                vocabulary)
@@ -533,7 +495,7 @@ def enumerate_derivations(grammar: Grammar, goal_label: str,
             final = finalize(grammar, derived)
         except (CollapseFailure, PendingSite):
             return
-        if unify(final.features, goal_fs, grammar.schema) is None:
+        if unify(final.features, goal_fs) is None:
             return
         key = (final.frontier, final.features)
         prior = results.get(key)

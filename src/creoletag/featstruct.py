@@ -16,6 +16,10 @@ and narrows to one dialect only when the derivation forces it.
 Structures are immutable values; every operation is pure.  Variable
 bindings live in a separate :class:`Bindings` environment threaded by
 the caller (one per derivation), never inside the structure itself.
+
+Unification checks no schema.  A structure is checked once, where it
+enters (grammar material at load, goals by :meth:`Schema.check`), so
+an undeclared attribute is rejected, never read as the full domain.
 """
 
 from __future__ import annotations
@@ -188,19 +192,6 @@ class FeatureStruct(Mapping):
                 out[attr] = cell
         return FeatureStruct(out)
 
-    def rename(self, mapping: Mapping[str, Var]) -> "FeatureStruct":
-        """Replace variables according to mapping (fresh-renaming support)."""
-        out = {}
-        for attr, cell in self._items:
-            if isinstance(cell, Var) and cell.name in mapping:
-                out[attr] = mapping[cell.name]
-            else:
-                out[attr] = cell
-        return FeatureStruct(out)
-
-    def variables(self) -> set[str]:
-        return {cell.name for _, cell in self._items if isinstance(cell, Var)}
-
 
 FS = FeatureStruct
 
@@ -239,7 +230,7 @@ def _meet_cells(a: Cell, b: Cell, env: Bindings):
     return a, env.bind(a.name, meet)
 
 
-def unify(a: FeatureStruct, b: FeatureStruct, schema: Schema,
+def unify(a: FeatureStruct, b: FeatureStruct,
           env: Optional[Bindings] = None):
     """Unify two feature structures.
 
@@ -248,8 +239,6 @@ def unify(a: FeatureStruct, b: FeatureStruct, schema: Schema,
     present on one side only is copied through (absent means the full
     domain, and intersecting with the full domain changes nothing).
     """
-    schema.check(a)
-    schema.check(b)
     env = env or Bindings()
     out = dict(a.items())
     for attr, cell in b.items():
@@ -270,8 +259,6 @@ def subsumes(general: FeatureStruct, specific: FeatureStruct, schema: Schema,
     An attribute absent from `specific` counts as the full domain, so it
     is only subsumed by a `general` binding that is itself the full domain.
     """
-    schema.check(general)
-    schema.check(specific)
     env = env or Bindings()
 
     def as_subset(fs, attr):

@@ -226,13 +226,14 @@ def _sentences(grammar, spec: SemSpec):
     """Fill the sites of every unanchored S-rooted initial tree with the
     parts that match their own goals (the sentence root itself only
     constrains lan)."""
-    goals = {"NP": [_np_goal(spec.args[0], spec.lan)],
-             "Pred": _pred_goals(grammar, spec.tma, spec.lan)}
-    parts = {label: [derived for derived, final
-                     in _derivations(grammar, label, spec)
-                     if any(unify(final.features, goal, grammar.schema)
-                            is not None for goal in goals[label])]
-             for label in goals}
+    parts = {}
+    for part in (SemSpec(args=spec.args, lan=spec.lan),
+                 SemSpec(pred=spec.pred, tma=spec.tma, lan=spec.lan)):
+        label, goals = _goal_for(grammar, part)
+        parts[label] = [derived for derived, final
+                        in _derivations(grammar, label, part)
+                        if any(unify(final.features, goal) is not None
+                               for goal in goals)]
     out = []
     for tree in grammar.initial_trees():
         if tree.root.label != "S" or tree.anchor_label:
@@ -328,7 +329,8 @@ def _pred_goals(grammar, tma: TMA, lan):
 
 
 def _goal_for(grammar, spec: SemSpec):
-    """(category, [goal FS]) for a semantic specification."""
+    """(category, [goal FS]) for a semantic specification, each goal
+    checked against the grammar's schema."""
     lan = spec.lan
     if lan is not None:
         if "lan" not in grammar.schema:
@@ -338,11 +340,14 @@ def _goal_for(grammar, spec: SemSpec):
             raise InvalidSpec("unknown language codes: %s"
                               % ",".join(sorted(unknown)))
     if spec.pred is None:
-        return "NP", [_np_goal(spec.args[0], lan)]
-    if not spec.args:
-        return "Pred", _pred_goals(grammar, spec.tma, lan)
-    goals = [FeatureStruct({"lan": lan}) if lan else FeatureStruct()]
-    return "S", goals
+        category, goals = "NP", [_np_goal(spec.args[0], lan)]
+    elif not spec.args:
+        category, goals = "Pred", _pred_goals(grammar, spec.tma, lan)
+    else:
+        category, goals = "S", [FeatureStruct({"lan": lan} if lan else {})]
+    for goal in goals:
+        grammar.schema.check(goal)
+    return category, goals
 
 
 # --- assembling realizations --------------------------------------------------
@@ -367,7 +372,7 @@ def realizations_from_finals(grammar, finals, goals, pred_id=None):
     for final, trace in finals:
         matched_goal = None
         for goal in goals:
-            if unify(final.features, goal, grammar.schema) is not None:
+            if unify(final.features, goal) is not None:
                 matched_goal = goal
                 break
         if matched_goal is None:
@@ -500,15 +505,21 @@ def _cell(grammar, spec, row, dialect, finals=None):
 
 
 def table_np(grammar: Grammar):
-    """The noun-phrase determination grid, one dialect per column."""
+    """The noun-phrase determination grid, one dialect per column.  The
+    search reads only the noun and the complement, so rows sharing
+    them share one derivation."""
     dialects = grammar.schema.domain("lan").values
+    finals = {}
     rows = []
     for row_name, np_spec in NP_ROWS:
-        finals = _finals(grammar, "NP", SemSpec(args=(np_spec,)))
+        key = (np_spec.lexeme, np_spec.complement)
+        if key not in finals:
+            finals[key] = _finals(grammar, "NP", SemSpec(args=(np_spec,)))
         cells = []
         for dialect in dialects:
             spec = SemSpec(args=(np_spec,), lan=frozenset([dialect]))
-            cells.append(_cell(grammar, spec, row_name, dialect, finals))
+            cells.append(_cell(grammar, spec, row_name, dialect,
+                               finals[key]))
         rows.append((row_name, cells))
     return rows
 

@@ -4,7 +4,8 @@ Every node carries two feature structures, top and bottom.  Adjunction
 unifies the host node's top with the auxiliary root's top and the host
 node's bottom with the auxiliary foot's bottom; the final collapse step
 then requires top and bottom to unify at every node.  Variables written
-in a tree are local to it and renamed apart at instantiation time.
+in a tree are local to it: the engine keeps their names at
+instantiation and tags them with the derivation step at each splice.
 """
 
 from __future__ import annotations
@@ -44,12 +45,6 @@ class TreeNode:
         yield address, self
         for i, child in enumerate(self.children):
             yield from child.walk(address + (i,))
-
-    def variables(self) -> set[str]:
-        out = self.top.variables() | self.bottom.variables()
-        for child in self.children:
-            out |= child.variables()
-        return out
 
 
 @dataclass(frozen=True)

@@ -168,7 +168,7 @@ def test_criterion_6_round_trip(grammar):
                 # the analysis must cover the generating reading; forms
                 # ambiguous across readings (zero marks, ka) stay more
                 # general than the goal, so compatibility is the check
-                if all(unify(analysis.features, fs, grammar.schema) is None
+                if all(unify(analysis.features, fs) is None
                        for fs in goal_fss):
                     continue
                 replayed = engine.replay(grammar, analysis.trace)

@@ -153,6 +153,19 @@ class TestGrammarOverride:
         assert main(["generate", "--sem", path]) == 0
         assert capsys.readouterr().out == "ka dansé\t-\n"
 
+    def test_goal_outside_the_grammar_schema(self, tmp_path, sem_file,
+                                             capsys, monkeypatch):
+        # the grammar declares no spe or dem, which the NP goal names
+        from test_generator import UNDECLARED_GOALS
+        grammar = tmp_path / "small.fstag"
+        grammar.write_text(UNDECLARED_GOALS, encoding="utf-8")
+        monkeypatch.setenv("CREOLETAG_GRAMMAR", str(grammar))
+        path = sem_file({"args": [{"lexeme": "DOG"}]})
+        assert main(["generate", "--sem", path]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "is not declared" in err
+
 
 class TestDeterminism:
     def test_identical_runs_identical_bytes(self, sem_file, capsys):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from creoletag.creole import grammar_text
 from creoletag.dsl import load_grammar, parse_forms, serialize
 from creoletag.errors import GrammarSyntaxError, ValidationError
 from creoletag.grammar import validate
@@ -72,6 +73,21 @@ class TestSyntaxErrors:
     def test_unquoted_surface_rejected(self):
         with pytest.raises(GrammarSyntaxError):
             load_grammar("(lex X (cat N) (variant moun (lan HT)))")
+
+    @pytest.mark.parametrize("clause,emptied", [
+        ("(cat N)", "(cat )"),
+        ("(version 1)", "(version )"),
+        ("(kind anchor)", "(kind )"),
+        ("(class initial)", "(class )"),
+        ("(grammar creole (version 1))", "(grammar)"),
+        ("(domain lan (HT GP MQ GF))", "(domain)"),
+    ], ids=["cat", "version", "kind", "class", "grammar", "domain"])
+    def test_empty_clause_is_a_syntax_error(self, clause, emptied):
+        # each once raised IndexError, which the CLI printed as a traceback
+        text = grammar_text()
+        assert clause in text
+        with pytest.raises(GrammarSyntaxError, match="expected"):
+            load_grammar(text.replace(clause, emptied, 1))
 
 
 class TestValidationFindings:

@@ -43,6 +43,19 @@ TOY = """
 (tree alpha-picky (class initial)
   (node X (kind internal)
     (children (node W (kind anchor) (bottom (nbr sg))))))
+(tree alpha-two (class initial)
+  (node X (kind internal)
+    (top (nbr sg))
+    (children
+      (node X (kind internal)
+        (top (nbr pl))
+        (children (node W (kind anchor)))))))
+(tree aux-pass (class aux)
+  (node X (kind internal)
+    (top (nbr $N))
+    (children
+      (node W (kind anchor))
+      (node X (kind foot) (top (nbr $N))))))
 (lex WORD (cat W) (variant "w") (variant "wpl" (nbr pl)))
 (lex OTHER (cat Y) (variant "y"))
 """
@@ -117,6 +130,24 @@ class TestToyOperations:
         fixed = engine.adjoin(toy, derived, (), aux)
         final = engine.finalize(toy, fixed)
         assert final.frontier == ("w", "w")
+
+
+class TestVariableScope:
+    def test_one_instance_spliced_twice_shares_no_variable(self, toy):
+        """aux-pass carries its root's nbr to its foot through $N.  One
+        instance adjoined at the pl node and then at the sg root binds
+        $N at each splice; a variable shared by the two splices would
+        have to be pl and sg at once, and the second adjunction would
+        fail."""
+        derived = engine.instantiate(toy, "alpha-two", "WORD", 0)
+        aux = engine.instantiate(toy, "aux-pass", "WORD", 0)
+        derived = engine.adjoin(toy, derived, (0,), aux)
+        derived = engine.adjoin(toy, derived, (), aux)
+        final = engine.finalize(toy, derived)
+        assert final.frontier == ("w", "w", "w")
+        assert final.features == FeatureStruct({"nbr": frozenset(["sg"])})
+        replayed = engine.finalize(toy, engine.replay(toy, derived.history))
+        assert replayed == final
 
 
 class TestShippedOperations:

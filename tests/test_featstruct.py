@@ -4,7 +4,6 @@ from itertools import combinations
 
 import pytest
 
-from creoletag.errors import UndeclaredAttribute
 from creoletag.featstruct import (AttributeDomain, FeatureStruct, Schema,
                                   Var, erase_attribute, subsumes, unify)
 
@@ -19,7 +18,11 @@ def fs(**kw):
 
 
 def u(a, b, schema=SCHEMA):
-    result = unify(a, b, schema)
+    """The unifier of two structures checked first, as an entry point
+    checks them, or None."""
+    schema.check(a)
+    schema.check(b)
+    result = unify(a, b)
     return None if result is None else result[0]
 
 
@@ -37,20 +40,16 @@ class TestUnify:
     def test_variable_binding(self):
         a = FeatureStruct({"nas": Var("X"), "lan": frozenset(["HT"])})
         b = fs(nas=["+"])
-        result, env = unify(a, b, SCHEMA)
+        result, env = unify(a, b)
         assert result.resolve(env) == fs(nas=["+"], lan=["HT"])
         assert env.value(Var("X")) == frozenset(["+"])
 
     def test_variable_aliasing(self):
         a = FeatureStruct({"nas": Var("X")})
         b = FeatureStruct({"nas": Var("Y")})
-        result, env = unify(a, b, SCHEMA)
+        result, env = unify(a, b)
         env = env.bind("X", frozenset(["-"]))
         assert env.value(Var("Y")) == frozenset(["-"])
-
-    def test_undeclared_attribute(self):
-        with pytest.raises(UndeclaredAttribute):
-            unify(FeatureStruct({"gen": frozenset(["m"])}), fs(), SCHEMA)
 
     def test_empty_subset_unrepresentable(self):
         with pytest.raises(ValueError):

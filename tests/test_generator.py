@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from creoletag import engine
 from creoletag.creole import DIALECTS, golden_path, grammar_text
 from creoletag.dsl import load_grammar
-from creoletag.errors import InvalidSpec, NoRealization
+from creoletag.errors import InvalidSpec, NoRealization, UndeclaredAttribute
+from creoletag.featstruct import FeatureStruct
 from creoletag.generate import (ASPECTS, NUMBERS, NPSpec, SemSpec, TMA,
                                 apply_fusion, format_table, generate,
                                 golden_corpus, semspec_from_json, table_np,
@@ -168,9 +169,12 @@ class TestNounPhraseRealization:
 
     def test_np_table_derives_each_row_once(self, grammar, engine_calls):
         # the 4 dialect columns of a row share its derivations (1 848
-        # substitutions when each cell derives its own)
+        # substitutions when each cell derives its own), and so do the
+        # rows of one noun (42 substitutions in 15 searches when each
+        # row derives its own)
         assert len(table_np(grammar)) == 15
-        assert engine_calls["substitute"] <= 42
+        assert engine_calls["enumerate_derivations"] == 4
+        assert engine_calls["substitute"] <= 14
 
     def test_sentence_with_subject(self, grammar):
         reals = generate(grammar, SemSpec(
@@ -383,3 +387,35 @@ class TestSpecValidation:
             semspec_from_json({"args": [{"lexeme": "TABLE", "nbr": 2}]})
         with pytest.raises(InvalidSpec, match="asp must be a str"):
             semspec_from_json({"pred": "DANCE", "tma": {"asp": None}})
+
+
+# declares lan and nbr only: every goal generate builds names spe, dem or
+# the TMA attributes, which this grammar lacks
+UNDECLARED_GOALS = """
+(domain lan (HT GP))
+(domain nbr (sg pl))
+(tree alpha-NP (class initial)
+  (node NP (kind internal)
+    (children (node N (kind anchor) (bottom (lan $L))))))
+(lex DOG (cat N) (variant "chen" (lan HT GP)))
+"""
+
+
+class TestEntryChecks:
+    """Goals are checked against the schema where they enter; an
+    undeclared attribute never reads as the full domain."""
+
+    def test_undeclared_attribute(self, grammar):
+        goal = FeatureStruct({"gen": frozenset(["m"])})
+        with pytest.raises(UndeclaredAttribute):
+            engine.enumerate_derivations(grammar, "NP", goal, 2)
+
+    @pytest.mark.parametrize("spec", [
+        SemSpec(args=(NPSpec("DOG"),)),
+        SemSpec(pred="DOG"),
+        SemSpec(pred="DOG", args=(NPSpec("DOG"),)),
+    ], ids=["NP", "Pred", "S"])
+    def test_generate_goal_outside_the_schema(self, spec):
+        grammar = load_grammar(UNDECLARED_GOALS)
+        with pytest.raises(UndeclaredAttribute):
+            generate(grammar, spec)
