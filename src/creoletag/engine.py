@@ -34,6 +34,7 @@ from .errors import (AnchorUnificationFailure, CollapseFailure, LabelMismatch,
                      NotAnAdjunctionSite, NotASubstitutionSite, PendingSite,
                      UnificationFailure)
 from .featstruct import Bindings, FeatureStruct, Var, unify
+from .featstruct import disjoint as _disjoint
 from .grammar import Grammar
 from .trees import ANCHOR, AUXILIARY, FOOT, INITIAL, SUBST
 
@@ -331,19 +332,25 @@ def replay(grammar: Grammar, history) -> DerivedTree:
 # --- enumeration -------------------------------------------------------------
 
 def _instantiations(grammar, tree, lexemes, vocabulary):
-    """All ways to instantiate one elementary tree, deterministically ordered."""
+    """All ways to instantiate one elementary tree, deterministically
+    ordered.  A variant that :func:`_disjoint` shows cannot fit the
+    anchor is not tried."""
     anchor_label = tree.anchor_label
     if anchor_label is None:
         try:
             return [instantiate(grammar, tree)]
         except AnchorUnificationFailure:
             return []
+    anchor = tree.node_at(tree.anchor_address()).bottom
+    unbound = Bindings()
     out = []
     for lexeme in grammar.lexemes_of_category(anchor_label):
         if lexemes is not None and lexeme.id not in lexemes:
             continue
         for index, variant in enumerate(lexeme.variants):
             if vocabulary is not None and variant.surface and variant.surface not in vocabulary:
+                continue
+            if _disjoint(anchor, unbound, variant.features, unbound):
                 continue
             try:
                 out.append(instantiate(grammar, tree, lexeme.id, index))
@@ -404,23 +411,6 @@ def _fill_sites(grammar, derived, budget, instances, memo):
                                       instances, memo):
             results.append((full, cost + more))
     return results
-
-
-def _disjoint(a, a_env, b, b_env):
-    """The first attribute that `a` and `b` bind to disjoint subsets, each
-    side's variables resolved through its own bindings, or None.  Bindings
-    only narrow, so unifying the two then fails too."""
-    for attr, cell in a.items():
-        other = b.get(attr)
-        if other is None:
-            continue
-        if isinstance(cell, Var):
-            cell = a_env.value(cell)
-        if isinstance(other, Var):
-            other = b_env.value(other)
-        if cell is not None and other is not None and not cell & other:
-            return attr
-    return None
 
 
 def enumerate_derivations(grammar: Grammar, goal_label: str,

@@ -252,6 +252,25 @@ def unify(a: FeatureStruct, b: FeatureStruct,
     return FeatureStruct(out), env
 
 
+def disjoint(a: FeatureStruct, a_env: Bindings, b: FeatureStruct,
+             b_env: Bindings) -> Optional[str]:
+    """The first attribute that `a` and `b` bind to disjoint subsets, each
+    side's variables resolved through its own bindings, or None.  Bindings
+    only narrow, so unifying the two then fails too; for variable-free
+    structures the converse holds as well."""
+    for attr, cell in a.items():
+        other = b.get(attr)
+        if other is None:
+            continue
+        if isinstance(cell, Var):
+            cell = a_env.value(cell)
+        if isinstance(other, Var):
+            other = b_env.value(other)
+        if cell is not None and other is not None and not cell & other:
+            return attr
+    return None
+
+
 def subsumes(general: FeatureStruct, specific: FeatureStruct, schema: Schema,
              env: Optional[Bindings] = None) -> bool:
     """True iff every attribute bound in `general` covers `specific`'s value.

@@ -11,6 +11,11 @@ row for NPs) and filters per dialect: only the goal half keeps the
 derivations whose collapsed features unify with the goal, applies the
 fusion rules and groups the survivors.
 
+A request is one goal in every dialect.  How each dialect marks a
+bundle is the grammar's business: the conditional, for one, is the
+Martinican sé tree or the syncretic past-over-prospective tree whose
+root admits only the other dialects.
+
 Realizations identical in tokens merge with unioned language sets (the
 dialectal continuum made visible); a realization whose language set is
 contained in another's is folded into it as a listed alternative (the
@@ -26,7 +31,7 @@ from typing import Optional
 from . import engine
 from .errors import (CollapseFailure, InvalidSpec, MissingCell, NoRealization,
                      NotASubstitutionSite, UnificationFailure)
-from .featstruct import EMPTY, FeatureStruct, unify
+from .featstruct import EMPTY, Bindings, FeatureStruct, disjoint
 from .grammar import Grammar
 
 ASPECTS = ("none", "imp", "frq", "prg")
@@ -63,10 +68,10 @@ class TMA:
             raise InvalidSpec("asp must be one of %s" % (ASPECTS,))
         if self.prx and (self.psp or self.cnd):
             raise InvalidSpec("prx replaces the plain future; drop %s" % (
-                "psp" if self.psp else "cnd, which expands to pas+psp"))
+                "psp" if self.psp else "cnd, whose syncretic tree needs it"))
         if self.cnd and (self.pas or self.psp):
-            raise InvalidSpec("cnd expands to pas+psp internally; "
-                              "do not set them explicitly")
+            raise InvalidSpec("cnd has its own trees, a syncretic one among "
+                              "them; do not set pas or psp with it")
 
 
 @dataclass(frozen=True)
@@ -229,11 +234,10 @@ def _sentences(grammar, spec: SemSpec):
     parts = {}
     for part in (SemSpec(args=spec.args, lan=spec.lan),
                  SemSpec(pred=spec.pred, tma=spec.tma, lan=spec.lan)):
-        label, goals = _goal_for(grammar, part)
+        label, goal = _goal_for(grammar, part)
         parts[label] = [derived for derived, final
                         in _derivations(grammar, label, part)
-                        if any(unify(final.features, goal) is not None
-                               for goal in goals)]
+                        if _fits(final.features, goal)]
     out = []
     for tree in grammar.initial_trees():
         if tree.root.label != "S" or tree.anchor_label:
@@ -262,15 +266,13 @@ def _sentences(grammar, spec: SemSpec):
 
 _PLUS = frozenset("+")
 _MINUS = frozenset("-")
+_UNBOUND = Bindings()
 
 
-def _np_goal(np_spec: NPSpec, lan):
-    goal = {"nbr": frozenset([np_spec.nbr]),
+def _np_values(np_spec: NPSpec):
+    return {"nbr": frozenset([np_spec.nbr]),
             "spe": _PLUS if np_spec.spe else _MINUS,
             "dem": _PLUS if np_spec.dem else _MINUS}
-    if lan:
-        goal["lan"] = lan
-    return FeatureStruct(goal)
 
 
 def _tma_values(tma: TMA):
@@ -281,56 +283,9 @@ def _tma_values(tma: TMA):
             "asp": frozenset(["non" if tma.asp == "none" else tma.asp])}
 
 
-def _dedicated_cnd(grammar):
-    """Which dialects own a dedicated conditional tree (True, lans), or
-    (False, empty) when the grammar has none."""
-    covered = set()
-    found = False
-    for tree in grammar.auxiliary_trees():
-        cell = tree.root.bottom.get("cnd")
-        if isinstance(cell, frozenset) and cell == frozenset("+"):
-            found = True
-            label = tree.anchor_label
-            if label:
-                for lexeme in grammar.lexemes_of_category(label):
-                    covered |= lexeme.lan_coverage()
-    return found, frozenset(covered)
-
-
-def _pred_goals(grammar, tma: TMA, lan):
-    """Goal features for a TMA bundle, expanding the conditional.
-
-    A conditional request is realized by a dedicated conditional form
-    where the grammar has one and by the past-plus-prospective bundle
-    everywhere else; the split is read off the grammar itself.
-    """
-    full = grammar.schema.full("lan") if "lan" in grammar.schema else None
-    lan = lan or full
-    direct = _tma_values(tma)
-    if lan:
-        direct["lan"] = lan
-    goals = [FeatureStruct(direct)]
-    if not tma.cnd:
-        return goals
-    has_dedicated, covered = _dedicated_cnd(grammar)
-    if full is None:
-        if has_dedicated:
-            return goals
-        syncretic_lan = None
-    else:
-        syncretic_lan = lan - covered
-        if not syncretic_lan:
-            return goals
-    expanded = _tma_values(replace(tma, cnd=False, pas=True, psp=True))
-    if syncretic_lan:
-        expanded["lan"] = syncretic_lan
-    goals.append(FeatureStruct(expanded))
-    return goals
-
-
 def _goal_for(grammar, spec: SemSpec):
-    """(category, [goal FS]) for a semantic specification, each goal
-    checked against the grammar's schema."""
+    """(category, goal FS) for a semantic specification, checked against
+    the grammar's schema; one goal serves every dialect."""
     lan = spec.lan
     if lan is not None:
         if "lan" not in grammar.schema:
@@ -340,14 +295,21 @@ def _goal_for(grammar, spec: SemSpec):
             raise InvalidSpec("unknown language codes: %s"
                               % ",".join(sorted(unknown)))
     if spec.pred is None:
-        category, goals = "NP", [_np_goal(spec.args[0], lan)]
+        category, goal = "NP", _np_values(spec.args[0])
     elif not spec.args:
-        category, goals = "Pred", _pred_goals(grammar, spec.tma, lan)
+        category, goal = "Pred", _tma_values(spec.tma)
     else:
-        category, goals = "S", [FeatureStruct({"lan": lan} if lan else {})]
-    for goal in goals:
-        grammar.schema.check(goal)
-    return category, goals
+        category, goal = "S", {}
+    if lan:
+        goal["lan"] = lan
+    goal = FeatureStruct(goal)
+    grammar.schema.check(goal)
+    return category, goal
+
+
+def _fits(features, goal):
+    """Whether finalized, variable-free features unify with the goal."""
+    return disjoint(features, _UNBOUND, goal, _UNBOUND) is None
 
 
 # --- assembling realizations --------------------------------------------------
@@ -361,29 +323,22 @@ def _anchor_index(final, pred_id):
     return None
 
 
-def realizations_from_finals(grammar, finals, goals, pred_id=None):
-    """Filter finalized derivations by goal, fuse, merge and fold.
+def realizations_from_finals(grammar, finals, goal, pred_id=None):
+    """Keep the finalized derivations that fit the goal, fuse, merge and
+    fold.  A realization's language set is its derivation's, narrowed
+    by the goal's.
 
     `finals` is an iterable of (FinalizeResult, trace) pairs, as
     :func:`_finals` makes them or any other search's results.
     """
     lan_full = grammar.schema.full("lan") if "lan" in grammar.schema else None
+    goal_lan = goal.get("lan", lan_full)
     hits = []
     for final, trace in finals:
-        matched_goal = None
-        for goal in goals:
-            if unify(final.features, goal) is not None:
-                matched_goal = goal
-                break
-        if matched_goal is None:
+        if not _fits(final.features, goal):
             continue
         if lan_full is not None:
-            lan = final.features.get("lan", lan_full)
-            goal_lan = matched_goal.get("lan")
-            if isinstance(goal_lan, frozenset):
-                lan = lan & goal_lan
-            if not lan:
-                continue
+            lan = final.features.get("lan", lan_full) & goal_lan
         else:
             lan = frozenset()
         anchor = _anchor_index(final, pred_id)
@@ -443,10 +398,10 @@ def generate(grammar: Grammar, spec: SemSpec, finals=None):
     deterministically ordered.  Raises NoRealization when nothing derives.
     Given `finals` (of a spec differing at most in lan and TMA), skip to
     the goals."""
-    category, goals = _goal_for(grammar, spec)
+    category, goal = _goal_for(grammar, spec)
     if finals is None:
         finals = _finals(grammar, category, spec)
-    out = realizations_from_finals(grammar, finals, goals, spec.pred)
+    out = realizations_from_finals(grammar, finals, goal, spec.pred)
     if not out:
         raise NoRealization("nothing derives the requested specification")
     return out

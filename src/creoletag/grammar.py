@@ -33,14 +33,6 @@ class Lexeme:
     category: str
     variants: tuple[Variant, ...]
 
-    def lan_coverage(self) -> frozenset:
-        out = frozenset()
-        for variant in self.variants:
-            cell = variant.features.get("lan")
-            if isinstance(cell, frozenset):
-                out |= cell
-        return out
-
 
 @dataclass(frozen=True)
 class FusionRule:

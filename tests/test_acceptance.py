@@ -132,8 +132,7 @@ def _corpus_realizations(grammar):
     out = []
     for spec in golden_corpus():
         goal = "NP" if spec.pred is None else "Pred"
-        goal_fss = tuple(erase_attribute(fs, "lan")
-                         for fs in _goal_for(grammar, spec)[1])
+        goal_fss = (erase_attribute(_goal_for(grammar, spec)[1], "lan"),)
         for dialect in DIALECTS:
             try:
                 reals = generate(grammar,
@@ -185,7 +184,7 @@ def test_criterion_6_round_trip(grammar):
 def test_criterion_7_oracle_equivalence(grammar, particle_lexemes):
     with criterion(7, "generator agrees with brute-force enumeration"):
         for spec in golden_corpus():
-            category, goals = _goal_for(grammar, spec)
+            category, goal_fs = _goal_for(grammar, spec)
             lexemes = set(particle_lexemes)
             if spec.pred:
                 lexemes.add(spec.pred)
@@ -197,7 +196,7 @@ def test_criterion_7_oracle_equivalence(grammar, particle_lexemes):
                 grammar, category, FeatureStruct(), 5, lexemes=lexemes)
             finals = [(final, derived.history)
                       for derived, final in derivations]
-            oracle = realizations_from_finals(grammar, finals, goals,
+            oracle = realizations_from_finals(grammar, finals, goal_fs,
                                               spec.pred)
             direct = generate(grammar, spec)
             key = lambda reals: [(r.tokens, tuple(sorted(r.lan_set)),

@@ -1,9 +1,10 @@
 """Generator behaviour: realization, fusion, merging, alternatives."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from creoletag import engine
@@ -15,6 +16,7 @@ from creoletag.generate import (ASPECTS, NUMBERS, NPSpec, SemSpec, TMA,
                                 apply_fusion, format_table, generate,
                                 golden_corpus, semspec_from_json, table_np,
                                 table_tma)
+from creoletag.specialize import specialize
 
 
 def tokens_of(reals):
@@ -182,6 +184,21 @@ class TestNounPhraseRealization:
             tma=TMA(pas=True), lan=frozenset(["GP"])))
         assert tokens_of(reals) == ["sé tab la té dansé"]
 
+    @pytest.mark.parametrize("lan", [None] + [
+        frozenset(("MQ",) + others) for k in (1, 2, 3)
+        for others in itertools.combinations(("HT", "GP", "GF"), k)],
+        ids=lambda lan: "any" if lan is None else "-".join(sorted(lan)))
+    def test_conditional_sentence_keeps_mq_form(self, grammar, lan):
+        # the syncretic conditional is not Martinican, however many other
+        # dialects share the request
+        reals = generate(grammar, SemSpec(
+            pred="DANCE", tma=TMA(cnd=True), lan=lan,
+            args=(NPSpec("BIRD", nbr="pl", spe=True),)))
+        mq = {" ".join(tokens) for r in reals if "MQ" in r.lan_set
+              for tokens in (r.tokens,) + r.alternatives}
+        assert mq == {"sé zwézo a sé dansé"}
+        assert not any("té ké" in form for form in mq)
+
 
 def outcome(grammar, spec):
     """What generate gives, trace aside (it names trees), or its error."""
@@ -280,13 +297,57 @@ class TestPruningSoundness:
         assert outcome(grammar, spec) == unpruned(spec)
 
 
+def token_set(grammar, spec):
+    try:
+        reals = generate(grammar, spec)
+    except NoRealization:
+        return frozenset()
+    return frozenset(tokens for r in reals
+                     for tokens in (r.tokens,) + r.alternatives)
+
+
+@pytest.fixture(scope="module")
+def specialized(grammar):
+    return {dialect: specialize(grammar, dialect) for dialect in DIALECTS}
+
+
+class TestLanUnion:
+    """The paper's claim: leaving lan free models the multidialect
+    system, so a request under a set of dialects yields exactly what
+    those dialects' own grammars yield together.  The explicit example
+    is a conditional sentence that once came back with a syncretic
+    Martinican form."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @example(noun="BIRD", nbr="pl", determination=(True, False),
+             complement=None, tma=TMA(cnd=True),
+             lans=({"HT"}, {"MQ"}, {"GP", "MQ"}))
+    @given(noun=st.sampled_from(NOUNS), nbr=st.sampled_from(NUMBERS),
+           determination=st.sampled_from(((False, False), (True, False),
+                                          (True, True))),
+           complement=st.sampled_from(COMPLEMENTS),
+           tma=st.sampled_from(BUNDLES), lans=st.tuples(*[st.sets(
+               st.sampled_from(DIALECTS), min_size=1)] * 3))
+    def test_lan_subset_is_union_of_dialects(self, grammar, specialized,
+                                              noun, nbr, determination,
+                                              complement, tma, lans):
+        spe, dem = determination
+        args = (NPSpec(noun, nbr=nbr, spe=spe, dem=dem,
+                       complement=complement),)
+        specs = (SemSpec(args=args), SemSpec(pred="DANCE", tma=tma),
+                 SemSpec(pred="DANCE", tma=tma, args=args))
+        for spec, lan in zip(specs, lans):
+            union = frozenset().union(*(token_set(specialized[dialect], spec)
+                                        for dialect in lan))
+            assert token_set(grammar, replace(spec, lan=frozenset(lan))) == \
+                union, (spec, lan)
+
+
 class TestExclusivity:
     HT_FORBIDDEN = {"ka", "ké", "té", "sé", "kay"}
     GP_FORBIDDEN = {"ap", "va", "pral", "tap", "ta", "vap"}
 
     def _sweep(self, grammar, dialect):
-        from dataclasses import replace
-
         from creoletag.generate import golden_corpus
         for spec in golden_corpus():
             try:
@@ -314,7 +375,8 @@ class TestSpecValidation:
             TMA(prx=True, psp=True)
 
     def test_prx_excludes_cnd(self):
-        # cnd expands to pas+psp, which prx excludes
+        # the grammar's conditional trees, the syncretic one built on the
+        # prospective, all exclude the near future
         with pytest.raises(InvalidSpec, match="cnd"):
             TMA(prx=True, cnd=True)
 

@@ -46,6 +46,19 @@ class TestRecognize:
         assert {tuple(sorted(s)) for a in analyses
                 for s in a.per_token_lan} == {("HT",)}
 
+    def test_syncretic_conditional(self, grammar):
+        # the past over the prospective is an irrealis everywhere it is
+        # said, and a conditional except in Martinique
+        readings = {(a.features["cnd"], a.lan_set)
+                    for a in recognize(grammar, "té ké dansé", "Pred")}
+        assert readings == {(frozenset("-"), frozenset({"GP", "MQ", "GF"})),
+                            (frozenset("+"), frozenset({"GP", "GF"}))}
+        readings = {(a.features["cnd"], a.lan_set)
+                    for a in recognize(grammar, "ta danse", "Pred")}
+        assert readings == {(frozenset("-"), frozenset({"HT"})),
+                            (frozenset("+"), frozenset({"HT"}))}
+        assert identify_dialect(grammar, "ta danse") == frozenset({"HT"})
+
     def test_soundness_replay(self, grammar):
         """Every unmixed analysis replays to the input string."""
         for text, goal in (("sé tab la", "NP"), ("moun sa yo", "NP"),

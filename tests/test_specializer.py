@@ -31,6 +31,13 @@ class TestSpecialize:
             "aux-Plur-gf", "aux-Plur-ht", "aux-Progressive-ht"]
         assert specialized.fusion_rules == ()
 
+    def test_mq_drops_the_syncretic_conditional(self, grammar):
+        _, report = specialize_with_report(grammar, "MQ")
+        assert "aux-Conditional-syncretic" in report.dropped_trees
+        for dialect in ("HT", "GP", "GF"):
+            assert specialize(grammar, dialect).has_tree(
+                "aux-Conditional-syncretic")
+
     def test_ht_keeps_fusion_unguarded(self, grammar):
         specialized = specialize(grammar, "HT")
         assert len(specialized.fusion_rules) == 4
