@@ -21,7 +21,8 @@ from dataclasses import replace
 from .creole import default_grammar
 from .dsl import load_grammar, serialize
 from .errors import (CreoleTagError, GrammarSyntaxError, InvalidSpec,
-                     MissingCell, NoAnalysis, NoRealization, ValidationError)
+                     MissingCell, NoAnalysis, NoRealization,
+                     UndeclaredAttribute, ValidationError)
 from .generate import format_table, generate, semspec_from_json, table_np, \
     table_tma
 from .recognize import recognize
@@ -231,7 +232,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidSpec, GrammarSyntaxError) as exc:
+    except (InvalidSpec, UndeclaredAttribute, GrammarSyntaxError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_BAD_INPUT
     except ValidationError as exc:

@@ -289,7 +289,7 @@ def finalize(grammar: Grammar, derived: DerivedTree) -> FinalizeResult:
 
     env = derived.env
     collapsed_root = None
-    for address, node in sorted(derived.root.walk()):
+    for address, node in derived.root.walk():
         unified = unify(node.top, node.bottom, env)
         if unified is None:
             raise CollapseFailure(address, _disjoint(node.top, env,
@@ -513,7 +513,7 @@ def enumerate_derivations(grammar: Grammar, goal_label: str,
         if cost >= bound:
             return
         env = derived.env
-        for address, node in sorted(derived.root.walk()):
+        for address, node in derived.root.walk():
             if node.kind in (ANCHOR, SUBST, FOOT) or node.was_foot:
                 continue
             for aux, foot in auxiliaries(node.label):

@@ -3,27 +3,28 @@
 Fused Haitian forms are first expanded by reverse fusion lookup (tap ->
 te ap), which gives every decomposition of the input.  One derivation
 search then serves them all: each decomposition is a target frontier
-with a step bound tied to its token count, partial derivations that no
-target can still contain are cut, and the hits whose post-fusion
-frontier equals the input are reported with the language sets
-consistent with the whole string and with each word.
+with a step bound tied to its token count, and partial derivations that
+no target can still contain are cut.  Each hit is fused once, carrying
+the (lexeme, variant) sources of every token, and is kept when its fused
+frontier equals the input.
 
-When no language-consistent derivation exists, the input is reparsed
-with the language attribute erased from the whole grammar (built once
-per grammar object).  Structurally valid but dialect-mixed strings then
-come back flagged `mixed`, with a per-token report of which dialects
-each word belongs to.
+The hits become analyses in one place, with the language set consistent
+with the whole string and with each word.  When no language-consistent
+derivation exists, the input is searched again in the projection of the
+grammar onto every dialect, which has no language attribute (built once
+per grammar object and kept on it).  Structurally valid but
+dialect-mixed strings then come back flagged `mixed`, with a per-token
+report of which dialects each word belongs to.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 from . import engine
 from .errors import InvalidSpec, NoAnalysis
 from .featstruct import EMPTY, FeatureStruct
-from .generate import apply_fusion, fuse_with_sources
+from .generate import fuse_with_sources
 from .grammar import Grammar
 from .specialize import project_language
 
@@ -74,13 +75,6 @@ def _decompositions(tokens, rules):
     return sorted(results, key=lambda d: (len(d), d))
 
 
-def _merged_token_sources(grammar, final, lan_for_fusion):
-    """(token, ((lexeme, variant index), ...)) after fusion."""
-    entries = [(token, ((lexeme, variant),))
-               for token, lexeme, variant in final.lexical]
-    return fuse_with_sources(entries, lan_for_fusion, grammar.fusion_rules)
-
-
 def _variant_lan(grammar, lexeme_id, index):
     cell = grammar.lexeme(lexeme_id).variants[index].features.get("lan")
     return cell if isinstance(cell, frozenset) else frozenset()
@@ -93,11 +87,20 @@ def _meet_all(sets):
     return out if out is not None else frozenset()
 
 
-def _candidate_sets(grammar, lexeme_id, surface):
-    """Language sets of every variant of a lexeme sharing one surface."""
+def _sources_lan(grammar, sources):
+    """The language set every (lexeme, variant index) under a token shares."""
+    return _meet_all([_variant_lan(grammar, lex, var) for lex, var in sources])
+
+
+def _candidate_sets(grammar, token, sources):
+    """Language sets a token of a mixed string may take: the shared set of
+    a fused token's sources, or every set of a variant of an unfused
+    token's lexeme spelled as the token."""
+    if len(sources) > 1:
+        return [_sources_lan(grammar, sources)]
     seen = []
-    for variant in grammar.lexeme(lexeme_id).variants:
-        if variant.surface != surface:
+    for variant in grammar.lexeme(sources[0][0]).variants:
+        if variant.surface != token:
             continue
         cell = variant.features.get("lan")
         if isinstance(cell, frozenset) and cell not in seen:
@@ -127,8 +130,10 @@ def _choose_candidates(per_token_candidates):
 
 
 def _search(grammar, tokens, goal, max_extra=2):
-    """Derivations (in `grammar`) whose post-fusion frontier is `tokens`,
-    grouped by decomposition in `_decompositions` order."""
+    """(derived, final, lan, merged) for every derivation in `grammar`
+    whose post-fusion frontier is `tokens`, grouped by decomposition in
+    `_decompositions` order.  `merged` pairs each input token with its
+    (lexeme, variant index) sources."""
     decomps = _decompositions(tokens, grammar.fusion_rules)
     frontiers = {decomp: len(decomp) + max_extra for decomp in decomps}
     derivations = engine.enumerate_derivations(
@@ -137,30 +142,23 @@ def _search(grammar, tokens, goal, max_extra=2):
     by_decomp = {decomp: [] for decomp in decomps}
     for derived, final in derivations:
         lan = final.features.get("lan", full) if full else frozenset()
-        fused = tuple(apply_fusion(list(final.frontier), lan,
-                                   grammar.fusion_rules))
-        if fused != tokens:
+        merged = fuse_with_sources(
+            [(token, ((lexeme, variant),))
+             for token, lexeme, variant in final.lexical],
+            lan, grammar.fusion_rules)
+        if tuple(token for token, _ in merged) != tokens:
             continue
-        by_decomp[final.frontier].append((derived, final, lan))
+        by_decomp[final.frontier].append((derived, final, lan, merged))
     return [hit for decomp in decomps for hit in by_decomp[decomp]]
 
 
-_RELAXED = {}  # id(grammar) -> project_language(grammar)
-
-
 def _relaxed(grammar):
-    """project_language(grammar), built once per grammar object.
-
-    Grammar defines __eq__ and so is unhashable: the memo is keyed by
-    identity, and an entry goes when its grammar does."""
-    key = id(grammar)
-    if key not in _RELAXED:
-        relaxed = project_language(grammar)
-        if relaxed is grammar:  # nothing erased; an entry would pin it
-            return grammar
-        _RELAXED[key] = relaxed
-        weakref.finalize(grammar, _RELAXED.pop, key, None)
-    return _RELAXED[key]
+    """project_language(grammar), built once and kept on the grammar, so
+    it is collected with it."""
+    relaxed = getattr(grammar, "_relaxed", None)
+    if relaxed is None:
+        relaxed = grammar._relaxed = project_language(grammar)
+    return relaxed
 
 
 def recognize(grammar: Grammar, tokens, goal: str = "NP"):
@@ -174,43 +172,29 @@ def recognize(grammar: Grammar, tokens, goal: str = "NP"):
     if goal not in GOALS:
         raise InvalidSpec("goal must be one of %s" % (GOALS,))
 
-    analyses = []
-    for derived, final, lan in _search(grammar, tokens, goal):
-        merged = _merged_token_sources(grammar, final, lan)
-        per_token = tuple(
-            _meet_all([_variant_lan(grammar, lex, var) for lex, var in sources])
-            for _, sources in merged)
-        lan_set = _meet_all(list(per_token) + [lan])
-        analyses.append(Analysis(tokens=tokens, goal=goal,
-                                 features=final.features,
-                                 lan_set=lan_set, per_token_lan=per_token,
-                                 trace=derived.history,
-                                 mixed=not lan_set))
-    if analyses:
-        return _sorted_analyses(analyses)
-
-    relaxed = _relaxed(grammar)
-    for derived, final, _ in _search(relaxed, tokens, goal):
-        merged = _merged_token_sources(relaxed, final, frozenset())
-        candidates = []
-        for token, sources in merged:
-            if len(sources) == 1:
-                # unfused: the token is the variant surface; consider every
-                # variant of the same lexeme spelled this way
-                candidates.append(_candidate_sets(grammar, sources[0][0], token))
-            else:
-                candidates.append(
-                    [_meet_all([_variant_lan(grammar, lex, var)
-                                for lex, var in sources])])
-        per_token = _choose_candidates(candidates)
-        lan_set = _meet_all(per_token)
-        analyses.append(Analysis(tokens=tokens, goal=goal,
-                                 features=final.features,
-                                 lan_set=lan_set, per_token_lan=per_token,
-                                 trace=derived.history,
-                                 mixed=not lan_set))
-    if not analyses:
+    hits = _search(grammar, tokens, goal)
+    relaxed = not hits and "lan" in grammar.schema
+    if relaxed:
+        hits = _search(_relaxed(grammar), tokens, goal)
+    if not hits:
         raise NoAnalysis("no derivation covers %r" % " ".join(tokens))
+
+    analyses = []
+    for derived, final, lan, merged in hits:
+        if relaxed:
+            per_token = _choose_candidates(
+                [_candidate_sets(grammar, token, sources)
+                 for token, sources in merged])
+            lan_set = _meet_all(per_token)
+        else:
+            per_token = tuple(_sources_lan(grammar, sources)
+                              for _, sources in merged)
+            lan_set = _meet_all(per_token + (lan,))
+        analyses.append(Analysis(tokens=tokens, goal=goal,
+                                 features=final.features,
+                                 lan_set=lan_set, per_token_lan=per_token,
+                                 trace=derived.history,
+                                 mixed=not lan_set))
     return _sorted_analyses(analyses)
 
 

@@ -1,9 +1,12 @@
-"""Project the multidialectal grammar onto a single dialect.
+"""Project the multidialectal grammar onto a set of dialects.
 
-Specialization unifies the language feature with one dialect everywhere,
-drops the trees and lexeme variants that refuse, and then erases the now
-redundant attribute from structures, domains and fusion guards.  What
-remains is an ordinary single-language grammar.
+One projection serves both uses of the language feature.  It erases
+`lan` from structures, domains and fusion guards, and drops every tree,
+lexeme variant and fusion rule that admits none of the kept dialects.
+Kept to one dialect, it is specialization: the trees that no remaining
+lexeme can anchor go too, and what is left is an ordinary
+single-language grammar.  Kept to every dialect, it drops nothing and
+gives the relaxed grammar the recognizer reparses mixed input with.
 """
 
 from __future__ import annotations
@@ -11,10 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace as dc_replace
 
 from . import engine
-from .errors import AnchorUnificationFailure, EmptyGrammar, InvalidSpec
-from .featstruct import FeatureStruct, Var, erase_attribute
-from .grammar import FusionRule, Grammar, Lexeme, Metadata, Variant
-from .trees import ElementaryTree, TreeNode
+from .errors import AnchorUnificationFailure, EmptyGrammar, InvalidSpec, \
+    NoRealization
+from .featstruct import erase_attribute
+from .generate import generate
+from .grammar import Grammar, Metadata
+from .trees import ElementaryTree
 
 
 @dataclass
@@ -26,27 +31,52 @@ class SpecializationReport:
     dropped_rules: int = 0
 
 
-def _constrain_fs(fs: FeatureStruct, dialect: str):
-    """Unify with {lan:{dialect}} and erase lan; None when incompatible."""
-    cell = fs.get("lan")
-    if isinstance(cell, frozenset) and dialect not in cell:
-        return None
-    return erase_attribute(fs, "lan")
+def _project(grammar: Grammar, keep: frozenset, suffix: str,
+             report: SpecializationReport) -> Grammar:
+    """Erase lan, dropping whatever admits no dialect of `keep`; every
+    drop is recorded in `report`."""
+    def admits(lan):
+        return not isinstance(lan, frozenset) or bool(lan & keep)
 
+    def erased(node):
+        return dc_replace(node, top=erase_attribute(node.top, "lan"),
+                          bottom=erase_attribute(node.bottom, "lan"),
+                          children=tuple(map(erased, node.children)))
 
-def _constrain_node(node: TreeNode, dialect: str):
-    top = _constrain_fs(node.top, dialect)
-    bottom = _constrain_fs(node.bottom, dialect)
-    if top is None or bottom is None:
-        return None
-    children = []
-    for child in node.children:
-        constrained = _constrain_node(child, dialect)
-        if constrained is None:
-            return None
-        children.append(constrained)
-    return TreeNode(label=node.label, kind=node.kind, top=top, bottom=bottom,
-                    children=tuple(children))
+    lexicon = []
+    for lexeme in grammar.lexicon:
+        variants = []
+        for variant in lexeme.variants:
+            if admits(variant.features.get("lan")):
+                variants.append(dc_replace(variant, features=erase_attribute(
+                    variant.features, "lan")))
+            else:
+                report.dropped_variants.append((lexeme.id, variant.surface))
+        if variants:
+            lexicon.append(dc_replace(lexeme, variants=tuple(variants)))
+        else:
+            report.dropped_lexemes.append(lexeme.id)
+
+    trees = []
+    for tree in grammar.trees:
+        if all(admits(node.top.get("lan")) and admits(node.bottom.get("lan"))
+               for _, node in tree.nodes()):
+            trees.append(dc_replace(tree, root=erased(tree.root)))
+        else:
+            report.dropped_trees.append(tree.name)
+
+    rules = []
+    for rule in grammar.fusion_rules:
+        if admits(rule.lan):
+            rules.append(dc_replace(rule, lan=None))
+        else:
+            report.dropped_rules += 1
+
+    return Grammar(domains=[d for d in grammar.domains if d.name != "lan"],
+                   trees=trees, lexicon=lexicon, fusion_rules=rules,
+                   metadata=Metadata(
+                       name="%s.%s" % (grammar.metadata.name, suffix),
+                       version=grammar.metadata.version))
 
 
 def specialize(grammar: Grammar, dialect: str) -> Grammar:
@@ -62,48 +92,8 @@ def specialize_with_report(grammar: Grammar, dialect: str):
         raise InvalidSpec("unknown dialect %r" % dialect)
 
     report = SpecializationReport(dialect)
-
-    lexicon = []
-    for lexeme in grammar.lexicon:
-        variants = []
-        for variant in lexeme.variants:
-            cell = variant.features.get("lan")
-            if isinstance(cell, frozenset) and dialect not in cell:
-                report.dropped_variants.append((lexeme.id, variant.surface))
-                continue
-            variants.append(Variant(surface=variant.surface,
-                                    features=erase_attribute(variant.features,
-                                                             "lan")))
-        if variants:
-            lexicon.append(Lexeme(id=lexeme.id, category=lexeme.category,
-                                  variants=tuple(variants)))
-        else:
-            report.dropped_lexemes.append(lexeme.id)
-
-    trees = []
-    for tree in grammar.trees:
-        root = _constrain_node(tree.root, dialect)
-        if root is None:
-            report.dropped_trees.append(tree.name)
-            continue
-        trees.append(ElementaryTree(name=tree.name, klass=tree.klass, root=root))
-
-    domains = tuple(d for d in grammar.domains if d.name != "lan")
-    rules = []
-    for rule in grammar.fusion_rules:
-        if rule.lan is not None and dialect not in rule.lan:
-            report.dropped_rules += 1
-            continue
-        rules.append(FusionRule(pattern=rule.pattern,
-                                replacement=rule.replacement, lan=None))
-
-    candidate = Grammar(domains=domains, trees=trees, lexicon=lexicon,
-                        fusion_rules=rules,
-                        metadata=Metadata(
-                            name="%s.%s" % (grammar.metadata.name,
-                                            dialect.lower()),
-                            version=grammar.metadata.version))
-
+    candidate = _project(grammar, frozenset([dialect]), dialect.lower(),
+                         report)
     kept_trees = []
     for tree in candidate.trees:
         if _anchor_fillable(candidate, tree):
@@ -113,8 +103,10 @@ def specialize_with_report(grammar: Grammar, dialect: str):
     if not kept_trees:
         raise EmptyGrammar("no trees survive specialization to %s" % dialect)
 
-    specialized = Grammar(domains=domains, trees=kept_trees, lexicon=lexicon,
-                          fusion_rules=rules, metadata=candidate.metadata)
+    specialized = Grammar(domains=candidate.domains, trees=kept_trees,
+                          lexicon=candidate.lexicon,
+                          fusion_rules=candidate.fusion_rules,
+                          metadata=candidate.metadata)
     report.dropped_trees.sort()
     return specialized, report
 
@@ -134,36 +126,15 @@ def _anchor_fillable(grammar: Grammar, tree: ElementaryTree) -> bool:
 
 
 def project_language(grammar: Grammar) -> Grammar:
-    """Erase the language attribute everywhere without dropping anything.
+    """The projection onto every dialect: `lan` erased, nothing dropped.
 
-    Unlike specialize(), every tree and every variant survives; the
-    result accepts any structurally well-formed string regardless of
+    The result accepts any structurally well-formed string regardless of
     dialect mixing.  Used by the recognizer's mixed-input path.
     """
     if "lan" not in grammar.schema:
         return grammar
-
-    def strip_node(node):
-        return TreeNode(label=node.label, kind=node.kind,
-                        top=erase_attribute(node.top, "lan"),
-                        bottom=erase_attribute(node.bottom, "lan"),
-                        children=tuple(strip_node(c) for c in node.children))
-
-    trees = [ElementaryTree(name=t.name, klass=t.klass, root=strip_node(t.root))
-             for t in grammar.trees]
-    lexicon = [Lexeme(id=l.id, category=l.category,
-                      variants=tuple(Variant(surface=v.surface,
-                                             features=erase_attribute(
-                                                 v.features, "lan"))
-                                     for v in l.variants))
-               for l in grammar.lexicon]
-    domains = tuple(d for d in grammar.domains if d.name != "lan")
-    rules = [FusionRule(pattern=r.pattern, replacement=r.replacement, lan=None)
-             for r in grammar.fusion_rules]
-    return Grammar(domains=domains, trees=trees, lexicon=lexicon,
-                   fusion_rules=rules,
-                   metadata=Metadata(name=grammar.metadata.name + ".anylan",
-                                     version=grammar.metadata.version))
+    return _project(grammar, grammar.schema.full("lan"), "anylan",
+                    SpecializationReport("anylan"))
 
 
 @dataclass
@@ -179,9 +150,6 @@ class EquivalenceReport:
 def equivalence_check(grammar: Grammar, dialect: str, corpus) -> EquivalenceReport:
     """Generate each corpus item through the full grammar restricted to the
     dialect and through the specialized grammar; report token-set diffs."""
-    from .errors import NoRealization
-    from .generate import generate
-
     specialized = specialize(grammar, dialect)
     report = EquivalenceReport(dialect)
 

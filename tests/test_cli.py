@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from creoletag.cli import main
 from creoletag.creole import golden_path
@@ -161,7 +163,7 @@ class TestGrammarOverride:
         grammar.write_text(UNDECLARED_GOALS, encoding="utf-8")
         monkeypatch.setenv("CREOLETAG_GRAMMAR", str(grammar))
         path = sem_file({"args": [{"lexeme": "DOG"}]})
-        assert main(["generate", "--sem", path]) == 1
+        assert main(["generate", "--sem", path]) == 3
         out, err = capsys.readouterr()
         assert out == ""
         assert "is not declared" in err
@@ -174,3 +176,51 @@ class TestDeterminism:
         first = capsys.readouterr().out
         assert main(["generate", "--sem", path]) == 0
         assert capsys.readouterr().out == first
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8)
+
+
+def _mostly(strategy):
+    """`strategy`, or one time in ten any JSON value instead."""
+    return st.integers(0, 9).flatmap(
+        lambda n: _JSON if n == 9 else strategy)
+
+
+def _field(*typical):
+    return _mostly(st.sampled_from(typical))
+
+
+_LEXEME = _field("DANCE", "BIRD", "DOG", "TABLE", "SAINT-THOMAS", "ART", "")
+_NP = st.fixed_dictionaries({"lexeme": _LEXEME}, optional={
+    "nbr": _field("sg", "pl"), "spe": _field(True, False),
+    "dem": _field(True, False), "complement": _LEXEME})
+_TMA = st.fixed_dictionaries({}, optional={
+    "pas": _field(True, False), "psp": _field(True, False),
+    "prx": _field(True, False), "cnd": _field(True, False),
+    "asp": _field("none", "imp", "frq", "prg")})
+# documents shaped like a semantic input, with any field possibly off,
+# so that the draws reach past the type checks into generation
+_SPEC = st.fixed_dictionaries({}, optional={
+    "pred": _LEXEME, "args": _mostly(st.lists(_NP, min_size=1, max_size=1)),
+    "tma": _mostly(_TMA),
+    "lan": _mostly(st.lists(_field("HT", "GP", "MQ", "GF"), min_size=1,
+                            max_size=3))})
+
+
+@pytest.fixture(scope="module")
+def sem_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("sem") / "spec.json"
+
+
+class TestArbitraryJson:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(document=_SPEC | _JSON)
+    def test_generate_exits_with_a_code(self, sem_path, document):
+        """Any JSON document gets an exit code, never a traceback."""
+        sem_path.write_text(json.dumps(document), encoding="utf-8")
+        assert main(["generate", "--sem", str(sem_path)]) in (0, 1, 3)

@@ -1,6 +1,8 @@
 """Grammar format: loading, validation findings, canonical serialization."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from creoletag.creole import grammar_text
 from creoletag.dsl import load_grammar, parse_forms, serialize
@@ -158,3 +160,29 @@ class TestValidationFindings:
         with pytest.raises(ValidationError) as err:
             load_grammar(text)
         assert any("does not bind lan" in f for f in err.value.findings)
+
+
+SHIPPED_TEXT = grammar_text()
+# one edit: a character inserted, deleted or replaced at a position
+_EDIT = st.tuples(st.integers(0, len(SHIPPED_TEXT) - 1),
+                  st.sampled_from([""] + sorted(set(SHIPPED_TEXT))),
+                  st.integers(0, 1)).filter(lambda edit: edit[1] or edit[2])
+
+
+class TestMutatedGrammar:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(edits=st.lists(_EDIT, min_size=1, max_size=3))
+    def test_loader_raises_typed_errors_and_round_trips(self, edits):
+        """Text a few characters off the shipped grammar either fails with
+        a syntax error or findings, or loads and round-trips exactly."""
+        text = SHIPPED_TEXT
+        for at, inserted, removed in edits:
+            text = text[:at] + inserted + text[at + removed:]
+        try:
+            grammar = load_grammar(text)
+        except (GrammarSyntaxError, ValidationError):
+            return
+        once = serialize(grammar)
+        reloaded = load_grammar(once)
+        assert reloaded == grammar
+        assert serialize(reloaded) == once

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -11,7 +12,7 @@ from creoletag.creole import golden_path, grammar_text
 from creoletag.dsl import load_grammar
 from creoletag.errors import NoAnalysis
 from creoletag.featstruct import EMPTY
-from creoletag.generate import apply_fusion
+from creoletag.generate import apply_fusion, fuse_with_sources
 from creoletag.recognize import MixedReport, identify_dialect, recognize
 
 
@@ -97,10 +98,10 @@ class TestRecognize:
         other = load_grammar(grammar_text())
         assert all(a.mixed for a in recognize(other, "sé zwazo la", "NP"))
         assert [g is other for g in built] == [False, True]
-        key = id(other)
+        ref = weakref.ref(other)
         del other, built[1]
         gc.collect()
-        assert key not in recognize_module._RELAXED
+        assert ref() is None
 
 
 def _per_decomposition_search(grammar, tokens, goal, max_extra=2):
@@ -118,10 +119,12 @@ def _per_decomposition_search(grammar, tokens, goal, max_extra=2):
             if final.frontier != decomp:
                 continue
             lan = final.features.get("lan", full) if full else frozenset()
-            fused = tuple(apply_fusion(list(final.frontier), lan,
-                                       grammar.fusion_rules))
-            if fused == tokens:
-                hits.append((derived, final, lan))
+            merged = fuse_with_sources(
+                [(token, ((lexeme, variant),))
+                 for token, lexeme, variant in final.lexical],
+                lan, grammar.fusion_rules)
+            if tuple(token for token, _ in merged) == tokens:
+                hits.append((derived, final, lan, merged))
     return hits
 
 
