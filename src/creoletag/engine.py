@@ -22,12 +22,16 @@ itself.  Goals are checked against the schema where they enter, as
 grammar material is at load; unification checks nothing.
 
 Derived trees are immutable; every operation returns a new tree and
-either succeeds or raises without touching its inputs.
+either succeeds or raises without touching its inputs.  So
+:func:`instance` builds each elementary instance (tree, lexeme, variant)
+once per grammar and keeps it on the grammar object, a failure as None;
+every search shares them, filtered by the lexemes and tokens it may use.
+Nothing else is kept between calls.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (AnchorUnificationFailure, CollapseFailure, LabelMismatch,
@@ -41,7 +45,7 @@ from .trees import ANCHOR, AUXILIARY, FOOT, INITIAL, SUBST
 _OP_ORDER = {"instantiate": 0, "substitute": 1, "adjoin": 2}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Step:
     """One derivation event, replayable against the same grammar."""
 
@@ -60,9 +64,10 @@ class Step:
         return base
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DNode:
-    """A node of a derived tree."""
+    """A node of a derived tree.  Not frozen, so that building one costs
+    plain slot stores; nothing assigns to a node once it is built."""
 
     label: str
     kind: str
@@ -116,26 +121,28 @@ class FinalizeResult:
 
 def _dnode(node):
     """Copy an elementary TreeNode into a DNode, variable names kept."""
-    return DNode(label=node.label, kind=node.kind, top=node.top,
-                 bottom=node.bottom,
-                 children=tuple(_dnode(c) for c in node.children))
+    return DNode(node.label, node.kind, node.top, node.bottom,
+                 tuple(_dnode(c) for c in node.children))
 
 
 def _splice_in(host: DerivedTree, part: DerivedTree):
     """`part`'s root and the host's bindings extended with part's, every
     variable of `part` tagged with the splice's frame, distinct within a
     derivation.  ';' ends a grammar atom, so no grammar variable looks
-    tagged."""
+    tagged.  Cells other than variables are shared, not copied."""
     tag = "%d;" % len(host.history)
 
     def tagged(fs):
-        return FeatureStruct({attr: Var(tag + cell.name)
-                              if isinstance(cell, Var) else cell
-                              for attr, cell in fs.items()})
+        if not fs:
+            return fs
+        return FeatureStruct._of(tuple(
+            (item[0], Var(tag + item[1].name)) if isinstance(item[1], Var)
+            else item for item in fs.items()))
 
     def node(n):
-        return replace(n, top=tagged(n.top), bottom=tagged(n.bottom),
-                       children=tuple(node(c) for c in n.children))
+        return DNode(n.label, n.kind, tagged(n.top), tagged(n.bottom),
+                     tuple(node(c) for c in n.children), n.surface,
+                     n.lexeme, n.variant, n.was_foot)
 
     env = dict(host.env._map)  # noqa: SLF001 - same-package friend
     for name, value in part.env._map.items():  # noqa: SLF001
@@ -149,7 +156,9 @@ def _replace_at(node, address, new_node):
     i = address[0]
     children = list(node.children)
     children[i] = _replace_at(children[i], address[1:], new_node)
-    return replace(node, children=tuple(children))
+    return DNode(node.label, node.kind, node.top, node.bottom,
+                 tuple(children), node.surface, node.lexeme, node.variant,
+                 node.was_foot)
 
 
 # --- operations ------------------------------------------------------------
@@ -182,8 +191,9 @@ def instantiate(grammar: Grammar, tree, lexeme_id: Optional[str] = None,
             raise AnchorUnificationFailure(
                 "%r does not fit the anchor of %r" % (variant.surface, tree.name))
         bottom, env = unified
-        anchored = replace(anchor, bottom=bottom, surface=variant.surface,
-                           lexeme=lexeme_id, variant=variant_index)
+        anchored = DNode(anchor.label, anchor.kind, anchor.top, bottom,
+                         anchor.children, variant.surface, lexeme_id,
+                         variant_index)
         root = _replace_at(root, anchor_addr, anchored)
     elif anchor_addr is not None:
         raise AnchorUnificationFailure(
@@ -192,6 +202,21 @@ def instantiate(grammar: Grammar, tree, lexeme_id: Optional[str] = None,
     step = Step("instantiate", tree.name, (), lexeme_id, variant_index)
     return DerivedTree(root=root, klass=tree.klass, env=env,
                        history=(step,))
+
+
+def instance(grammar: Grammar, tree, lexeme_id: Optional[str] = None,
+             variant_index: Optional[int] = None) -> Optional[DerivedTree]:
+    """instantiate() of one of the grammar's own trees, or None where it
+    fails, built once per grammar and kept on it (see the module
+    docstring)."""
+    key = (tree.name, lexeme_id, variant_index)
+    memo = grammar._instances  # noqa: SLF001 - same-package friend
+    if key not in memo:
+        try:
+            memo[key] = instantiate(grammar, tree, lexeme_id, variant_index)
+        except AnchorUnificationFailure:
+            memo[key] = None
+    return memo[key]
 
 
 def substitute(grammar: Grammar, host: DerivedTree, address,
@@ -218,7 +243,10 @@ def substitute(grammar: Grammar, host: DerivedTree, address,
         raise UnificationFailure("substitution at %r: top features clash" % (address,))
     top, env = unified
 
-    new_node = replace(filler_root, top=top)
+    new_node = DNode(filler_root.label, filler_root.kind, top,
+                     filler_root.bottom, filler_root.children,
+                     filler_root.surface, filler_root.lexeme,
+                     filler_root.variant, filler_root.was_foot)
     root = _replace_at(host.root, address, new_node)
     if len(filler.history) == 1:
         first = filler.history[0]
@@ -265,10 +293,12 @@ def adjoin(grammar: Grammar, host: DerivedTree, address,
     low_bottom, env = unified
 
     # the lower copy keeps the foot's top plane and the host node's children
-    lower = DNode(label=node.label, kind="internal", top=foot.top,
-                  bottom=low_bottom, children=node.children, was_foot=True)
+    lower = DNode(node.label, "internal", foot.top, low_bottom,
+                  node.children, was_foot=True)
     spliced = _replace_at(aux_root, foot_addr, lower)
-    upper = replace(spliced, top=new_top)
+    upper = DNode(spliced.label, spliced.kind, new_top, spliced.bottom,
+                  spliced.children, spliced.surface, spliced.lexeme,
+                  spliced.variant, spliced.was_foot)
     root = _replace_at(host.root, address, upper)
 
     if len(aux.history) == 1:
@@ -336,11 +366,8 @@ def _instantiations(grammar, tree, lexemes, vocabulary):
     ordered.  A variant that :func:`_disjoint` shows cannot fit the
     anchor is not tried."""
     anchor_label = tree.anchor_label
-    if anchor_label is None:
-        try:
-            return [instantiate(grammar, tree)]
-        except AnchorUnificationFailure:
-            return []
+    if anchor_label is None:  # instantiating a bare tree cannot fail
+        return [instance(grammar, tree)]
     anchor = tree.node_at(tree.anchor_address()).bottom
     unbound = Bindings()
     out = []
@@ -352,10 +379,9 @@ def _instantiations(grammar, tree, lexemes, vocabulary):
                 continue
             if _disjoint(anchor, unbound, variant.features, unbound):
                 continue
-            try:
-                out.append(instantiate(grammar, tree, lexeme.id, index))
-            except AnchorUnificationFailure:
-                continue
+            anchored = instance(grammar, tree, lexeme.id, index)
+            if anchored is not None:
+                out.append(anchored)
     return out
 
 
@@ -448,7 +474,7 @@ def enumerate_derivations(grammar: Grammar, goal_label: str,
     cache = {}
 
     def instances(tree):
-        # immutable, and tagged apart at every splice
+        # this search's filters over the grammar's instance memo
         if tree.name not in cache:
             cache[tree.name] = _instantiations(grammar, tree, lexemes,
                                                vocabulary)

@@ -138,8 +138,17 @@ class FeatureStruct(Mapping):
             if not subset:
                 raise ValueError("attribute %r bound to the empty set" % attr)
             items.append((attr, subset))
-        object.__setattr__(self, "_items", tuple(items))
-        object.__setattr__(self, "_hash", hash(self._items))
+        self._items = tuple(items)
+        self._hash = None
+
+    @classmethod
+    def _of(cls, items: tuple) -> "FeatureStruct":
+        """The structure of canonical items, sorted by attribute, each cell
+        a Var or a non-empty frozenset; the constructor checks the rest."""
+        fs = object.__new__(cls)
+        fs._items = items
+        fs._hash = None
+        return fs
 
     def __getitem__(self, attr):
         for key, cell in self._items:
@@ -164,6 +173,8 @@ class FeatureStruct(Mapping):
         return len(self._items)
 
     def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(self._items)
         return self._hash
 
     def __eq__(self, other):
@@ -182,15 +193,15 @@ class FeatureStruct(Mapping):
 
     def resolve(self, env: Bindings) -> "FeatureStruct":
         """Substitute bound variables; unbound ones drop (underspecified)."""
-        out = {}
-        for attr, cell in self._items:
-            if isinstance(cell, Var):
-                val = env.value(cell)
-                if val is not None:
-                    out[attr] = val
-            else:
-                out[attr] = cell
-        return FeatureStruct(out)
+        out = []
+        for item in self._items:
+            if isinstance(item[1], Var):
+                cell = env.value(item[1])
+                if cell is None:
+                    continue
+                item = (item[0], cell)
+            out.append(item)
+        return FeatureStruct._of(tuple(out))
 
 
 FS = FeatureStruct
@@ -198,13 +209,21 @@ FS = FeatureStruct
 EMPTY = FeatureStruct()
 
 
+def meet(a: frozenset, b: frozenset) -> frozenset:
+    """a & b, as one of the operands where it equals one, so that
+    results share the grammar's sets instead of copying them."""
+    if a <= b:
+        return a
+    return b if b <= a else a & b
+
+
 def _meet_cells(a: Cell, b: Cell, env: Bindings):
     """Unify two cells.  Returns (cell, env) or None on empty meet."""
     a_var = isinstance(a, Var)
     b_var = isinstance(b, Var)
     if not a_var and not b_var:
-        meet = a & b
-        return (meet, env) if meet else None
+        met = meet(a, b)
+        return (met, env) if met else None
     if a_var and b_var:
         ra, rb = env.root(a.name), env.root(b.name)
         if ra == rb:
@@ -212,10 +231,10 @@ def _meet_cells(a: Cell, b: Cell, env: Bindings):
         va, vb = env.value(a), env.value(b)
         env = env.alias(rb, ra)
         if va is not None and vb is not None:
-            meet = va & vb
-            if not meet:
+            met = meet(va, vb)
+            if not met:
                 return None
-            return a, env.bind(ra, meet)
+            return a, env.bind(ra, met)
         if vb is not None:
             return a, env.bind(ra, vb)
         return a, env
@@ -224,10 +243,10 @@ def _meet_cells(a: Cell, b: Cell, env: Bindings):
     bound = env.value(a)
     if bound is None:
         return a, env.bind(a.name, b)
-    meet = bound & b
-    if not meet:
+    met = meet(bound, b)
+    if not met:
         return None
-    return a, env.bind(a.name, meet)
+    return a, env.bind(a.name, met)
 
 
 def unify(a: FeatureStruct, b: FeatureStruct,
@@ -240,6 +259,8 @@ def unify(a: FeatureStruct, b: FeatureStruct,
     domain, and intersecting with the full domain changes nothing).
     """
     env = env or Bindings()
+    if not b or not a:  # nothing to meet: share the other side
+        return (b if not a else a), env
     out = dict(a.items())
     for attr, cell in b.items():
         if attr not in out:
@@ -249,7 +270,8 @@ def unify(a: FeatureStruct, b: FeatureStruct,
         if met is None:
             return None
         out[attr], env = met
-    return FeatureStruct(out), env
+    # attributes are distinct, so sorting never compares cells
+    return FeatureStruct._of(tuple(sorted(out.items()))), env
 
 
 def disjoint(a: FeatureStruct, a_env: Bindings, b: FeatureStruct,
@@ -299,4 +321,5 @@ def erase_attribute(fs: FeatureStruct, attr: str) -> FeatureStruct:
     """Remove one attribute binding; erasing an absent attribute is identity."""
     if attr not in fs:
         return fs
-    return FeatureStruct({k: v for k, v in fs.items() if k != attr})
+    return FeatureStruct._of(tuple(item for item in fs.items()
+                                   if item[0] != attr))

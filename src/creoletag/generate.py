@@ -242,7 +242,7 @@ def _sentences(grammar, spec: SemSpec):
     for tree in grammar.initial_trees():
         if tree.root.label != "S" or tree.anchor_label:
             continue
-        bare = engine.instantiate(grammar, tree)
+        bare = engine.instance(grammar, tree)
         states = [bare]
         for address in bare.pending_sites:
             fillers = parts.get(bare.node_at(address).label, ())

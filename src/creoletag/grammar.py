@@ -55,7 +55,12 @@ class Metadata:
 
 
 class Grammar:
-    """Immutable after construction; safe to share between tasks."""
+    """Immutable after construction; safe to share between tasks.
+
+    It carries two memos, filled on first use and collected with it:
+    `_relaxed`, the projection onto every dialect that the recognizer
+    falls back to, and `_instances`, the engine's elementary instances.
+    """
 
     def __init__(self, domains, trees, lexicon, fusion_rules=(), metadata=None):
         self.domains = tuple(sorted(domains, key=lambda d: d.name))
@@ -66,6 +71,8 @@ class Grammar:
         self.schema = Schema(self.domains)
         self._trees_by_name = {t.name: t for t in self.trees}
         self._lexemes_by_id = {l.id: l for l in self.lexicon}
+        self._relaxed = None
+        self._instances = {}
 
     def tree(self, name: str) -> ElementaryTree:
         return self._trees_by_name[name]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from . import engine
 from .errors import InvalidSpec, NoAnalysis
-from .featstruct import EMPTY, FeatureStruct
+from .featstruct import EMPTY, FeatureStruct, meet
 from .generate import fuse_with_sources
 from .grammar import Grammar
 from .specialize import project_language
@@ -31,7 +31,7 @@ from .specialize import project_language
 GOALS = ("NP", "S", "Pred", "N")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Analysis:
     tokens: tuple
     goal: str
@@ -83,7 +83,7 @@ def _variant_lan(grammar, lexeme_id, index):
 def _meet_all(sets):
     out = None
     for s in sets:
-        out = s if out is None else out & s
+        out = s if out is None else meet(out, s)
     return out if out is not None else frozenset()
 
 
@@ -155,10 +155,9 @@ def _search(grammar, tokens, goal, max_extra=2):
 def _relaxed(grammar):
     """project_language(grammar), built once and kept on the grammar, so
     it is collected with it."""
-    relaxed = getattr(grammar, "_relaxed", None)
-    if relaxed is None:
-        relaxed = grammar._relaxed = project_language(grammar)
-    return relaxed
+    if grammar._relaxed is None:  # noqa: SLF001 - same-package friend
+        grammar._relaxed = project_language(grammar)  # noqa: SLF001
+    return grammar._relaxed  # noqa: SLF001
 
 
 def recognize(grammar: Grammar, tokens, goal: str = "NP"):
@@ -166,14 +165,16 @@ def recognize(grammar: Grammar, tokens, goal: str = "NP"):
 
     Each analysis reports the collapsed root features, the language set
     consistent with the whole derivation, and the language set of every
-    matched lexical variant token by token.
+    matched lexical variant token by token.  A grammar without `lan`
+    has no dialects to mix: its sets are empty and no analysis is mixed.
     """
     tokens = _as_tokens(tokens)
     if goal not in GOALS:
         raise InvalidSpec("goal must be one of %s" % (GOALS,))
 
+    has_lan = "lan" in grammar.schema
     hits = _search(grammar, tokens, goal)
-    relaxed = not hits and "lan" in grammar.schema
+    relaxed = not hits and has_lan
     if relaxed:
         hits = _search(_relaxed(grammar), tokens, goal)
     if not hits:
@@ -194,7 +195,7 @@ def recognize(grammar: Grammar, tokens, goal: str = "NP"):
                                  features=final.features,
                                  lan_set=lan_set, per_token_lan=per_token,
                                  trace=derived.history,
-                                 mixed=not lan_set))
+                                 mixed=has_lan and not lan_set))
     return _sorted_analyses(analyses)
 
 
@@ -218,7 +219,8 @@ def _mixedness(analysis):
 def identify_dialect(grammar: Grammar, tokens):
     """The language sets consistent with a string, or a mixed report.
 
-    Unmixed analyses win: their language sets are unioned.  Otherwise
+    Unmixed analyses win: their language sets are unioned (empty for a
+    grammar without `lan`).  Otherwise
     the fewest-mixed analysis (ties toward maximal dialect sharing) is
     reported token by token.
     """

@@ -1,12 +1,20 @@
 import pytest
 
 from creoletag import engine
-from creoletag.creole import shipped_grammar
+from creoletag.creole import grammar_text, shipped_grammar
+from creoletag.dsl import load_grammar
 
 
 @pytest.fixture(scope="session")
 def grammar():
     return shipped_grammar()
+
+
+@pytest.fixture
+def fresh_grammar():
+    """The shipped grammar loaded anew, with its memos empty, so the
+    engine calls a test counts do not depend on what ran before it."""
+    return load_grammar(grammar_text())
 
 
 @pytest.fixture(scope="session")

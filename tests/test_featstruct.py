@@ -147,11 +147,26 @@ class TestAlgebra:
                     assert left == right
 
     def test_no_empty_subsets_in_results(self):
-        for i, a in enumerate(STRUCTURES):
+        # unify, resolve and erase_attribute build their results without
+        # the constructor's checks, so each result must also be what the
+        # constructor builds from its items, with the same hash
+        def canonical(s):
+            rebuilt = FeatureStruct(dict(s.items()))
+            return s == rebuilt and hash(s) == hash(rebuilt)
+
+        for a in STRUCTURES:
+            with_var = FeatureStruct({**a, "p": Var("X")})
             for b in STRUCTURES:
-                result = u(a, b, ALG_SCHEMA)
-                if result is not None:
+                for left in (a, with_var):
+                    unified = unify(left, b)
+                    if unified is None:
+                        continue
+                    result, env = unified
                     assert all(cell for cell in result.values())
+                    for out in (result, result.resolve(env),
+                                erase_attribute(result, "p"),
+                                erase_attribute(result, "q")):
+                        assert canonical(out)
 
     def test_subsumption_of_unification(self):
         for a in STRUCTURES:

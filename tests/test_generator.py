@@ -1,6 +1,8 @@
 """Generator behaviour: realization, fusion, merging, alternatives."""
 
+import gc
 import itertools
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -98,22 +100,22 @@ class TestPredicateRealization:
                                        lan=frozenset(["GP"])))
         assert tokens_of(gp) == ["té ké dansé"]
 
-    def test_tma_cell_derives_each_shared_prefix_once(self, grammar,
+    def test_tma_cell_derives_each_shared_prefix_once(self, fresh_grammar,
                                                       engine_calls):
         # a walk that re-derives the prefixes slot plans share costs this
         # cell 648 instantiations and 583 adjunctions
-        reals = generate(grammar, SemSpec(
+        reals = generate(fresh_grammar, SemSpec(
             pred="DANCE", tma=TMA(pas=True, psp=True, asp="imp"),
             lan=frozenset(["HT"])))
         assert tokens_of(reals) == ["ta vap danse"]
         assert engine_calls["instantiate"] <= 17
         assert engine_calls["adjoin"] <= 167
 
-    def test_tma_table_derives_once(self, grammar, engine_calls):
+    def test_tma_table_derives_once(self, fresh_grammar, engine_calls):
         # every row is DANCE and derivation reads neither lan nor TMA, so
         # the 48 cells share one derivation run (1 536 finalizations when
         # each cell derives its own)
-        assert len(table_tma(grammar)) == 12
+        assert len(table_tma(fresh_grammar)) == 12
         assert engine_calls["finalize"] <= 32
         assert engine_calls["instantiate"] <= 17
         assert engine_calls["adjoin"] <= 167
@@ -156,11 +158,11 @@ class TestNounPhraseRealization:
                     args=spec.args, lan=frozenset([dialect])))
                 assert real.tokens in [r.tokens for r in again]
 
-    def test_np_cell_derives_each_shared_prefix_once(self, grammar,
+    def test_np_cell_derives_each_shared_prefix_once(self, fresh_grammar,
                                                      engine_calls):
         # 22 plans each restarting from the bare NP tree cost this cell
         # 22 substitutions, 161 instantiations and 120 adjunctions
-        reals = generate(grammar, SemSpec(
+        reals = generate(fresh_grammar, SemSpec(
             args=(NPSpec("TABLE", nbr="pl", spe=True, dem=True),),
             lan=frozenset(["GP"])))
         assert tokens_of(reals) == ["sé tab lasa"]
@@ -169,12 +171,12 @@ class TestNounPhraseRealization:
         assert engine_calls["adjoin"] <= 108
         assert engine_calls["finalize"] == 19
 
-    def test_np_table_derives_each_row_once(self, grammar, engine_calls):
+    def test_np_table_derives_each_row_once(self, fresh_grammar, engine_calls):
         # the 4 dialect columns of a row share its derivations (1 848
         # substitutions when each cell derives its own), and so do the
         # rows of one noun (42 substitutions in 15 searches when each
         # row derives its own)
-        assert len(table_np(grammar)) == 15
+        assert len(table_np(fresh_grammar)) == 15
         assert engine_calls["enumerate_derivations"] == 4
         assert engine_calls["substitute"] <= 14
 
@@ -222,6 +224,21 @@ class TestGrammarDriven:
         assert outcome(renamed, spec) == outcome(grammar, spec)
         assert outcome(grammar, spec) != "NoRealization"
 
+    def test_instances_built_once_per_grammar(self, engine_calls):
+        own = load_grammar(grammar_text())
+        spec = SemSpec(pred="DANCE", args=(NPSpec("BIRD", nbr="pl", spe=True),),
+                       tma=TMA(pas=True, asp="imp"))
+        first = outcome(own, spec)
+        built = engine_calls["instantiate"]
+        assert built > 0
+        assert outcome(own, spec) == first
+        assert engine_calls["instantiate"] == built
+        instance = next(i for i in own._instances.values() if i is not None)
+        refs = weakref.ref(own), weakref.ref(instance)
+        del own, instance
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+
 
 def _bundles():
     out = []
@@ -240,10 +257,13 @@ COMPLEMENTS = (None, "SAINT-THOMAS", "SAINT-LAURENT")
 
 
 @pytest.fixture(scope="module")
-def unpruned(grammar):
-    """outcome() with the search's variable-free clash test turned off.
-    Each unpruned search runs once per (label, content lexemes): generate
-    searches with a constant goal, bound and particle set."""
+def unpruned():
+    """outcome() with the search's variable-free clash test turned off,
+    on a grammar of its own, so no instance the pruned searches built
+    serves it.  Each unpruned search runs once per (label, content
+    lexemes): generate searches with a constant goal, bound and particle
+    set."""
+    own = load_grammar(grammar_text())
     searches = {}
     search = engine.enumerate_derivations
 
@@ -257,7 +277,7 @@ def unpruned(grammar):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(engine, "_disjoint", lambda *args: None)
             patch.setattr(engine, "enumerate_derivations", cached)
-            return outcome(grammar, spec)
+            return outcome(own, spec)
     return run
 
 

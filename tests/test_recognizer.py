@@ -14,6 +14,7 @@ from creoletag.errors import NoAnalysis
 from creoletag.featstruct import EMPTY
 from creoletag.generate import apply_fusion, fuse_with_sources
 from creoletag.recognize import MixedReport, identify_dialect, recognize
+from creoletag.specialize import specialize
 
 
 class TestRecognize:
@@ -72,11 +73,11 @@ class TestRecognize:
                                      grammar.fusion_rules)
                 assert tuple(fused) == tuple(text.split())
 
-    def test_stack_is_one_search(self, grammar, engine_calls):
+    def test_stack_is_one_search(self, fresh_grammar, engine_calls):
         # one search per decomposition costs this stack 50 searches, 5 862
         # instantiations, 4 408 adjunctions and 1 294 finalizations
         with pytest.raises(NoAnalysis):
-            recognize(grammar, "ta vap ta vap danse", "Pred")
+            recognize(fresh_grammar, "ta vap ta vap danse", "Pred")
         assert engine_calls["enumerate_derivations"] <= 2
         assert engine_calls["instantiate"] <= 18
         assert engine_calls["adjoin"] <= 216
@@ -198,6 +199,16 @@ class TestIdentifyDialect:
     def test_no_analysis(self, grammar):
         with pytest.raises(NoAnalysis):
             identify_dialect(grammar, "xyz abc")
+
+    def test_grammar_without_lan_mixes_nothing(self, grammar):
+        # a specialized grammar has no dialects to mix, so no analysis is
+        # flagged and no empty per-token report comes back
+        haitian = specialize(grammar, "HT")
+        analyses = recognize(haitian, "tap danse", "Pred")
+        assert analyses
+        assert not any(a.mixed for a in analyses)
+        assert {a.lan_set for a in analyses} == {frozenset()}
+        assert identify_dialect(haitian, "tap danse") == frozenset()
 
 
 class TestRoundTripSamples:
