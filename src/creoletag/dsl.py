@@ -31,7 +31,7 @@ from .featstruct import AttributeDomain, FeatureStruct, Var
 from .grammar import (FusionRule, Grammar, Lexeme, Metadata, Variant,
                       validate)
 from .trees import ANCHOR, AUXILIARY, FOOT, INITIAL, INTERNAL, SUBST, \
-    ElementaryTree, TreeNode
+    ElementaryTree, Node
 
 _KIND_WORDS = {"internal": INTERNAL, "anchor": ANCHOR,
                "subst": SUBST, "foot": FOOT}
@@ -213,11 +213,7 @@ def _parse_node(form):
         else:
             raise GrammarSyntaxError("unknown node clause %r" % word,
                                      clause.line, clause.col)
-    try:
-        return TreeNode(label=label, kind=kind, top=top, bottom=bottom,
-                        children=tuple(children))
-    except ValueError as exc:
-        raise GrammarSyntaxError(str(exc), form.line, form.col) from None
+    return Node(label, kind, top, bottom, tuple(children))
 
 
 def _parse_tree(form):
@@ -240,7 +236,10 @@ def _parse_tree(form):
     if klass is None or root is None:
         raise GrammarSyntaxError("tree %r lacks a class or a root" % name,
                                  form.line, form.col)
-    return ElementaryTree(name=name, klass=klass, root=root)
+    try:
+        return ElementaryTree(name=name, klass=klass, root=root)
+    except ValueError as exc:
+        raise GrammarSyntaxError(str(exc), form.line, form.col) from None
 
 
 def _parse_lexeme(form):

@@ -22,16 +22,20 @@ itself.  Goals are checked against the schema where they enter, as
 grammar material is at load; unification checks nothing.
 
 Derived trees are immutable; every operation returns a new tree and
-either succeeds or raises without touching its inputs.  So
-:func:`instance` builds each elementary instance (tree, lexeme, variant)
-once per grammar and keeps it on the grammar object, a failure as None;
-every search shares them, filtered by the lexemes and tokens it may use.
-Nothing else is kept between calls.
+either succeeds or raises without touching its inputs.  A new tree
+shares the nodes it leaves unchanged: instantiation copies only the
+path from the elementary root to the anchor, a splice only the path to
+its site and the material it tags.  So :func:`instance` builds each
+elementary instance (tree, lexeme, variant) once per grammar and keeps
+it on the grammar object, a failure as None; every search shares them,
+filtered by the lexemes and tokens it may use.  Nothing else is kept
+between calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from .errors import (AnchorUnificationFailure, CollapseFailure, LabelMismatch,
@@ -40,7 +44,7 @@ from .errors import (AnchorUnificationFailure, CollapseFailure, LabelMismatch,
 from .featstruct import Bindings, FeatureStruct, Var, unify
 from .featstruct import disjoint as _disjoint
 from .grammar import Grammar
-from .trees import ANCHOR, AUXILIARY, FOOT, INITIAL, SUBST
+from .trees import ANCHOR, AUXILIARY, FOOT, INITIAL, INTERNAL, SUBST, Node
 
 _OP_ORDER = {"instantiate": 0, "substitute": 1, "adjoin": 2}
 
@@ -64,30 +68,9 @@ class Step:
         return base
 
 
-@dataclass(slots=True)
-class DNode:
-    """A node of a derived tree.  Not frozen, so that building one costs
-    plain slot stores; nothing assigns to a node once it is built."""
-
-    label: str
-    kind: str
-    top: FeatureStruct
-    bottom: FeatureStruct
-    children: tuple = ()
-    surface: Optional[str] = None
-    lexeme: Optional[str] = None
-    variant: Optional[int] = None
-    was_foot: bool = False
-
-    def walk(self, address=()):
-        yield address, self
-        for i, child in enumerate(self.children):
-            yield from child.walk(address + (i,))
-
-
 @dataclass(frozen=True)
 class DerivedTree:
-    root: DNode
+    root: Node
     klass: str
     env: Bindings
     history: tuple = ()
@@ -97,14 +80,8 @@ class DerivedTree:
         return tuple(addr for addr, node in self.root.walk()
                      if node.kind == SUBST)
 
-    def node_at(self, address) -> DNode:
-        node = self.root
-        for i in address:
-            try:
-                node = node.children[i]
-            except IndexError:
-                raise KeyError("no node at address %r" % (address,)) from None
-        return node
+    def node_at(self, address) -> Node:
+        return self.root.node_at(address)
 
     def trace_key(self):
         return tuple(step.key() for step in self.history)
@@ -118,12 +95,6 @@ class FinalizeResult:
 
 
 # --- helpers ---------------------------------------------------------------
-
-def _dnode(node):
-    """Copy an elementary TreeNode into a DNode, variable names kept."""
-    return DNode(node.label, node.kind, node.top, node.bottom,
-                 tuple(_dnode(c) for c in node.children))
-
 
 def _splice_in(host: DerivedTree, part: DerivedTree):
     """`part`'s root and the host's bindings extended with part's, every
@@ -140,14 +111,23 @@ def _splice_in(host: DerivedTree, part: DerivedTree):
             else item for item in fs.items()))
 
     def node(n):
-        return DNode(n.label, n.kind, tagged(n.top), tagged(n.bottom),
-                     tuple(node(c) for c in n.children), n.surface,
-                     n.lexeme, n.variant, n.was_foot)
+        return Node(n.label, n.kind, tagged(n.top), tagged(n.bottom),
+                    tuple(node(c) for c in n.children), n.surface,
+                    n.lexeme, n.variant, n.was_foot)
 
     env = dict(host.env._map)  # noqa: SLF001 - same-package friend
     for name, value in part.env._map.items():  # noqa: SLF001
         env[tag + name] = tag + value if isinstance(value, str) else value
     return node(part.root), Bindings(env)
+
+
+def _step(op, address, part: DerivedTree) -> Step:
+    """The Step of splicing `part` at `address`: its one instantiation,
+    or its whole history nested."""
+    first = part.history[0]
+    if len(part.history) == 1:
+        return Step(op, first.tree, address, first.lexeme, first.variant)
+    return Step(op, first.tree, address, nested=part.history)
 
 
 def _replace_at(node, address, new_node):
@@ -156,9 +136,9 @@ def _replace_at(node, address, new_node):
     i = address[0]
     children = list(node.children)
     children[i] = _replace_at(children[i], address[1:], new_node)
-    return DNode(node.label, node.kind, node.top, node.bottom,
-                 tuple(children), node.surface, node.lexeme, node.variant,
-                 node.was_foot)
+    return Node(node.label, node.kind, node.top, node.bottom,
+                tuple(children), node.surface, node.lexeme, node.variant,
+                node.was_foot)
 
 
 # --- operations ------------------------------------------------------------
@@ -172,7 +152,7 @@ def instantiate(grammar: Grammar, tree, lexeme_id: Optional[str] = None,
     """
     if isinstance(tree, str):
         tree = grammar.tree(tree)
-    root = _dnode(tree.root)
+    root = tree.root
     env = Bindings()
     anchor_addr = tree.anchor_address()
 
@@ -182,7 +162,7 @@ def instantiate(grammar: Grammar, tree, lexeme_id: Optional[str] = None,
         if anchor_addr is None:
             raise AnchorUnificationFailure(
                 "tree %r has no anchor slot for %r" % (tree.name, variant.surface))
-        anchor = _dnode(tree.node_at(anchor_addr))
+        anchor = tree.node_at(anchor_addr)
         if lexeme.category != anchor.label:
             raise AnchorUnificationFailure(
                 "lexeme %s is not of category %s" % (lexeme_id, anchor.label))
@@ -191,9 +171,9 @@ def instantiate(grammar: Grammar, tree, lexeme_id: Optional[str] = None,
             raise AnchorUnificationFailure(
                 "%r does not fit the anchor of %r" % (variant.surface, tree.name))
         bottom, env = unified
-        anchored = DNode(anchor.label, anchor.kind, anchor.top, bottom,
-                         anchor.children, variant.surface, lexeme_id,
-                         variant_index)
+        anchored = Node(anchor.label, anchor.kind, anchor.top, bottom,
+                        anchor.children, variant.surface, lexeme_id,
+                        variant_index)
         root = _replace_at(root, anchor_addr, anchored)
     elif anchor_addr is not None:
         raise AnchorUnificationFailure(
@@ -243,17 +223,12 @@ def substitute(grammar: Grammar, host: DerivedTree, address,
         raise UnificationFailure("substitution at %r: top features clash" % (address,))
     top, env = unified
 
-    new_node = DNode(filler_root.label, filler_root.kind, top,
-                     filler_root.bottom, filler_root.children,
-                     filler_root.surface, filler_root.lexeme,
-                     filler_root.variant, filler_root.was_foot)
+    new_node = Node(filler_root.label, filler_root.kind, top,
+                    filler_root.bottom, filler_root.children,
+                    filler_root.surface, filler_root.lexeme,
+                    filler_root.variant, filler_root.was_foot)
     root = _replace_at(host.root, address, new_node)
-    if len(filler.history) == 1:
-        first = filler.history[0]
-        step = Step("substitute", first.tree, address, first.lexeme, first.variant)
-    else:
-        step = Step("substitute", filler.history[0].tree, address,
-                    nested=filler.history)
+    step = _step("substitute", address, filler)
     return DerivedTree(root=root, klass=host.klass, env=env,
                        history=host.history + (step,))
 
@@ -293,19 +268,14 @@ def adjoin(grammar: Grammar, host: DerivedTree, address,
     low_bottom, env = unified
 
     # the lower copy keeps the foot's top plane and the host node's children
-    lower = DNode(node.label, "internal", foot.top, low_bottom,
-                  node.children, was_foot=True)
+    lower = Node(node.label, INTERNAL, foot.top, low_bottom,
+                 node.children, was_foot=True)
     spliced = _replace_at(aux_root, foot_addr, lower)
-    upper = DNode(spliced.label, spliced.kind, new_top, spliced.bottom,
-                  spliced.children, spliced.surface, spliced.lexeme,
-                  spliced.variant, spliced.was_foot)
+    upper = Node(spliced.label, spliced.kind, new_top, spliced.bottom,
+                 spliced.children, spliced.surface, spliced.lexeme,
+                 spliced.variant, spliced.was_foot)
     root = _replace_at(host.root, address, upper)
-
-    if len(aux.history) == 1:
-        first = aux.history[0]
-        step = Step("adjoin", first.tree, address, first.lexeme, first.variant)
-    else:
-        step = Step("adjoin", aux.history[0].tree, address, nested=aux.history)
+    step = _step("adjoin", address, aux)
     return DerivedTree(root=root, klass=host.klass, env=env,
                        history=host.history + (step,))
 
@@ -396,7 +366,7 @@ def _is_subsequence(short, long):
     return all(token in rest for token in short)
 
 
-def _saturated(grammar, label, budget, instances, memo):
+def _saturated(grammar, instances, memo, label, budget):
     """Complete initial-derived trees of a category: every substitution
     site recursively filled with minimal fillers, no adjunctions.  Costs
     count the substitutions spent.  Adjunction is left to the caller,
@@ -405,27 +375,32 @@ def _saturated(grammar, label, budget, instances, memo):
     if key in memo:
         return memo[key]
     memo[key] = []  # guards against cyclic site references
+    fillers = partial(_saturated, grammar, instances, memo)
     out = []
     for tree in grammar.initial_trees():
         if tree.root.label != label:
             continue
         for inst in instances(tree):
-            out.extend(_fill_sites(grammar, inst, budget, instances, memo))
+            out.extend(fill_sites(grammar, inst, budget, fillers))
     memo[key] = out
     return out
 
 
-def _fill_sites(grammar, derived, budget, instances, memo):
+def fill_sites(grammar: Grammar, derived: DerivedTree, budget: int, fillers):
+    """Every way to fill the pending sites of `derived`, as (tree, cost)
+    pairs, the first site's fillers in the outer loop.
+    `fillers(label, budget)` gives the (filler, cost) pairs for a site
+    of the label; a substitution costs 1 plus its filler's cost, and no
+    result costs more than `budget`."""
     sites = derived.pending_sites
     if not sites:
         return [(derived, 0)]
     address = sites[0]
-    site = derived.node_at(address)
     results = []
     if budget < 1:
         return results
-    for filler, subcost in _saturated(grammar, site.label, budget - 1,
-                                      instances, memo):
+    for filler, subcost in fillers(derived.node_at(address).label,
+                                   budget - 1):
         cost = 1 + subcost
         if cost > budget:
             continue
@@ -433,8 +408,7 @@ def _fill_sites(grammar, derived, budget, instances, memo):
             nxt = substitute(grammar, derived, address, filler)
         except (UnificationFailure, NotASubstitutionSite):
             continue
-        for full, more in _fill_sites(grammar, nxt, budget - cost,
-                                      instances, memo):
+        for full, more in fill_sites(grammar, nxt, budget - cost, fillers):
             results.append((full, cost + more))
     return results
 
@@ -499,7 +473,7 @@ def enumerate_derivations(grammar: Grammar, goal_label: str,
                     if node.kind == ANCHOR]
         return [anchored.count(l) - content.count(l) for l in content]
 
-    bases = _saturated(grammar, goal_label, max_steps, instances, {})
+    bases = _saturated(grammar, instances, {}, goal_label, max_steps)
     results = {}
 
     def consider(derived, extra):
@@ -548,8 +522,7 @@ def enumerate_derivations(grammar: Grammar, goal_label: str,
                     continue
                 try:
                     nxt = adjoin(grammar, derived, address, aux)
-                except (UnificationFailure, LabelMismatch,
-                        NotAnAdjunctionSite):
+                except UnificationFailure:
                     continue
                 explore(nxt, cost + 1)
 

@@ -24,13 +24,11 @@ optional Guianese imperfective particle and the k'alé/kay doublet).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import engine
-from .errors import (CollapseFailure, InvalidSpec, MissingCell, NoRealization,
-                     NotASubstitutionSite, UnificationFailure)
+from .errors import CollapseFailure, InvalidSpec, MissingCell, NoRealization
 from .featstruct import EMPTY, Bindings, FeatureStruct, disjoint
 from .grammar import Grammar
 
@@ -153,19 +151,18 @@ def _fusion_rules_for(lan_set, rules):
     return applicable
 
 
-def apply_fusion(tokens, lan_set, rules, anchor_index=None):
+def apply_fusion(tokens, lan_set, rules):
     """One left-to-right pass, longest pattern first, once per position.
 
-    Only rules whose language guard covers the whole `lan_set` fire.  No
-    match may reach past `anchor_index` (the predicate anchor position),
-    so fusion never eats into the predicate or beyond.
+    Only rules whose language guard covers the whole `lan_set` fire.
+    Generation and recognition fuse by this one rule, so every fused
+    string a derivation yields can be recognized again.
     """
-    merged = fuse_with_sources(
-        [(t, None) for t in tokens], lan_set, rules, anchor_index)
+    merged = fuse_with_sources([(t, None) for t in tokens], lan_set, rules)
     return [token for token, _ in merged]
 
 
-def fuse_with_sources(entries, lan_set, rules, anchor_index=None):
+def fuse_with_sources(entries, lan_set, rules):
     """Like apply_fusion over (token, payload) pairs.
 
     Payloads are tuples of source units.  A fused window concatenates
@@ -173,15 +170,13 @@ def fuse_with_sources(entries, lan_set, rules, anchor_index=None):
     which is how per-token provenance survives fusion.
     """
     applicable = _fusion_rules_for(frozenset(lan_set), rules)
-    limit = len(entries) if anchor_index is None else anchor_index
     out = []
     i = 0
     while i < len(entries):
         hit = None
         for rule in applicable:
             width = len(rule.pattern)
-            if i + width <= limit and \
-                    tuple(t for t, _ in entries[i:i + width]) == rule.pattern:
+            if tuple(t for t, _ in entries[i:i + width]) == rule.pattern:
                 hit = rule
                 break
         if hit is None:
@@ -230,12 +225,12 @@ def _derivations(grammar, category, spec: SemSpec):
 def _sentences(grammar, spec: SemSpec):
     """Fill the sites of every unanchored S-rooted initial tree with the
     parts that match their own goals (the sentence root itself only
-    constrains lan)."""
+    constrains lan), each at cost 0, so one step per site."""
     parts = {}
     for part in (SemSpec(args=spec.args, lan=spec.lan),
                  SemSpec(pred=spec.pred, tma=spec.tma, lan=spec.lan)):
         label, goal = _goal_for(grammar, part)
-        parts[label] = [derived for derived, final
+        parts[label] = [(derived, 0) for derived, final
                         in _derivations(grammar, label, part)
                         if _fits(final.features, goal)]
     out = []
@@ -243,18 +238,9 @@ def _sentences(grammar, spec: SemSpec):
         if tree.root.label != "S" or tree.anchor_label:
             continue
         bare = engine.instance(grammar, tree)
-        states = [bare]
-        for address in bare.pending_sites:
-            fillers = parts.get(bare.node_at(address).label, ())
-            filled = []
-            for state, filler in itertools.product(states, fillers):
-                try:
-                    filled.append(engine.substitute(grammar, state, address,
-                                                    filler))
-                except (UnificationFailure, NotASubstitutionSite):
-                    continue
-            states = filled
-        for state in states:
+        for state, _ in engine.fill_sites(
+                grammar, bare, len(bare.pending_sites),
+                lambda label, budget: parts.get(label, ())):
             try:
                 out.append((state, engine.finalize(grammar, state)))
             except CollapseFailure:
@@ -314,16 +300,7 @@ def _fits(features, goal):
 
 # --- assembling realizations --------------------------------------------------
 
-def _anchor_index(final, pred_id):
-    if pred_id is None:
-        return None
-    for i, (_, lexeme, _) in enumerate(final.lexical):
-        if lexeme == pred_id:
-            return i
-    return None
-
-
-def realizations_from_finals(grammar, finals, goal, pred_id=None):
+def realizations_from_finals(grammar, finals, goal):
     """Keep the finalized derivations that fit the goal, fuse, merge and
     fold.  A realization's language set is its derivation's, narrowed
     by the goal's.
@@ -341,9 +318,8 @@ def realizations_from_finals(grammar, finals, goal, pred_id=None):
             lan = final.features.get("lan", lan_full) & goal_lan
         else:
             lan = frozenset()
-        anchor = _anchor_index(final, pred_id)
         tokens = tuple(apply_fusion(list(final.frontier), lan,
-                                    grammar.fusion_rules, anchor))
+                                    grammar.fusion_rules))
         hits.append((tokens, lan, final.features, trace))
 
     merged = {}
@@ -401,7 +377,7 @@ def generate(grammar: Grammar, spec: SemSpec, finals=None):
     category, goal = _goal_for(grammar, spec)
     if finals is None:
         finals = _finals(grammar, category, spec)
-    out = realizations_from_finals(grammar, finals, goal, spec.pred)
+    out = realizations_from_finals(grammar, finals, goal)
     if not out:
         raise NoRealization("nothing derives the requested specification")
     return out

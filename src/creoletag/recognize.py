@@ -131,15 +131,15 @@ def _choose_candidates(per_token_candidates):
 
 def _search(grammar, tokens, goal, max_extra=2):
     """(derived, final, lan, merged) for every derivation in `grammar`
-    whose post-fusion frontier is `tokens`, grouped by decomposition in
-    `_decompositions` order.  `merged` pairs each input token with its
-    (lexeme, variant index) sources."""
+    whose post-fusion frontier is `tokens`, in the search's trace order
+    (:func:`_sorted_analyses` orders the analyses).  `merged` pairs each
+    input token with its (lexeme, variant index) sources."""
     decomps = _decompositions(tokens, grammar.fusion_rules)
     frontiers = {decomp: len(decomp) + max_extra for decomp in decomps}
     derivations = engine.enumerate_derivations(
         grammar, goal, EMPTY, max(frontiers.values()), frontiers=frontiers)
     full = grammar.schema.full("lan") if "lan" in grammar.schema else None
-    by_decomp = {decomp: [] for decomp in decomps}
+    hits = []
     for derived, final in derivations:
         lan = final.features.get("lan", full) if full else frozenset()
         merged = fuse_with_sources(
@@ -148,8 +148,8 @@ def _search(grammar, tokens, goal, max_extra=2):
             lan, grammar.fusion_rules)
         if tuple(token for token, _ in merged) != tokens:
             continue
-        by_decomp[final.frontier].append((derived, final, lan, merged))
-    return [hit for decomp in decomps for hit in by_decomp[decomp]]
+        hits.append((derived, final, lan, merged))
+    return hits
 
 
 def _relaxed(grammar):

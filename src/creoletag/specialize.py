@@ -2,24 +2,22 @@
 
 One projection serves both uses of the language feature.  It erases
 `lan` from structures, domains and fusion guards, and drops every tree,
-lexeme variant and fusion rule that admits none of the kept dialects.
-Kept to one dialect, it is specialization: the trees that no remaining
-lexeme can anchor go too, and what is left is an ordinary
-single-language grammar.  Kept to every dialect, it drops nothing and
-gives the relaxed grammar the recognizer reparses mixed input with.
+lexeme variant and fusion rule that admits none of the kept dialects,
+and every tree whose anchor unifies with no kept variant.  Kept to one
+dialect, it is specialization: what is left is an ordinary
+single-language grammar.  Kept to every dialect, it drops only trees no
+lexeme can anchor (the shipped grammar has none) and gives the relaxed
+grammar the recognizer reparses mixed input with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace as dc_replace
 
-from . import engine
-from .errors import AnchorUnificationFailure, EmptyGrammar, InvalidSpec, \
-    NoRealization
-from .featstruct import erase_attribute
+from .errors import EmptyGrammar, InvalidSpec, NoRealization
+from .featstruct import erase_attribute, unify
 from .generate import generate
 from .grammar import Grammar, Metadata
-from .trees import ElementaryTree
 
 
 @dataclass
@@ -33,8 +31,9 @@ class SpecializationReport:
 
 def _project(grammar: Grammar, keep: frozenset, suffix: str,
              report: SpecializationReport) -> Grammar:
-    """Erase lan, dropping whatever admits no dialect of `keep`; every
-    drop is recorded in `report`."""
+    """Erase lan, dropping whatever admits no dialect of `keep` and the
+    trees no kept variant can anchor; every drop is recorded in
+    `report`, trees in name order."""
     def admits(lan):
         return not isinstance(lan, frozenset) or bool(lan & keep)
 
@@ -44,6 +43,7 @@ def _project(grammar: Grammar, keep: frozenset, suffix: str,
                           children=tuple(map(erased, node.children)))
 
     lexicon = []
+    anchors = {}  # category -> the features of its kept variants
     for lexeme in grammar.lexicon:
         variants = []
         for variant in lexeme.variants:
@@ -54,16 +54,28 @@ def _project(grammar: Grammar, keep: frozenset, suffix: str,
                 report.dropped_variants.append((lexeme.id, variant.surface))
         if variants:
             lexicon.append(dc_replace(lexeme, variants=tuple(variants)))
+            anchors.setdefault(lexeme.category, []).extend(
+                variant.features for variant in variants)
         else:
             report.dropped_lexemes.append(lexeme.id)
+
+    def anchorable(tree):
+        address = tree.anchor_address()
+        if address is None:
+            return True
+        anchor = tree.node_at(address)
+        return any(unify(anchor.bottom, features) is not None
+                   for features in anchors.get(anchor.label, ()))
 
     trees = []
     for tree in grammar.trees:
         if all(admits(node.top.get("lan")) and admits(node.bottom.get("lan"))
                for _, node in tree.nodes()):
-            trees.append(dc_replace(tree, root=erased(tree.root)))
-        else:
-            report.dropped_trees.append(tree.name)
+            tree = dc_replace(tree, root=erased(tree.root))
+            if anchorable(tree):
+                trees.append(tree)
+                continue
+        report.dropped_trees.append(tree.name)
 
     rules = []
     for rule in grammar.fusion_rules:
@@ -92,41 +104,16 @@ def specialize_with_report(grammar: Grammar, dialect: str):
         raise InvalidSpec("unknown dialect %r" % dialect)
 
     report = SpecializationReport(dialect)
-    candidate = _project(grammar, frozenset([dialect]), dialect.lower(),
-                         report)
-    kept_trees = []
-    for tree in candidate.trees:
-        if _anchor_fillable(candidate, tree):
-            kept_trees.append(tree)
-        else:
-            report.dropped_trees.append(tree.name)
-    if not kept_trees:
+    specialized = _project(grammar, frozenset([dialect]), dialect.lower(),
+                           report)
+    if not specialized.trees:
         raise EmptyGrammar("no trees survive specialization to %s" % dialect)
-
-    specialized = Grammar(domains=candidate.domains, trees=kept_trees,
-                          lexicon=candidate.lexicon,
-                          fusion_rules=candidate.fusion_rules,
-                          metadata=candidate.metadata)
-    report.dropped_trees.sort()
     return specialized, report
 
 
-def _anchor_fillable(grammar: Grammar, tree: ElementaryTree) -> bool:
-    label = tree.anchor_label
-    if label is None:
-        return True
-    for lexeme in grammar.lexemes_of_category(label):
-        for index in range(len(lexeme.variants)):
-            try:
-                engine.instantiate(grammar, tree, lexeme.id, index)
-                return True
-            except AnchorUnificationFailure:
-                continue
-    return False
-
-
 def project_language(grammar: Grammar) -> Grammar:
-    """The projection onto every dialect: `lan` erased, nothing dropped.
+    """The projection onto every dialect: `lan` erased, and only the
+    trees no lexeme can anchor dropped.
 
     The result accepts any structurally well-formed string regardless of
     dialect mixing.  Used by the recognizer's mixed-input path.

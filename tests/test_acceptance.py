@@ -196,8 +196,7 @@ def test_criterion_7_oracle_equivalence(grammar, particle_lexemes):
                 grammar, category, FeatureStruct(), 5, lexemes=lexemes)
             finals = [(final, derived.history)
                       for derived, final in derivations]
-            oracle = realizations_from_finals(grammar, finals, goal_fs,
-                                              spec.pred)
+            oracle = realizations_from_finals(grammar, finals, goal_fs)
             direct = generate(grammar, spec)
             key = lambda reals: [(r.tokens, tuple(sorted(r.lan_set)),
                                   r.alternatives) for r in reals]

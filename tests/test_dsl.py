@@ -8,6 +8,7 @@ from creoletag.creole import grammar_text
 from creoletag.dsl import load_grammar, parse_forms, serialize
 from creoletag.errors import GrammarSyntaxError, ValidationError
 from creoletag.grammar import validate
+from creoletag.trees import ANCHOR, INITIAL, ElementaryTree, Node
 
 
 class TestRoundTrip:
@@ -60,6 +61,20 @@ class TestSyntaxErrors:
             assert exc.column == 1
         else:
             raise AssertionError("expected a syntax error")
+
+    def test_leaf_with_children_rejected(self):
+        text = """
+        (domain lan (HT))
+        (tree t (class initial)
+          (node N (kind anchor) (bottom (lan $L))
+            (children (node N (kind internal)))))
+        (lex X (cat N) (variant "x" (lan HT)))
+        """
+        with pytest.raises(GrammarSyntaxError):
+            load_grammar(text)
+        with pytest.raises(ValueError):
+            ElementaryTree("t", INITIAL, Node("N", ANCHOR,
+                                              children=(Node("N"),)))
 
     def test_empty_value_set_rejected(self):
         text = """

@@ -165,6 +165,17 @@ class TestShippedOperations:
         assert final.frontier == ("zwazo",)
         assert final.features["lan"] == frozenset({"HT"})
 
+    def test_instance_shares_the_elementary_nodes(self, grammar):
+        # a bare tree is shared whole; an anchored one copies only the
+        # path to its anchor
+        sentence = grammar.tree("alpha-S")
+        assert engine.instantiate(grammar, sentence).root is sentence.root
+        past = grammar.tree("aux-Past")
+        anchored = engine.instantiate(grammar, past, "PAST", 0)
+        assert anchored.root is not past.root
+        assert anchored.node_at((1,)) is past.node_at((1,))
+        assert anchored.node_at((1,)).kind == "foot"
+
     def test_instantiate_wrong_category(self, grammar):
         with pytest.raises(AnchorUnificationFailure):
             engine.instantiate(grammar, "alpha-N", "DANCE", 0)

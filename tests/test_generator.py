@@ -43,12 +43,6 @@ class TestFusion:
         assert apply_fusion(["te", "ap", "danse"], {"HT", "GP"},
                             grammar.fusion_rules) == ["te", "ap", "danse"]
 
-    def test_anchor_boundary(self, grammar):
-        # nothing may fuse across the predicate anchor position
-        assert apply_fusion(["te", "ap", "danse"], {"HT"},
-                            grammar.fusion_rules,
-                            anchor_index=1) == ["te", "ap", "danse"]
-
 
 class TestPredicateRealization:
     def test_mq_unaccomplished_past(self, grammar):

@@ -5,14 +5,18 @@ import itertools
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from creoletag import engine
 from creoletag import recognize as recognize_module
-from creoletag.creole import golden_path, grammar_text
+from creoletag.creole import DIALECTS, golden_path, grammar_text
 from creoletag.dsl import load_grammar
-from creoletag.errors import NoAnalysis
-from creoletag.featstruct import EMPTY
-from creoletag.generate import apply_fusion, fuse_with_sources
+from creoletag.errors import InvalidSpec, NoAnalysis, NoRealization
+from creoletag.featstruct import EMPTY, FeatureStruct, unify
+from creoletag.generate import (ASPECTS, NUMBERS, TMA, NPSpec, SemSpec,
+                                _goal_for, apply_fusion, fuse_with_sources,
+                                generate)
 from creoletag.recognize import MixedReport, identify_dialect, recognize
 from creoletag.specialize import specialize
 
@@ -232,3 +236,62 @@ class TestRoundTripSamples:
         fused = apply_fusion(list(final.frontier), good[0].lan_set,
                              grammar.fusion_rules)
         assert " ".join(fused) == text
+
+
+def _bundles():
+    """Every TMA bundle the specification type accepts."""
+    out = []
+    for flags in itertools.product((False, True), repeat=4):
+        for asp in ASPECTS:
+            try:
+                out.append(TMA(*flags, asp=asp))
+            except InvalidSpec:
+                continue
+    return out
+
+
+class TestRoundTripProperty:
+    """Criterion 6's check beyond the golden corpus: whatever `generate`
+    gives a dialect, `recognize` analyses in that dialect."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(noun=st.sampled_from(("PERSON", "TABLE", "DOG", "BIRD")),
+           nbr=st.sampled_from(NUMBERS),
+           determination=st.sampled_from(("indef", "spe", "dem")),
+           complement=st.sampled_from((None, "SAINT-THOMAS",
+                                       "SAINT-LAURENT")),
+           tma=st.sampled_from(_bundles()),
+           dialect=st.sampled_from(DIALECTS),
+           goal=st.sampled_from(("NP", "Pred", "S")))
+    def test_every_realization_recognized(self, grammar, noun, nbr,
+                                          determination, complement, tma,
+                                          dialect, goal):
+        np_spec = NPSpec(noun, nbr=nbr, spe=determination != "indef",
+                         dem=determination == "dem", complement=complement)
+        spec = SemSpec(pred=None if goal == "NP" else "DANCE",
+                       args=() if goal == "Pred" else (np_spec,),
+                       tma=TMA() if goal == "NP" else tma,
+                       lan=frozenset([dialect]))
+        _, goal_fs = _goal_for(grammar, spec)
+        goal_fs = FeatureStruct({attr: cell for attr, cell in goal_fs.items()
+                                 if attr != "lan"})
+        try:
+            realizations = generate(grammar, spec)
+        except NoRealization:
+            return
+        for real in realizations:
+            for tokens in (real.tokens,) + real.alternatives:
+                assert any(
+                    self._round_trips(grammar, analysis, tokens, dialect,
+                                      goal_fs)
+                    for analysis in recognize(grammar, tokens, goal)), \
+                    "no analysis of %r in %s" % (" ".join(tokens), dialect)
+
+    @staticmethod
+    def _round_trips(grammar, analysis, tokens, dialect, goal_fs):
+        if dialect not in analysis.lan_set or \
+                unify(analysis.features, goal_fs) is None:
+            return False
+        final = engine.finalize(grammar, engine.replay(grammar, analysis.trace))
+        return tuple(apply_fusion(list(final.frontier), analysis.lan_set,
+                                  grammar.fusion_rules)) == tokens

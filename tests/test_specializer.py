@@ -57,6 +57,14 @@ class TestSpecialize:
         for dialect in DIALECTS:
             assert validate(specialize(grammar, dialect)) == []
 
+    def test_projection_instantiates_nothing(self, fresh_grammar,
+                                             engine_calls):
+        # anchorability is decided by unification, not by the engine
+        for dialect in DIALECTS:
+            specialize(fresh_grammar, dialect)
+        project_language(fresh_grammar)
+        assert engine_calls["instantiate"] == 0
+
     def test_idempotence_by_vacuity(self, grammar):
         once = specialize(grammar, "MQ")
         assert specialize(once, "MQ") == once
