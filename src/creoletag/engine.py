@@ -14,6 +14,20 @@ foot position.  Adjunction is never allowed at a node that originated
 as a foot; the particle stacks of the grammar grow by adjoining at the
 fresh root copy instead, so every node hosts at most one auxiliary.
 
+Substitution takes any initial-derived filler, complete or open: an
+open filler's pending sites become the host's, and :func:`finalize`,
+which refuses a tree with a pending site, is the one completeness
+check.
+
+A search derives top-down, in one recursion.  It starts from bare
+instances of the goal's initial trees, fills the pending sites in
+pre-order and adjoins only into the part substituted last (the whole
+tree before the first substitution); filling the next site finishes
+that part for good.  A derivation tree is context-free: what adjoins
+inside a part depends on its host only through the site (Schabes &
+Shieber, CL 1994).  So every derivation is still reached, and the
+adjunctions of different parts are tried in one interleaving only.
+
 Variables are named by the step that brought them in: instantiation
 keeps the grammar's names, and each splice tags every variable of the
 incoming tree and its bindings with its frame, the host's history
@@ -35,7 +49,6 @@ between calls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 from .errors import (AnchorUnificationFailure, CollapseFailure, LabelMismatch,
@@ -201,7 +214,9 @@ def instance(grammar: Grammar, tree, lexeme_id: Optional[str] = None,
 
 def substitute(grammar: Grammar, host: DerivedTree, address,
                filler: DerivedTree) -> DerivedTree:
-    """Fill a pending substitution site with a complete initial-derived tree."""
+    """Fill a pending substitution site with an initial-derived tree.
+    The filler may be open: its pending sites become the host's, and
+    :func:`finalize` refuses the result until they are filled."""
     address = tuple(address)
     try:
         site = host.node_at(address)
@@ -211,8 +226,6 @@ def substitute(grammar: Grammar, host: DerivedTree, address,
         raise NotASubstitutionSite("node at %r is not a pending site" % (address,))
     if filler.klass != INITIAL:
         raise NotASubstitutionSite("filler is not initial-derived")
-    if filler.pending_sites:
-        raise NotASubstitutionSite("filler still has pending sites")
     if filler.root.label != site.label:
         raise NotASubstitutionSite("site %s cannot take a %s filler"
                                    % (site.label, filler.root.label))
@@ -366,50 +379,22 @@ def _is_subsequence(short, long):
     return all(token in rest for token in short)
 
 
-def _saturated(grammar, instances, memo, label, budget):
-    """Complete initial-derived trees of a category: every substitution
-    site recursively filled with minimal fillers, no adjunctions.  Costs
-    count the substitutions spent.  Adjunction is left to the caller,
-    which reaches inside the spliced material just as well."""
-    key = (label, budget)
-    if key in memo:
-        return memo[key]
-    memo[key] = []  # guards against cyclic site references
-    fillers = partial(_saturated, grammar, instances, memo)
-    out = []
-    for tree in grammar.initial_trees():
-        if tree.root.label != label:
-            continue
-        for inst in instances(tree):
-            out.extend(fill_sites(grammar, inst, budget, fillers))
-    memo[key] = out
-    return out
-
-
-def fill_sites(grammar: Grammar, derived: DerivedTree, budget: int, fillers):
-    """Every way to fill the pending sites of `derived`, as (tree, cost)
-    pairs, the first site's fillers in the outer loop.
-    `fillers(label, budget)` gives the (filler, cost) pairs for a site
-    of the label; a substitution costs 1 plus its filler's cost, and no
-    result costs more than `budget`."""
+def fill_sites(grammar: Grammar, derived: DerivedTree, fillers):
+    """Every way to fill the pending sites of `derived` in pre-order,
+    the first site's fillers in the outer loop.  `fillers(label)` gives
+    the trees a site of the label may take; an open filler's own sites
+    are filled in turn, as sites of the host."""
     sites = derived.pending_sites
     if not sites:
-        return [(derived, 0)]
+        return [derived]
     address = sites[0]
     results = []
-    if budget < 1:
-        return results
-    for filler, subcost in fillers(derived.node_at(address).label,
-                                   budget - 1):
-        cost = 1 + subcost
-        if cost > budget:
-            continue
+    for filler in fillers(derived.node_at(address).label):
         try:
             nxt = substitute(grammar, derived, address, filler)
-        except (UnificationFailure, NotASubstitutionSite):
+        except UnificationFailure:
             continue
-        for full, more in fill_sites(grammar, nxt, budget - cost, fillers):
-            results.append((full, cost + more))
+        results.extend(fill_sites(grammar, nxt, fillers))
     return results
 
 
@@ -419,10 +404,13 @@ def enumerate_derivations(grammar: Grammar, goal_label: str,
     """Every finalizable derivation within the step bound whose collapsed
     root features unify with the goal, as (derived, final) pairs.
 
-    The bound counts substitutions plus adjunctions.  `lexemes`
-    optionally restricts which lexemes may anchor trees (the semantic
-    input selects the content words; pass ids for every lexeme the
-    derivation may use).  `content` lists lexeme ids every result
+    Derivation is top-down (see the module docstring): each step adjoins
+    into the part substituted last or fills the first pending site, in
+    pre-order, with an instance of the site's label, so a trace lists
+    the parts flat, in pre-order.  The bound counts substitutions plus
+    adjunctions.  `lexemes` optionally restricts which lexemes may
+    anchor trees (the semantic input selects the content words; pass
+    ids for every lexeme the derivation may use).  `content` lists lexeme ids every result
     anchors exactly as often as listed; a partial derivation that
     anchors one more often is cut.  `frontiers` optionally maps target
     frontiers (tuples of anchored tokens) to their own step bounds, each
@@ -447,23 +435,19 @@ def enumerate_derivations(grammar: Grammar, goal_label: str,
         reach = {}  # frontier -> largest bound of a target that contains it
     cache = {}
 
-    def instances(tree):
-        # this search's filters over the grammar's instance memo
-        if tree.name not in cache:
-            cache[tree.name] = _instantiations(grammar, tree, lexemes,
-                                               vocabulary)
-        return cache[tree.name]
-
-    aux_by_label = {}
-
-    def auxiliaries(label):
-        # (instance, foot) pairs, built when a node of the label is reached
-        if label not in aux_by_label:
-            aux_by_label[label] = [
-                (aux, next(n for _, n in aux.root.walk() if n.kind == FOOT))
-                for tree in grammar.auxiliary_trees()
-                if tree.root.label == label for aux in instances(tree)]
-        return aux_by_label[label]
+    def instances(klass, label):
+        # (instance, foot) pairs: this search's filters over the grammar's
+        # instance memo, built when a site or a node of the label is
+        # reached; an initial tree has no foot
+        if (klass, label) not in cache:
+            cache[klass, label] = [
+                (inst, next((n for _, n in inst.root.walk()
+                             if n.kind == FOOT), None))
+                for tree in grammar.trees
+                if tree.klass == klass and tree.root.label == label
+                for inst in _instantiations(grammar, tree, lexemes,
+                                            vocabulary)]
+        return cache[klass, label]
 
     def surplus(derived):
         # anchors of each content lexeme beyond its listed count
@@ -473,17 +457,17 @@ def enumerate_derivations(grammar: Grammar, goal_label: str,
                     if node.kind == ANCHOR]
         return [anchored.count(l) - content.count(l) for l in content]
 
-    bases = _saturated(grammar, instances, {}, goal_label, max_steps)
     results = {}
 
     def consider(derived, extra):
         env = derived.env
-        if any(extra) or any(_disjoint(node.top, env, node.bottom, env)
+        if any(extra) or any(node.kind == SUBST or
+                             _disjoint(node.top, env, node.bottom, env)
                              for _, node in derived.root.walk()):
             return
         try:
             final = finalize(grammar, derived)
-        except (CollapseFailure, PendingSite):
+        except CollapseFailure:
             return
         if unify(final.features, goal_fs) is None:
             return
@@ -492,7 +476,7 @@ def enumerate_derivations(grammar: Grammar, goal_label: str,
         if prior is None or derived.trace_key() < prior[0].trace_key():
             results[key] = (derived, final)
 
-    def explore(derived, cost):
+    def explore(derived, cost, part):
         extra = surplus(derived)
         if any(n > 0 for n in extra):
             return
@@ -513,10 +497,15 @@ def enumerate_derivations(grammar: Grammar, goal_label: str,
         if cost >= bound:
             return
         env = derived.env
+        site = None
         for address, node in derived.root.walk():
-            if node.kind in (ANCHOR, SUBST, FOOT) or node.was_foot:
+            if node.kind == SUBST:
+                site = site or (address, node.label)
                 continue
-            for aux, foot in auxiliaries(node.label):
+            if node.kind in (ANCHOR, FOOT) or node.was_foot or \
+                    address[:len(part)] != part:
+                continue
+            for aux, foot in instances(AUXILIARY, node.label):
                 if _disjoint(node.top, env, aux.root.top, aux.env) or \
                         _disjoint(node.bottom, env, foot.bottom, aux.env):
                     continue
@@ -524,15 +513,23 @@ def enumerate_derivations(grammar: Grammar, goal_label: str,
                     nxt = adjoin(grammar, derived, address, aux)
                 except UnificationFailure:
                     continue
-                explore(nxt, cost + 1)
+                explore(nxt, cost + 1, part)
+        if site is None:
+            return
+        address, label = site
+        for filler, _ in instances(INITIAL, label):
+            try:
+                nxt = substitute(grammar, derived, address, filler)
+            except UnificationFailure:
+                continue
+            explore(nxt, cost + 1, address)
 
-    for base, cost in bases:
-        explore(base, cost)
+    for base, _ in instances(INITIAL, goal_label):
+        explore(base, 0, ())
 
     ordered = sorted(results.values(), key=lambda pair: pair[0].trace_key())
     # explore refers to itself, so this frame's closures outlive the call
     # until the cycle collector runs; empty what they hold now
     results.clear()
     cache.clear()
-    aux_by_label.clear()
     return ordered

@@ -225,12 +225,12 @@ def _derivations(grammar, category, spec: SemSpec):
 def _sentences(grammar, spec: SemSpec):
     """Fill the sites of every unanchored S-rooted initial tree with the
     parts that match their own goals (the sentence root itself only
-    constrains lan), each at cost 0, so one step per site."""
+    constrains lan)."""
     parts = {}
     for part in (SemSpec(args=spec.args, lan=spec.lan),
                  SemSpec(pred=spec.pred, tma=spec.tma, lan=spec.lan)):
         label, goal = _goal_for(grammar, part)
-        parts[label] = [(derived, 0) for derived, final
+        parts[label] = [derived for derived, final
                         in _derivations(grammar, label, part)
                         if _fits(final.features, goal)]
     out = []
@@ -238,9 +238,8 @@ def _sentences(grammar, spec: SemSpec):
         if tree.root.label != "S" or tree.anchor_label:
             continue
         bare = engine.instance(grammar, tree)
-        for state, _ in engine.fill_sites(
-                grammar, bare, len(bare.pending_sites),
-                lambda label, budget: parts.get(label, ())):
+        for state in engine.fill_sites(grammar, bare,
+                                       lambda label: parts.get(label, ())):
             try:
                 out.append((state, engine.finalize(grammar, state)))
             except CollapseFailure:

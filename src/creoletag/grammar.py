@@ -92,9 +92,6 @@ class Grammar:
     def initial_trees(self):
         return [t for t in self.trees if t.klass == INITIAL]
 
-    def auxiliary_trees(self):
-        return [t for t in self.trees if t.klass == AUXILIARY]
-
     def __eq__(self, other):
         return (isinstance(other, Grammar)
                 and self.domains == other.domains

@@ -1,14 +1,20 @@
 """Derivation engine tests: operations, errors, replay, enumeration."""
 
+import itertools
+
 import pytest
 
 from creoletag import engine
+from creoletag.creole import golden_path
 from creoletag.dsl import load_grammar
 from creoletag.errors import (AnchorUnificationFailure, CollapseFailure,
                               LabelMismatch, NotAnAdjunctionSite,
                               NotASubstitutionSite, PendingSite,
                               UnificationFailure)
-from creoletag.featstruct import FeatureStruct
+from creoletag.featstruct import EMPTY, FeatureStruct, unify
+from creoletag.generate import TMA, NPSpec, SemSpec, generate
+from creoletag.recognize import _decompositions
+from creoletag.trees import ANCHOR, AUXILIARY, FOOT, INITIAL, SUBST
 
 TOY = """
 (grammar toy (version 1))
@@ -73,11 +79,19 @@ class TestToyOperations:
         with pytest.raises(UnificationFailure):
             engine.substitute(toy, host, (0,), filler)
 
-    def test_substitute_incomplete_filler(self, toy):
+    def test_substitute_open_filler(self, toy):
+        # an open filler's pending site becomes the host's, and only
+        # finalize insists that it be filled
         host = engine.instantiate(toy, "alpha-root", "WORD", 0)
         filler = engine.instantiate(toy, "alpha-filler-open", "WORD", 0)
-        with pytest.raises(NotASubstitutionSite):
-            engine.substitute(toy, host, (0,), filler)
+        derived = engine.substitute(toy, host, (0,), filler)
+        assert (0, 0) in derived.pending_sites
+        with pytest.raises(PendingSite):
+            engine.finalize(toy, derived)
+        inner = engine.instantiate(toy, "alpha-filler-pl", "WORD", 0)
+        derived = engine.substitute(toy, derived, (0, 0), inner)
+        assert derived.pending_sites == ()
+        assert engine.finalize(toy, derived).frontier == ("w", "w", "w")
 
     def test_substitute_wrong_address(self, toy):
         host = engine.instantiate(toy, "alpha-root", "WORD", 0)
@@ -383,3 +397,145 @@ class TestEnumeration:
                 variant_lan = grammar.lexeme(lexeme).variants[variant] \
                     .features["lan"]
                 assert root_lan <= variant_lan
+
+
+def _saturate_then_adjoin(grammar, goal_label, goal_fs, max_steps,
+                          lexemes=None, frontiers=None, content=()):
+    """The (frontier, features) pairs of a second search, the oracle of
+    the top-down one: every site is filled first, recursively, with no
+    adjunction, and adjunction then goes anywhere in the tree, so
+    adjunctions in different parts are tried in every interleaving.  It
+    tries every operation, with no clash pretest."""
+    vocabulary = None
+    if frontiers is not None:
+        frontiers = {f: min(bound, max_steps) for f, bound in frontiers.items()}
+        vocabulary = set().union(*frontiers)
+    trees = {}
+
+    def instances(klass, label):
+        if (klass, label) not in trees:
+            trees[klass, label] = [
+                inst for tree in grammar.trees
+                if tree.klass == klass and tree.root.label == label
+                for inst in engine._instantiations(grammar, tree, lexemes,
+                                                   vocabulary)]
+        return trees[klass, label]
+
+    saturated = {}
+
+    def complete(label, budget):
+        # (tree, substitutions spent) with every site filled
+        if (label, budget) not in saturated:
+            saturated[label, budget] = []  # a tree with a site of its label
+            saturated[label, budget] = [
+                pair for inst in instances(INITIAL, label)
+                for pair in fill(inst, budget)]
+        return saturated[label, budget]
+
+    def fill(derived, budget):
+        sites = derived.pending_sites
+        if not sites:
+            return [(derived, 0)]
+        if budget < 1:
+            return []
+        out = []
+        for filler, cost in complete(derived.node_at(sites[0]).label,
+                                     budget - 1):
+            try:
+                host = engine.substitute(grammar, derived, sites[0], filler)
+            except UnificationFailure:
+                continue
+            out.extend((full, 1 + cost + more)
+                       for full, more in fill(host, budget - 1 - cost))
+        return out
+
+    results = set()
+
+    def explore(derived, cost):
+        anchored = [node.lexeme for _, node in derived.root.walk()
+                    if node.kind == ANCHOR]
+        if any(anchored.count(l) > content.count(l) for l in content):
+            return
+        frontier = engine._frontier(derived.root)
+        if frontiers is None:
+            bound = own_bound = max_steps
+        else:
+            bound = max((b for target, b in frontiers.items()
+                         if engine._is_subsequence(frontier, target)),
+                        default=-1)
+            own_bound = frontiers.get(frontier, -1)
+        if cost > bound:
+            return
+        if cost <= own_bound and all(anchored.count(l) == content.count(l)
+                                     for l in content):
+            try:
+                final = engine.finalize(grammar, derived)
+            except CollapseFailure:
+                final = None
+            if final is not None and \
+                    unify(final.features, goal_fs) is not None:
+                results.add((final.frontier, final.features))
+        if cost == bound:
+            return
+        for address, node in derived.root.walk():
+            if node.kind in (ANCHOR, SUBST, FOOT) or node.was_foot:
+                continue
+            for aux in instances(AUXILIARY, node.label):
+                try:
+                    nxt = engine.adjoin(grammar, derived, address, aux)
+                except UnificationFailure:
+                    continue
+                explore(nxt, cost + 1)
+
+    for base, cost in complete(goal_label, max_steps):
+        explore(base, cost)
+    return results
+
+
+class TestTopDownSearch:
+    """Filling sites in pre-order and adjoining only into the part
+    substituted last reaches what filling every site first and adjoining
+    anywhere reaches."""
+
+    @staticmethod
+    def _both(grammar, label, max_steps, **kwargs):
+        pairs = engine.enumerate_derivations(grammar, label, EMPTY,
+                                             max_steps, **kwargs)
+        return ({(final.frontier, final.features) for _, final in pairs},
+                _saturate_then_adjoin(grammar, label, EMPTY, max_steps,
+                                      **kwargs))
+
+    def test_generation_searches(self, grammar, particle_lexemes):
+        contents = [("Pred", ("DANCE",))] + [
+            ("NP", (noun,) + ((complement,) if complement else ()))
+            for noun, complement in itertools.product(
+                ("PERSON", "TABLE", "DOG", "BIRD"),
+                (None, "SAINT-THOMAS", "SAINT-LAURENT"))]
+        for label, content in contents:
+            top_down, oracle = self._both(
+                grammar, label, 5, lexemes=particle_lexemes | set(content),
+                content=content)
+            assert top_down and top_down == oracle, content
+
+    def test_recognition_searches(self, grammar):
+        inputs = set()
+        for name, goal in (("np", "NP"), ("tma", "Pred")):
+            rows = golden_path(name).read_text(encoding="utf-8")
+            for row in rows.splitlines()[1:]:
+                for cell in row.split("\t")[1:]:
+                    inputs.update((form, goal) for form in cell.split(" / "))
+        for noun, tma in itertools.product(
+                ("PERSON", "BIRD"), (TMA(), TMA(pas=True, asp="imp"))):
+            spec = SemSpec(pred="DANCE", tma=tma,
+                           args=(NPSpec(noun, nbr="pl", spe=True),))
+            inputs.update((" ".join(r.tokens), "S")
+                          for r in generate(grammar, spec))
+        assert sum(goal == "S" for _, goal in inputs) >= 8
+        for text, goal in sorted(inputs):
+            decomps = _decompositions(tuple(text.split()),
+                                      grammar.fusion_rules)
+            frontiers = {d: len(d) + 2 for d in decomps}
+            top_down, oracle = self._both(grammar, goal,
+                                          max(frontiers.values()),
+                                          frontiers=frontiers)
+            assert top_down and top_down == oracle, text

@@ -68,7 +68,8 @@ class TestRecognize:
     def test_soundness_replay(self, grammar):
         """Every unmixed analysis replays to the input string."""
         for text, goal in (("sé tab la", "NP"), ("moun sa yo", "NP"),
-                           ("ta vap danse", "Pred")):
+                           ("ta vap danse", "Pred"),
+                           ("zwazo yo ta vap danse", "S")):
             for analysis in recognize(grammar, text, goal):
                 replayed = engine.replay(grammar, analysis.trace)
                 final = engine.finalize(grammar, replayed)
@@ -86,6 +87,17 @@ class TestRecognize:
         assert engine_calls["instantiate"] <= 18
         assert engine_calls["adjoin"] <= 216
         assert engine_calls["finalize"] == 0
+
+    @pytest.mark.parametrize("text, adjunctions", [
+        ("zwazo yo ta vap danse", 78), ("sé zozyo la té ka dansé", 40)])
+    def test_sentence_tries_one_interleaving(self, fresh_grammar,
+                                             engine_calls, text, adjunctions):
+        # adjoining anywhere once every site is filled tries the subject's
+        # and the predicate's adjunctions in every interleaving: 156 and
+        # 86 adjunctions
+        assert recognize(fresh_grammar, text, "S")
+        assert engine_calls["enumerate_derivations"] == 1
+        assert engine_calls["adjoin"] <= adjunctions
 
     def test_relaxed_grammar_built_once_per_grammar(self, monkeypatch):
         project_language = recognize_module.project_language
