@@ -35,6 +35,12 @@ length, so an instance spliced twice never shares a variable with
 itself.  Goals are checked against the schema where they enter, as
 grammar material is at load; unification checks nothing.
 
+A search skips what a pretest, :func:`_clash`, shows must fail.  An
+adjunction is tested on codes (:meth:`Schema.clash`): an auxiliary
+instance's are made once per search, a node's once per state.  An
+anchoring or a finalization is tested once, by a :func:`disjoint` scan.
+A derived tree is walked once, into :attr:`DerivedTree.nodes`.
+
 Derived trees are immutable; every operation returns a new tree and
 either succeeds or raises without touching its inputs.  A new tree
 shares the nodes it leaves unchanged: instantiation copies only the
@@ -49,6 +55,7 @@ between calls.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .errors import (AnchorUnificationFailure, CollapseFailure, LabelMismatch,
@@ -88,10 +95,19 @@ class DerivedTree:
     env: Bindings
     history: tuple = ()
 
+    @cached_property
+    def nodes(self):
+        """(address, node) pairs in pre-order, the tree's one walk; read-only.
+        A list: freed tuples this long stay on the interpreter's free list."""
+        return list(self.root.walk())
+
     @property
     def pending_sites(self):
-        return tuple(addr for addr, node in self.root.walk()
-                     if node.kind == SUBST)
+        return tuple(addr for addr, node in self.nodes if node.kind == SUBST)
+
+    @cached_property
+    def foot_address(self):
+        return next((a for a, node in self.nodes if node.kind == FOOT), None)
 
     def node_at(self, address) -> Node:
         return self.root.node_at(address)
@@ -264,11 +280,11 @@ def adjoin(grammar: Grammar, host: DerivedTree, address,
         raise LabelMismatch("cannot adjoin %s tree at %s node"
                             % (aux.root.label, node.label))
 
-    aux_root, env = _splice_in(host, aux)
-    foot_addr, foot = next(((a, n) for a, n in aux_root.walk()
-                            if n.kind == FOOT), (None, None))
-    if foot is None:
+    foot_addr = aux.foot_address
+    if foot_addr is None:
         raise NotAnAdjunctionSite("auxiliary tree lost its foot")
+    aux_root, env = _splice_in(host, aux)
+    foot = aux_root.node_at(foot_addr)
 
     unified = unify(node.top, aux_root.top, env)
     if unified is None:
@@ -301,8 +317,7 @@ def finalize(grammar: Grammar, derived: DerivedTree) -> FinalizeResult:
                           % ", ".join(str(a) for a in pending))
 
     env = derived.env
-    collapsed_root = None
-    for address, node in derived.root.walk():
+    for address, node in derived.nodes:  # the root comes first
         unified = unify(node.top, node.bottom, env)
         if unified is None:
             raise CollapseFailure(address, _disjoint(node.top, env,
@@ -311,15 +326,12 @@ def finalize(grammar: Grammar, derived: DerivedTree) -> FinalizeResult:
         if address == ():
             collapsed_root = fs
 
-    frontier = []
-    lexical = []
-    for _, node in derived.root.walk():
-        if node.kind == ANCHOR and node.surface:
-            frontier.append(node.surface)
-            lexical.append((node.surface, node.lexeme, node.variant))
-    return FinalizeResult(frontier=tuple(frontier),
+    lexical = tuple((node.surface, node.lexeme, node.variant)
+                    for _, node in derived.nodes
+                    if node.kind == ANCHOR and node.surface)
+    return FinalizeResult(frontier=tuple(entry[0] for entry in lexical),
                           features=collapsed_root.resolve(env),
-                          lexical=tuple(lexical))
+                          lexical=lexical)
 
 
 def replay(grammar: Grammar, history) -> DerivedTree:
@@ -329,10 +341,8 @@ def replay(grammar: Grammar, history) -> DerivedTree:
         if step.op == "instantiate":
             derived = instantiate(grammar, step.tree, step.lexeme, step.variant)
             continue
-        if step.nested is not None:
-            part = replay(grammar, step.nested)
-        else:
-            part = instantiate(grammar, step.tree, step.lexeme, step.variant)
+        part = instantiate(grammar, step.tree, step.lexeme, step.variant) \
+            if step.nested is None else replay(grammar, step.nested)
         if step.op == "substitute":
             derived = substitute(grammar, derived, step.address, part)
         elif step.op == "adjoin":
@@ -344,10 +354,16 @@ def replay(grammar: Grammar, history) -> DerivedTree:
 
 # --- enumeration -------------------------------------------------------------
 
+def _clash(schema, a, b, env=None) -> bool:
+    """Whether unifying two codes, or two structures under env, must fail."""
+    return schema.clash(a, b) if env is None else \
+        _disjoint(a, env, b, env) is not None
+
+
 def _instantiations(grammar, tree, lexemes, vocabulary):
     """All ways to instantiate one elementary tree, deterministically
-    ordered.  A variant that :func:`_disjoint` shows cannot fit the
-    anchor is not tried."""
+    ordered.  A variant that :func:`_clash` shows cannot fit the anchor
+    is not tried."""
     anchor_label = tree.anchor_label
     if anchor_label is None:  # instantiating a bare tree cannot fail
         return [instance(grammar, tree)]
@@ -360,18 +376,12 @@ def _instantiations(grammar, tree, lexemes, vocabulary):
         for index, variant in enumerate(lexeme.variants):
             if vocabulary is not None and variant.surface and variant.surface not in vocabulary:
                 continue
-            if _disjoint(anchor, unbound, variant.features, unbound):
+            if _clash(grammar.schema, anchor, variant.features, unbound):
                 continue
             anchored = instance(grammar, tree, lexeme.id, index)
             if anchored is not None:
                 out.append(anchored)
     return out
-
-
-def _frontier(root):
-    """Anchored tokens in order; zero forms contribute none."""
-    return tuple(node.surface for _, node in root.walk()
-                 if node.kind == ANCHOR and node.surface)
 
 
 def _is_subsequence(short, long):
@@ -420,8 +430,8 @@ def enumerate_derivations(grammar: Grammar, goal_label: str,
     returned.  One call serves every target, so derivations they share
     are built once.  Substitution and adjunction only insert tokens, so
     a partial derivation whose frontier is not a subsequence of some
-    target it can still afford is cut at once.  An adjunction or a
-    finalization that :func:`_disjoint` shows must fail is not tried.
+    target it can still afford is cut at once.  An anchoring, adjunction
+    or finalization that :func:`_clash` shows must fail is not tried.
     Results are deduplicated by (frontier, features) keeping the
     lexicographically least trace, and returned sorted by trace.  The
     goal is checked against the grammar's schema here, where it enters.
@@ -433,28 +443,28 @@ def enumerate_derivations(grammar: Grammar, goal_label: str,
         vocabulary = set().union(*frontiers)
         widest_first = sorted(frontiers.items(), key=lambda item: -item[1])
         reach = {}  # frontier -> largest bound of a target that contains it
+    schema, code = grammar.schema, grammar.schema.code
     cache = {}
 
     def instances(klass, label):
-        # (instance, foot) pairs: this search's filters over the grammar's
-        # instance memo, built when a site or a node of the label is
-        # reached; an initial tree has no foot
+        # this search's filter of the grammar's instance memo, built when a
+        # site or node of the label is reached; an auxiliary with two codes
         if (klass, label) not in cache:
-            cache[klass, label] = [
-                (inst, next((n for _, n in inst.root.walk()
-                             if n.kind == FOOT), None))
-                for tree in grammar.trees
-                if tree.klass == klass and tree.root.label == label
-                for inst in _instantiations(grammar, tree, lexemes,
-                                            vocabulary)]
+            found = [inst for tree in grammar.trees
+                     if tree.klass == klass and tree.root.label == label
+                     for inst in _instantiations(grammar, tree, lexemes,
+                                                 vocabulary)]
+            cache[klass, label] = found if klass == INITIAL else [
+                (aux, code(aux.root.top, aux.env),
+                 code(aux.node_at(aux.foot_address).bottom, aux.env))
+                for aux in found]
         return cache[klass, label]
 
-    def surplus(derived):
+    def surplus(nodes):
         # anchors of each content lexeme beyond its listed count
         if not content:
             return ()
-        anchored = [node.lexeme for _, node in derived.root.walk()
-                    if node.kind == ANCHOR]
+        anchored = [node.lexeme for _, node in nodes if node.kind == ANCHOR]
         return [anchored.count(l) - content.count(l) for l in content]
 
     results = {}
@@ -462,8 +472,8 @@ def enumerate_derivations(grammar: Grammar, goal_label: str,
     def consider(derived, extra):
         env = derived.env
         if any(extra) or any(node.kind == SUBST or
-                             _disjoint(node.top, env, node.bottom, env)
-                             for _, node in derived.root.walk()):
+                             _clash(schema, node.top, node.bottom, env)
+                             for _, node in derived.nodes):
             return
         try:
             final = finalize(grammar, derived)
@@ -477,14 +487,16 @@ def enumerate_derivations(grammar: Grammar, goal_label: str,
             results[key] = (derived, final)
 
     def explore(derived, cost, part):
-        extra = surplus(derived)
+        nodes = derived.nodes
+        extra = surplus(nodes)
         if any(n > 0 for n in extra):
             return
         if frontiers is None:
             consider(derived, extra)
             bound = max_steps
         else:
-            frontier = _frontier(derived.root)
+            frontier = tuple(node.surface for _, node in nodes
+                             if node.kind == ANCHOR and node.surface)
             if frontier not in reach:
                 reach[frontier] = next(
                     (b for target, b in widest_first
@@ -498,16 +510,19 @@ def enumerate_derivations(grammar: Grammar, goal_label: str,
             return
         env = derived.env
         site = None
-        for address, node in derived.root.walk():
+        for address, node in nodes:
             if node.kind == SUBST:
                 site = site or (address, node.label)
                 continue
             if node.kind in (ANCHOR, FOOT) or node.was_foot or \
                     address[:len(part)] != part:
                 continue
-            for aux, foot in instances(AUXILIARY, node.label):
-                if _disjoint(node.top, env, aux.root.top, aux.env) or \
-                        _disjoint(node.bottom, env, foot.bottom, aux.env):
+            candidates = instances(AUXILIARY, node.label)
+            if candidates:  # each plane encoded once per state
+                top, bottom = code(node.top, env), code(node.bottom, env)
+            for aux, aux_top, foot_bottom in candidates:
+                if _clash(schema, top, aux_top) or \
+                        _clash(schema, bottom, foot_bottom):
                     continue
                 try:
                     nxt = adjoin(grammar, derived, address, aux)
@@ -517,14 +532,14 @@ def enumerate_derivations(grammar: Grammar, goal_label: str,
         if site is None:
             return
         address, label = site
-        for filler, _ in instances(INITIAL, label):
+        for filler in instances(INITIAL, label):
             try:
                 nxt = substitute(grammar, derived, address, filler)
             except UnificationFailure:
                 continue
             explore(nxt, cost + 1, address)
 
-    for base, _ in instances(INITIAL, goal_label):
+    for base in instances(INITIAL, goal_label):
         explore(base, 0, ())
 
     ordered = sorted(results.values(), key=lambda pair: pair[0].trace_key())

@@ -14,7 +14,7 @@ class CreoleTagError(Exception):
 # --- feature structures ---------------------------------------------------
 
 class UndeclaredAttribute(CreoleTagError):
-    """An attribute was used that no domain declaration covers."""
+    """An attribute or a value was used that no domain declaration covers."""
 
 
 # --- grammar files ---------------------------------------------------------

@@ -20,6 +20,12 @@ the caller (one per derivation), never inside the structure itself.
 Unification checks no schema.  A structure is checked once, where it
 enters (grammar material at load, goals by :meth:`Schema.check`), so
 an undeclared attribute is rejected, never read as the full domain.
+
+A schema also lays its attributes out as bit fields of one int, one bit
+per value and a zero guard bit above each field (Aït-Kaci et al., TOPLAS
+1989).  :meth:`Schema.code` encodes a structure (absent or unbound: a full
+field) and :meth:`Schema.clash` is :func:`disjoint`'s test on two codes,
+worth its encoding only where one code is tested many times.
 """
 
 from __future__ import annotations
@@ -49,10 +55,18 @@ class Schema:
 
     def __init__(self, domains: Iterable[AttributeDomain]):
         self._domains: dict[str, AttributeDomain] = {}
+        self._bits: dict[str, dict] = {}  # attr -> value -> its bit
+        self._masks: dict = {}  # (attr, cell) -> the code of {attr: cell}
+        self._full = self._guards = 0
         for dom in domains:
             if dom.name in self._domains:
                 raise ValueError("attribute %r declared twice" % dom.name)
             self._domains[dom.name] = dom
+            offset = self._guards.bit_length()  # above the last guard
+            self._bits[dom.name] = {v: 1 << (offset + i)
+                                    for i, v in enumerate(dom.values)}
+            self._full |= sum(self._bits[dom.name].values())
+            self._guards |= 1 << (offset + len(dom.values))
 
     def __contains__(self, attr: str) -> bool:
         return attr in self._domains
@@ -73,6 +87,28 @@ class Schema:
         """Raise UndeclaredAttribute if fs mentions an unknown attribute."""
         for attr in fs:
             self.domain(attr)
+
+    def code(self, fs: "FeatureStruct", env: "Bindings") -> int:
+        """fs as bit fields, its variables resolved through env."""
+        code = self._full
+        for attr, cell in fs.items():
+            if isinstance(cell, Var) and (cell := env.value(cell)) is None:
+                continue
+            mask = self._masks.get((attr, cell))
+            if mask is None:  # first use: a Grammar() is not validated
+                bits = self._bits[self.domain(attr).name]
+                if not cell <= bits.keys():
+                    raise UndeclaredAttribute("%r is not a value of %r" % (
+                        min(cell - bits.keys()), attr))
+                mask = self._masks[attr, cell] = \
+                    self._full - sum(bits.values()) + sum(map(bits.get, cell))
+            code &= mask
+        return code
+
+    def clash(self, a: int, b: int) -> bool:
+        """Whether a & b has an empty field: adding the full fields carries
+        into a field's guard bit exactly when the field is not empty."""
+        return ((a & b) + self._full) & self._guards != self._guards
 
 
 @dataclass(frozen=True)
@@ -301,20 +337,7 @@ def subsumes(general: FeatureStruct, specific: FeatureStruct, schema: Schema,
     is only subsumed by a `general` binding that is itself the full domain.
     """
     env = env or Bindings()
-
-    def as_subset(fs, attr):
-        if attr not in fs:
-            return schema.full(attr)
-        cell = fs[attr]
-        if isinstance(cell, Var):
-            bound = env.value(cell)
-            return bound if bound is not None else schema.full(attr)
-        return cell
-
-    for attr in general:
-        if not as_subset(specific, attr) <= as_subset(general, attr):
-            return False
-    return True
+    return not schema.code(specific, env) & ~schema.code(general, env)
 
 
 def erase_attribute(fs: FeatureStruct, attr: str) -> FeatureStruct:

@@ -173,22 +173,18 @@ def fuse_with_sources(entries, lan_set, rules):
     out = []
     i = 0
     while i < len(entries):
-        hit = None
         for rule in applicable:
-            width = len(rule.pattern)
-            if tuple(t for t, _ in entries[i:i + width]) == rule.pattern:
-                hit = rule
+            window = entries[i:i + len(rule.pattern)]
+            if tuple(t for t, _ in window) == rule.pattern:
+                payloads = tuple(unit for _, p in window if p is not None
+                                 for unit in p)
+                out.extend((token, payloads or None)
+                           for token in rule.replacement)
+                i += len(window)
                 break
-        if hit is None:
+        else:
             out.append(entries[i])
             i += 1
-            continue
-        window = entries[i:i + len(hit.pattern)]
-        payloads = tuple(unit for _, p in window if p is not None for unit in p)
-        combined = payloads if payloads else None
-        for token in hit.replacement:
-            out.append((token, combined))
-        i += len(hit.pattern)
     return out
 
 

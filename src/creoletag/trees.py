@@ -78,17 +78,13 @@ class ElementaryTree:
         return self.root.walk()
 
     def anchor_address(self):
-        for address, node in self.nodes():
-            if node.kind == ANCHOR:
-                return address
-        return None
+        return next((a for a, node in self.nodes() if node.kind == ANCHOR),
+                    None)
 
     @property
     def anchor_label(self):
-        addr = self.anchor_address()
-        if addr is None:
-            return None
-        return self.node_at(addr).label
+        return next((node.label for _, node in self.nodes()
+                     if node.kind == ANCHOR), None)
 
     def node_at(self, address) -> Node:
         return self.root.node_at(address)

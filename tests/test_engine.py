@@ -5,16 +5,17 @@ import itertools
 import pytest
 
 from creoletag import engine
-from creoletag.creole import golden_path
+from creoletag.creole import golden_path, grammar_text
 from creoletag.dsl import load_grammar
 from creoletag.errors import (AnchorUnificationFailure, CollapseFailure,
                               LabelMismatch, NotAnAdjunctionSite,
                               NotASubstitutionSite, PendingSite,
-                              UnificationFailure)
-from creoletag.featstruct import EMPTY, FeatureStruct, unify
-from creoletag.generate import TMA, NPSpec, SemSpec, generate
-from creoletag.recognize import _decompositions
-from creoletag.trees import ANCHOR, AUXILIARY, FOOT, INITIAL, SUBST
+                              UndeclaredAttribute, UnificationFailure)
+from creoletag.featstruct import EMPTY, AttributeDomain, FeatureStruct, unify
+from creoletag.generate import TMA, NPSpec, SemSpec, generate, table_tma
+from creoletag.grammar import Grammar
+from creoletag.recognize import _decompositions, recognize
+from creoletag.trees import ANCHOR, AUXILIARY, FOOT, INITIAL, SUBST, Node
 
 TOY = """
 (grammar toy (version 1))
@@ -144,6 +145,14 @@ class TestToyOperations:
         fixed = engine.adjoin(toy, derived, (), aux)
         final = engine.finalize(toy, fixed)
         assert final.frontier == ("w", "w")
+
+    def test_out_of_domain_value_is_a_typed_error(self, toy):
+        # Grammar() validates nothing, so a value no domain declares
+        # reaches the search's encoder, which names it
+        narrow = Grammar([AttributeDomain("nbr", ("sg",)),
+                          toy.schema.domain("mark")], toy.trees, toy.lexicon)
+        with pytest.raises(UndeclaredAttribute, match="'pl'.*'nbr'"):
+            engine.enumerate_derivations(narrow, "X", EMPTY, 1)
 
 
 class TestVariableScope:
@@ -456,7 +465,8 @@ def _saturate_then_adjoin(grammar, goal_label, goal_fs, max_steps,
                     if node.kind == ANCHOR]
         if any(anchored.count(l) > content.count(l) for l in content):
             return
-        frontier = engine._frontier(derived.root)
+        frontier = tuple(node.surface for _, node in derived.root.walk()
+                         if node.kind == ANCHOR and node.surface)
         if frontiers is None:
             bound = own_bound = max_steps
         else:
@@ -539,3 +549,26 @@ class TestTopDownSearch:
                                           max(frontiers.values()),
                                           frontiers=frontiers)
             assert top_down and top_down == oracle, text
+
+
+class TestOneWalkPerTree:
+    """A derived tree is walked once; its pending sites, finalization,
+    frontier and adjunction sites all read that one walk."""
+
+    @pytest.mark.parametrize("work, walks", [
+        (table_tma, 206),
+        (lambda g: recognize(g, "zwazo yo ta vap danse", "S"), 266),
+    ], ids=["table_tma", "S"])
+    def test_root_level_walks(self, monkeypatch, work, walks):
+        # counted from the grammar's load, which makes 115; a walk per
+        # reader and three per finalization cost 413 and 456
+        calls = [0]
+        real = Node.walk
+
+        def walk(node, address=()):
+            calls[0] += not address
+            return real(node, address)
+
+        monkeypatch.setattr(Node, "walk", walk)
+        work(load_grammar(grammar_text()))
+        assert calls[0] <= walks

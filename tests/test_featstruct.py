@@ -3,9 +3,13 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from creoletag.featstruct import (AttributeDomain, FeatureStruct, Schema,
-                                  Var, erase_attribute, subsumes, unify)
+from creoletag.errors import UndeclaredAttribute
+from creoletag.featstruct import (EMPTY, AttributeDomain, Bindings,
+                                  FeatureStruct, Schema, Var, disjoint,
+                                  erase_attribute, subsumes, unify)
 
 LAN = AttributeDomain("lan", ("HT", "GP", "MQ", "GF"))
 SPE = AttributeDomain("spe", ("+", "-"))
@@ -175,3 +179,82 @@ class TestAlgebra:
                 if result is not None:
                     assert subsumes(a, result, ALG_SCHEMA)
                     assert subsumes(b, result, ALG_SCHEMA)
+
+
+CODE_SCHEMA = Schema(list(ALG_SCHEMA) + [AttributeDomain("r", ("only",))])
+UNBOUND = Bindings()
+
+
+def code(structure, env=UNBOUND):
+    return CODE_SCHEMA.code(structure, env)
+
+
+@st.composite
+def planes(draw):
+    """A structure over CODE_SCHEMA with its bindings: each attribute
+    absent, a constant, or a variable that is unbound, bound, aliased to
+    an unbound one or aliased to a bound one."""
+    cells, env = {}, Bindings()
+    for dom in CODE_SCHEMA:
+        subsets = st.frozensets(st.sampled_from(dom.values), min_size=1,
+                                max_size=2)
+        how = draw(st.sampled_from(("constant", "bound", "aliased-bound",
+                                    "absent", "unbound", "aliased")))
+        if how == "absent":
+            continue
+        if how == "constant":
+            cells[dom.name] = draw(subsets)
+            continue
+        var = dom.name + "A"
+        cells[dom.name] = Var(var)
+        if how.startswith("aliased"):
+            env = env.alias(var, dom.name + "B")
+        if how in ("bound", "aliased-bound"):
+            env = env.bind(var, draw(subsets))
+    return FeatureStruct(cells), env
+
+
+class TestCode:
+    """Schema.code and Schema.clash against disjoint, the scan they
+    stand in for."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(planes(), planes())
+    def test_clash_is_disjoint(self, a, b):
+        (fa, ea), (fb, eb) = a, b
+        assert CODE_SCHEMA.clash(code(fa, ea), code(fb, eb)) == \
+            (disjoint(fa, ea, fb, eb) is not None)
+
+    def test_clash_is_disjoint_on_every_constant_pair(self):
+        for a in STRUCTURES:
+            for b in STRUCTURES:
+                assert CODE_SCHEMA.clash(code(a), code(b)) == \
+                    (disjoint(a, UNBOUND, b, UNBOUND) is not None)
+
+    def test_absent_attribute_is_a_full_field(self):
+        full_q = fs(p=["1"], q=["x", "y", "z"], r=["only"])
+        assert code(fs(p=["1"])) == code(full_q)
+        assert code(FeatureStruct({"p": frozenset(["1"]), "q": Var("Q")})) \
+            == code(full_q)
+        assert code(EMPTY) == code(fs(p=["1", "2", "3"], q=["x", "y", "z"],
+                                      r=["only"]))
+
+    def test_guard_carry_stays_in_its_field(self):
+        # a full field of a & b carries into its own guard bit only, so an
+        # empty field above it still shows, and so does one below it
+        clash = CODE_SCHEMA.clash
+        full_p, full_q = ["1", "2", "3"], ["x", "y", "z"]
+        assert clash(code(fs(p=full_p, q=["x"])), code(fs(p=full_p, q=["y"])))
+        assert clash(code(fs(p=["1"], q=full_q)), code(fs(p=["2"], q=full_q)))
+        assert not clash(code(fs(p=full_p, q=full_q, r=["only"])),
+                         code(fs(p=full_p, q=full_q, r=["only"])))
+        assert not clash(code(EMPTY), code(EMPTY))
+
+    def test_out_of_domain_value_is_a_typed_error(self):
+        with pytest.raises(UndeclaredAttribute, match="'4'.*'p'"):
+            code(fs(p=["1", "4"]))
+        env = Bindings().bind("Q", frozenset(["w"]))
+        with pytest.raises(UndeclaredAttribute, match="'w'.*'q'"):
+            code(FeatureStruct({"q": Var("Q")}), env)
+        with pytest.raises(UndeclaredAttribute, match="'s'"):
+            code(fs(s=["x"]))

@@ -269,7 +269,7 @@ def unpruned():
 
     def run(spec):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(engine, "_disjoint", lambda *args: None)
+            patch.setattr(engine, "_clash", lambda *args: False)
             patch.setattr(engine, "enumerate_derivations", cached)
             return outcome(own, spec)
     return run
