@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
-from .creole import default_grammar
+from .creole import ENV_GRAMMAR, shipped_grammar
 from .dsl import load_grammar, serialize
 from .errors import (CreoleTagError, GrammarSyntaxError, InvalidSpec,
                      MissingCell, NoAnalysis, NoRealization,
@@ -34,11 +35,25 @@ EXIT_FINDINGS = 2
 EXIT_BAD_INPUT = 3
 
 
+class _FileError(Exception):
+    """A file named on the command line cannot be read or written."""
+
+
+def _file(path, what, text=None, parse=str):
+    """parse() of the text of the file at `path`, or `text` written
+    there; a file that cannot be opened, decoded or parsed is bad input."""
+    verb = "read" if text is None else "write"
+    try:
+        with open(path, verb[0], encoding="utf-8") as handle:
+            return parse(handle.read()) if text is None else handle.write(text)
+    except (OSError, ValueError) as exc:
+        raise _FileError("cannot %s %s: %s" % (verb, what, exc)) from None
+
+
 def _load(path):
-    if path:
-        with open(path, encoding="utf-8") as handle:
-            return load_grammar(handle.read())
-    return default_grammar()
+    """The grammar at `path` or CREOLETAG_GRAMMAR, else the shipped one."""
+    path = path or os.environ.get(ENV_GRAMMAR)
+    return load_grammar(_file(path, "grammar")) if path else shipped_grammar()
 
 
 def _lan_key(grammar):
@@ -49,13 +64,8 @@ def _lan_key(grammar):
 
 def cmd_generate(args):
     grammar = _load(args.grammar)
-    try:
-        with open(args.sem, encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        print("cannot read semantic input: %s" % exc, file=sys.stderr)
-        return EXIT_BAD_INPUT
-    spec = semspec_from_json(data)
+    spec = semspec_from_json(_file(args.sem, "semantic input",
+                                   parse=json.loads))
     if args.lan is not None:
         codes = args.lan.split(",")
         empty = [str(i) for i, code in enumerate(codes, 1) if not code.strip()]
@@ -96,12 +106,7 @@ def cmd_tables(args):
     if not args.golden:
         sys.stdout.write(text)
         return EXIT_OK
-    try:
-        with open(args.golden, encoding="utf-8") as handle:
-            golden = handle.read()
-    except OSError as exc:
-        print("cannot read golden file: %s" % exc, file=sys.stderr)
-        return EXIT_BAD_INPUT
+    golden = _file(args.golden, "golden file")
     if text == golden:
         sys.stdout.write(text)
         return EXIT_OK
@@ -136,20 +141,14 @@ def cmd_specialize(args):
     specialized = specialize(grammar, args.lan)
     text = serialize(specialized)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _file(args.output, "output", text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
 
 
 def cmd_check(args):
-    try:
-        with open(args.file, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        print("cannot read grammar: %s" % exc, file=sys.stderr)
-        return EXIT_BAD_INPUT
+    text = _file(args.file, "grammar")
     try:
         load_grammar(text)
     except GrammarSyntaxError as exc:
@@ -232,7 +231,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidSpec, UndeclaredAttribute, GrammarSyntaxError) as exc:
+    except (InvalidSpec, UndeclaredAttribute, GrammarSyntaxError,
+            _FileError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_BAD_INPUT
     except ValidationError as exc:

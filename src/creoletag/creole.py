@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from importlib import resources
 
@@ -23,15 +22,6 @@ def grammar_text() -> str:
 def shipped_grammar() -> Grammar:
     """The embedded, validated four-dialect grammar."""
     return load_grammar(grammar_text())
-
-
-def default_grammar() -> Grammar:
-    """Shipped grammar, unless CREOLETAG_GRAMMAR points at a file."""
-    override = os.environ.get(ENV_GRAMMAR)
-    if override:
-        with open(override, encoding="utf-8") as handle:
-            return load_grammar(handle.read())
-    return shipped_grammar()
 
 
 def golden_path(name: str):

@@ -48,7 +48,8 @@ path from the elementary root to the anchor, a splice only the path to
 its site and the material it tags.  So :func:`instance` builds each
 elementary instance (tree, lexeme, variant) once per grammar and keeps
 it on the grammar object, a failure as None; every search shares them,
-filtered by the lexemes and tokens it may use.  Nothing else is kept
+filtered by the lexemes and tokens it may use, and each instance keeps
+its copies tagged per frame (:func:`_splice_in`).  Nothing else is kept
 between calls.
 """
 
@@ -88,6 +89,15 @@ class Step:
         return base
 
 
+class _memo(cached_property):
+    """cached_property without the lock Python 3.11 takes on a first read."""
+
+    def __get__(self, tree, owner=None):
+        if tree is None:
+            return self
+        return tree.__dict__.setdefault(self.attrname, self.func(tree))
+
+
 @dataclass(frozen=True)
 class DerivedTree:
     root: Node
@@ -95,7 +105,7 @@ class DerivedTree:
     env: Bindings
     history: tuple = ()
 
-    @cached_property
+    @_memo
     def nodes(self):
         """(address, node) pairs in pre-order, the tree's one walk; read-only.
         A list: freed tuples this long stay on the interpreter's free list."""
@@ -105,9 +115,14 @@ class DerivedTree:
     def pending_sites(self):
         return tuple(addr for addr, node in self.nodes if node.kind == SUBST)
 
-    @cached_property
+    @_memo
     def foot_address(self):
         return next((a for a, node in self.nodes if node.kind == FOOT), None)
+
+    @_memo
+    def frames(self):
+        """Frame tag -> (root, bindings) tagged by :func:`_splice_in`."""
+        return {}
 
     def node_at(self, address) -> Node:
         return self.root.node_at(address)
@@ -129,7 +144,8 @@ def _splice_in(host: DerivedTree, part: DerivedTree):
     """`part`'s root and the host's bindings extended with part's, every
     variable of `part` tagged with the splice's frame, distinct within a
     derivation.  ';' ends a grammar atom, so no grammar variable looks
-    tagged.  Cells other than variables are shared, not copied."""
+    tagged.  Cells other than variables are shared, not copied, and the
+    tagged copy is made once per (part, frame), kept in `part.frames`."""
     tag = "%d;" % len(host.history)
 
     def tagged(fs):
@@ -144,10 +160,14 @@ def _splice_in(host: DerivedTree, part: DerivedTree):
                     tuple(node(c) for c in n.children), n.surface,
                     n.lexeme, n.variant, n.was_foot)
 
-    env = dict(host.env._map)  # noqa: SLF001 - same-package friend
-    for name, value in part.env._map.items():  # noqa: SLF001
-        env[tag + name] = tag + value if isinstance(value, str) else value
-    return node(part.root), Bindings(env)
+    # both closures are made on a hit too: the cycles they leave pace the
+    # collector, and with it the peak memory
+    if tag not in part.frames:
+        part.frames[tag] = node(part.root), {
+            tag + name: tag + value if isinstance(value, str) else value
+            for name, value in part.env._map.items()}  # noqa: SLF001
+    root, names = part.frames[tag]
+    return root, Bindings({**host.env._map, **names})  # noqa: SLF001
 
 
 def _step(op, address, part: DerivedTree) -> Step:

@@ -169,6 +169,35 @@ class TestGrammarOverride:
         assert "is not declared" in err
 
 
+class TestFileErrors:
+    """A file that cannot be read or written is bad input (exit 3) with a
+    one-line message, never a traceback."""
+
+    @pytest.mark.parametrize("command, env, what", [
+        (["recognize", "--grammar", "{missing}", "tab"], "", "read grammar"),
+        (["recognize", "tab"], "{missing}", "read grammar"),
+        (["generate", "--sem", "{binary}"], "", "read semantic input"),
+        (["check", "{binary}"], "", "read grammar"),
+        (["tables", "np", "--grammar", "{binary}"], "", "read grammar"),
+        (["tables", "np", "--golden", "{binary}"], "", "read golden file"),
+        (["specialize", "--lan", "HT", "-o", "{missing}/ht.fstag"], "",
+         "write output"),
+    ], ids=["recognize-missing-grammar", "env-missing-grammar",
+            "generate-binary-sem", "check-binary", "tables-binary-grammar",
+            "tables-binary-golden", "specialize-missing-directory"])
+    def test_bad_file_is_bad_input(self, tmp_path, capsys, monkeypatch,
+                                   command, env, what):
+        binary = tmp_path / "binary"
+        binary.write_bytes(b"\xff")
+        paths = {"missing": str(tmp_path / "missing"), "binary": str(binary)}
+        monkeypatch.setenv("CREOLETAG_GRAMMAR", env.format(**paths))
+        assert main([arg.format(**paths) for arg in command]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("cannot %s: " % what)
+        assert "Traceback" not in err
+
+
 class TestDeterminism:
     def test_identical_runs_identical_bytes(self, sem_file, capsys):
         path = sem_file({"pred": "DANCE", "tma": {"cnd": True}})

@@ -11,8 +11,10 @@ from creoletag.errors import (AnchorUnificationFailure, CollapseFailure,
                               LabelMismatch, NotAnAdjunctionSite,
                               NotASubstitutionSite, PendingSite,
                               UndeclaredAttribute, UnificationFailure)
-from creoletag.featstruct import EMPTY, AttributeDomain, FeatureStruct, unify
-from creoletag.generate import TMA, NPSpec, SemSpec, generate, table_tma
+from creoletag.featstruct import (EMPTY, AttributeDomain, FeatureStruct, Var,
+                                  unify)
+from creoletag.generate import (TMA, NPSpec, SemSpec, generate, golden_corpus,
+                                table_tma)
 from creoletag.grammar import Grammar
 from creoletag.recognize import _decompositions, recognize
 from creoletag.trees import ANCHOR, AUXILIARY, FOOT, INITIAL, SUBST, Node
@@ -171,6 +173,42 @@ class TestVariableScope:
         assert final.features == FeatureStruct({"nbr": frozenset(["sg"])})
         replayed = engine.finalize(toy, engine.replay(toy, derived.history))
         assert replayed == final
+
+    @staticmethod
+    def _variables(root):
+        return {cell.name for _, node in root.walk()
+                for fs in (node.top, node.bottom)
+                for _, cell in fs.items() if isinstance(cell, Var)}
+
+    def test_same_frame_shares_the_tagged_copy(self, toy):
+        """Two derivations splicing one instance at the same frame share
+        its tagged root, and so the nodes the splice leaves as they are."""
+        aux = engine.instantiate(toy, "aux-pass", "WORD", 0)
+        hosts = [engine.instantiate(toy, "alpha-two", "WORD", 0),
+                 engine.instantiate(toy, "alpha-two", "WORD", 1)]
+        first, second = (engine._splice_in(host, aux)[0] for host in hosts)
+        assert first is second
+        assert self._variables(first) == {"1;N"}
+        one, other = (engine.adjoin(toy, host, (0,), aux) for host in hosts)
+        assert one.node_at((0, 0)) is other.node_at((0, 0))  # aux's anchor
+
+    def test_two_frames_share_no_variable(self, toy):
+        aux = engine.instantiate(toy, "aux-pass", "WORD", 0)
+        host = engine.instantiate(toy, "alpha-two", "WORD", 0)
+        deeper = engine.adjoin(toy, host, (0,), aux)
+        first, second = (self._variables(engine._splice_in(h, aux)[0])
+                         for h in (host, deeper))
+        assert first == {"1;N"} and second == {"2;N"}
+
+    def test_warm_grammar_generates_as_a_fresh_one(self, fresh_grammar):
+        """Tagged copies kept on a grammar's instances change no output:
+        realizations, traces and features match a freshly loaded grammar."""
+        warm = load_grammar(grammar_text())
+        corpus = golden_corpus()
+        for spec in corpus:
+            generate(warm, spec)
+        for spec in corpus:
+            assert generate(warm, spec) == generate(fresh_grammar, spec), spec
 
 
 class TestShippedOperations:
@@ -549,6 +587,31 @@ class TestTopDownSearch:
                                           max(frontiers.values()),
                                           frontiers=frontiers)
             assert top_down and top_down == oracle, text
+
+
+class TestSplicesCopyOncePerFrame:
+    """A splice reuses the tagged copy of a part it made at the same
+    frame before, so a warm grammar's searches build few nodes."""
+
+    @pytest.mark.parametrize("work, built", [
+        (table_tma, 111),
+        (lambda g: recognize(g, "zwazo yo ta vap danse", "S"), 413),
+    ], ids=["second_table_tma", "S"])
+    def test_node_constructions(self, monkeypatch, work, built):
+        # a copy per splice cost 222 and 602
+        grammar = load_grammar(grammar_text())
+        if work is table_tma:  # counted on a grammar a first call warmed
+            work(grammar)
+        calls = [0]
+        real = Node.__init__
+
+        def init(node, *args, **kwargs):
+            calls[0] += 1
+            real(node, *args, **kwargs)
+
+        monkeypatch.setattr(Node, "__init__", init)
+        work(grammar)
+        assert calls[0] <= built
 
 
 class TestOneWalkPerTree:
