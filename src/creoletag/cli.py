@@ -24,8 +24,8 @@ from .dsl import load_grammar, serialize
 from .errors import (CreoleTagError, GrammarSyntaxError, InvalidSpec,
                      MissingCell, NoAnalysis, NoRealization,
                      UndeclaredAttribute, ValidationError)
-from .generate import format_table, generate, semspec_from_json, table_np, \
-    table_tma
+from .generate import check_lan, format_table, generate, semspec_from_json, \
+    table_np, table_tma
 from .recognize import recognize
 from .specialize import specialize
 
@@ -73,8 +73,14 @@ def cmd_generate(args):
             raise InvalidSpec("--lan %r: empty language code at entry %s"
                               % (args.lan, ", ".join(empty)))
         requested = frozenset(codes)
-        spec = replace(spec,
-                       lan=(spec.lan & requested if spec.lan else requested))
+        given = spec.lan or frozenset()
+        check_lan(grammar, requested | given)
+        if given and not given & requested:
+            key = _lan_key(grammar)
+            raise InvalidSpec("--lan %s shares no dialect with the input's "
+                              "lan %s" % (",".join(sorted(requested, key=key)),
+                                          ",".join(sorted(given, key=key))))
+        spec = replace(spec, lan=given & requested if given else requested)
     try:
         realizations = generate(grammar, spec)
     except NoRealization as exc:

@@ -17,16 +17,23 @@ fresh root copy instead, so every node hosts at most one auxiliary.
 Substitution takes any initial-derived filler, complete or open: an
 open filler's pending sites become the host's, and :func:`finalize`,
 which refuses a tree with a pending site, is the one completeness
-check.
+check.  A spliced part's own steps enter the host's trace flat,
+re-addressed under the site.
 
-A search derives top-down, in one recursion.  It starts from bare
-instances of the goal's initial trees, fills the pending sites in
+A search derives top-down, in one recursion.  It starts from instances
+of the goal's initial trees, the goal unified into the root's top
+(which an adjunction at the root keeps), fills the pending sites in
 pre-order and adjoins only into the part substituted last (the whole
 tree before the first substitution); filling the next site finishes
 that part for good.  A derivation tree is context-free: what adjoins
 inside a part depends on its host only through the site (Schabes &
 Shieber, CL 1994).  So every derivation is still reached, and the
-adjunctions of different parts are tried in one interleaving only.
+adjunctions of different parts are tried in one interleaving only.  A
+finished part is collapsed at once, each node's top unified with its
+bottom into the bindings, as :func:`finalize` does later: no node of
+it changes again and bindings only narrow, so the cut is exact, and
+what the part fixes (the goal's values, a language) reaches the
+pretests of the parts after it.
 
 Variables are named by the step that brought them in: instantiation
 keeps the grammar's names, and each splice tags every variable of the
@@ -79,14 +86,10 @@ class Step:
     address: tuple = ()
     lexeme: Optional[str] = None
     variant: Optional[int] = None
-    nested: Optional[tuple] = None  # history of a pre-built filler
 
     def key(self):
-        base = (_OP_ORDER.get(self.op, 9), self.address, self.tree,
+        return (_OP_ORDER.get(self.op, 9), self.address, self.tree,
                 self.lexeme or "", -1 if self.variant is None else self.variant)
-        if self.nested:
-            return base + (tuple(s.key() for s in self.nested),)
-        return base
 
 
 class _memo(cached_property):
@@ -170,13 +173,15 @@ def _splice_in(host: DerivedTree, part: DerivedTree):
     return root, Bindings({**host.env._map, **names})  # noqa: SLF001
 
 
-def _step(op, address, part: DerivedTree) -> Step:
-    """The Step of splicing `part` at `address`: its one instantiation,
-    or its whole history nested."""
-    first = part.history[0]
-    if len(part.history) == 1:
-        return Step(op, first.tree, address, first.lexeme, first.variant)
-    return Step(op, first.tree, address, nested=part.history)
+def _steps(op, address, part: DerivedTree) -> tuple:
+    """The Steps of splicing `part` at `address`: its instantiation as
+    `op`, then its own later steps re-addressed under `address`.
+    Adjunction and substitution are associative, so the flat trace
+    replays to the same tree."""
+    first, *rest = part.history
+    return (Step(op, first.tree, address, first.lexeme, first.variant),) + \
+        tuple(Step(s.op, s.tree, address + s.address, s.lexeme, s.variant)
+              for s in rest)
 
 
 def _replace_at(node, address, new_node):
@@ -277,9 +282,9 @@ def substitute(grammar: Grammar, host: DerivedTree, address,
                     filler_root.surface, filler_root.lexeme,
                     filler_root.variant, filler_root.was_foot)
     root = _replace_at(host.root, address, new_node)
-    step = _step("substitute", address, filler)
     return DerivedTree(root=root, klass=host.klass, env=env,
-                       history=host.history + (step,))
+                       history=host.history + _steps("substitute", address,
+                                                     filler))
 
 
 def adjoin(grammar: Grammar, host: DerivedTree, address,
@@ -324,9 +329,8 @@ def adjoin(grammar: Grammar, host: DerivedTree, address,
                  spliced.children, spliced.surface, spliced.lexeme,
                  spliced.variant, spliced.was_foot)
     root = _replace_at(host.root, address, upper)
-    step = _step("adjoin", address, aux)
     return DerivedTree(root=root, klass=host.klass, env=env,
-                       history=host.history + (step,))
+                       history=host.history + _steps("adjoin", address, aux))
 
 
 def finalize(grammar: Grammar, derived: DerivedTree) -> FinalizeResult:
@@ -358,12 +362,10 @@ def replay(grammar: Grammar, history) -> DerivedTree:
     """Re-execute a derivation trace against the same grammar."""
     derived = None
     for step in history:
+        part = instantiate(grammar, step.tree, step.lexeme, step.variant)
         if step.op == "instantiate":
-            derived = instantiate(grammar, step.tree, step.lexeme, step.variant)
-            continue
-        part = instantiate(grammar, step.tree, step.lexeme, step.variant) \
-            if step.nested is None else replay(grammar, step.nested)
-        if step.op == "substitute":
+            derived = part
+        elif step.op == "substitute":
             derived = substitute(grammar, derived, step.address, part)
         elif step.op == "adjoin":
             derived = adjoin(grammar, derived, step.address, part)
@@ -409,49 +411,33 @@ def _is_subsequence(short, long):
     return all(token in rest for token in short)
 
 
-def fill_sites(grammar: Grammar, derived: DerivedTree, fillers):
-    """Every way to fill the pending sites of `derived` in pre-order,
-    the first site's fillers in the outer loop.  `fillers(label)` gives
-    the trees a site of the label may take; an open filler's own sites
-    are filled in turn, as sites of the host."""
-    sites = derived.pending_sites
-    if not sites:
-        return [derived]
-    address = sites[0]
-    results = []
-    for filler in fillers(derived.node_at(address).label):
-        try:
-            nxt = substitute(grammar, derived, address, filler)
-        except UnificationFailure:
-            continue
-        results.extend(fill_sites(grammar, nxt, fillers))
-    return results
-
-
 def enumerate_derivations(grammar: Grammar, goal_label: str,
                           goal_fs: FeatureStruct, max_steps: int,
                           lexemes=None, frontiers=None, content=()):
-    """Every finalizable derivation within the step bound whose collapsed
-    root features unify with the goal, as (derived, final) pairs.
+    """Every finalizable derivation within the step bound whose root
+    top, the goal unified in, collapses with its bottom, as (derived,
+    final) pairs.
 
     Derivation is top-down (see the module docstring): each step adjoins
     into the part substituted last or fills the first pending site, in
     pre-order, with an instance of the site's label, so a trace lists
-    the parts flat, in pre-order.  The bound counts substitutions plus
-    adjunctions.  `lexemes` optionally restricts which lexemes may
-    anchor trees (the semantic input selects the content words; pass
-    ids for every lexeme the derivation may use).  `content` lists lexeme ids every result
-    anchors exactly as often as listed; a partial derivation that
-    anchors one more often is cut.  `frontiers` optionally maps target
-    frontiers (tuples of anchored tokens) to their own step bounds, each
-    capped by `max_steps`: anchors are then restricted to the targets'
-    tokens (zero forms always pass), and only derivations whose frontier
-    is a target and whose cost is within that target's bound are
-    returned.  One call serves every target, so derivations they share
-    are built once.  Substitution and adjunction only insert tokens, so
-    a partial derivation whose frontier is not a subsequence of some
-    target it can still afford is cut at once.  An anchoring, adjunction
-    or finalization that :func:`_clash` shows must fail is not tried.
+    the parts flat, in pre-order; filling a site first collapses the
+    part it leaves, and cuts the state if that fails.  The bound counts
+    substitutions plus adjunctions.  `lexemes` optionally restricts
+    which lexemes may anchor trees (the semantic input selects the
+    content words; pass ids for every lexeme the derivation may use).
+    `content` lists lexeme ids every result anchors exactly as often as
+    listed; a partial derivation that anchors one more often is cut.
+    `frontiers` optionally maps target frontiers (tuples of anchored
+    tokens) to their own step bounds, each capped by `max_steps`:
+    anchors are then restricted to the targets' tokens (zero forms
+    always pass), and only derivations whose frontier is a target and
+    whose cost is within that target's bound are returned.  One call
+    serves every target, so derivations they share are built once.
+    Substitution and adjunction only insert tokens, so a partial
+    derivation whose frontier is not a subsequence of some target it can
+    still afford is cut at once.  An anchoring, adjunction or
+    finalization that :func:`_clash` shows must fail is not tried.
     Results are deduplicated by (frontier, features) keeping the
     lexicographically least trace, and returned sorted by trace.  The
     goal is checked against the grammar's schema here, where it enters.
@@ -498,8 +484,6 @@ def enumerate_derivations(grammar: Grammar, goal_label: str,
         try:
             final = finalize(grammar, derived)
         except CollapseFailure:
-            return
-        if unify(final.features, goal_fs) is None:
             return
         key = (final.frontier, final.features)
         prior = results.get(key)
@@ -552,14 +536,35 @@ def enumerate_derivations(grammar: Grammar, goal_label: str,
         if site is None:
             return
         address, label = site
+        # the part is finished: collapse its nodes now, as finalize will
+        # (a plane left empty, as at a site, collapses to the other)
+        for prior, node in nodes:
+            if node.top and node.bottom and prior[:len(part)] == part:
+                unified = unify(node.top, node.bottom, env)
+                if unified is None:
+                    return
+                env = unified[1]
+        host = DerivedTree(derived.root, derived.klass, env, derived.history)
         for filler in instances(INITIAL, label):
             try:
-                nxt = substitute(grammar, derived, address, filler)
+                nxt = substitute(grammar, host, address, filler)
             except UnificationFailure:
                 continue
             explore(nxt, cost + 1, address)
 
     for base in instances(INITIAL, goal_label):
+        # the goal enters at the root's top, which an adjunction at the
+        # root keeps, and is checked when the root collapses
+        unified = unify(base.root.top, goal_fs, base.env)
+        if unified is None:
+            continue
+        top, env = unified
+        if top != base.root.top:
+            root = base.root
+            base = DerivedTree(Node(root.label, root.kind, top, root.bottom,
+                                    root.children, root.surface, root.lexeme,
+                                    root.variant, root.was_foot),
+                               base.klass, env, base.history)
         explore(base, 0, ())
 
     ordered = sorted(results.values(), key=lambda pair: pair[0].trace_key())

@@ -148,11 +148,6 @@ class Bindings:
         new[self.root(name)] = value
         return Bindings(new)
 
-    def alias(self, name: str, other: str) -> "Bindings":
-        new = dict(self._map)
-        new[self.root(name)] = self.root(other)
-        return Bindings(new)
-
     def __repr__(self):
         return "Bindings(%r)" % (self._map,)
 
@@ -264,25 +259,23 @@ def _meet_cells(a: Cell, b: Cell, env: Bindings):
         ra, rb = env.root(a.name), env.root(b.name)
         if ra == rb:
             return a, env
-        va, vb = env.value(a), env.value(b)
-        env = env.alias(rb, ra)
-        if va is not None and vb is not None:
-            met = meet(va, vb)
+        # b's class joins a's, its value met into a's, in one copy
+        met, vb = env._map.get(ra), env._map.get(rb)
+        if vb is not None:
+            met = vb if met is None else meet(met, vb)
             if not met:
                 return None
-            return a, env.bind(ra, met)
-        if vb is not None:
-            return a, env.bind(ra, vb)
-        return a, env
+        new = dict(env._map)
+        new[rb] = ra
+        if met is not None:
+            new[ra] = met
+        return a, Bindings(new)
     if b_var:
         a, b = b, a  # now a is the variable, b the subset
-    bound = env.value(a)
-    if bound is None:
-        return a, env.bind(a.name, b)
-    met = meet(bound, b)
-    if not met:
-        return None
-    return a, env.bind(a.name, met)
+    root = env.root(a.name)
+    bound = env._map.get(root)
+    met = b if bound is None else meet(bound, b)
+    return (a, env.bind(root, met)) if met else None
 
 
 def unify(a: FeatureStruct, b: FeatureStruct,

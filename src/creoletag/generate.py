@@ -1,15 +1,15 @@
 """Surface realization from flat semantic specifications.
 
-A noun phrase or a predicate is one derivation search,
+Every request is one derivation search under its goal,
 :func:`creoletag.engine.enumerate_derivations`, over the grammar's own
-trees: the specification's content lexemes anchor it, each exactly
-once, and any other lexeme may come in as a particle wherever the
-grammar lets it.  A sentence fills the sites of the grammar's S-rooted
-trees with the parts that match their own goals.  Derivation reads
-neither lan nor the TMA bundle, so a paradigm table derives once (per
-row for NPs) and filters per dialect: only the goal half keeps the
-derivations whose collapsed features unify with the goal, applies the
-fusion rules and groups the survivors.
+trees: the specification's content lexemes (noun, complement,
+predicate) anchor it, each exactly once, and any other lexeme may come
+in as a particle wherever the grammar lets it.  A sentence is no
+exception: the grammar's S tree carries its parts' features.  A
+paradigm table searches once under the empty goal (per row for NPs),
+which reads neither lan nor the TMA bundle, and filters per dialect:
+the goal half keeps the derivations whose collapsed features unify
+with the goal, applies the fusion rules and groups the survivors.
 
 A request is one goal in every dialect.  How each dialect marks a
 bundle is the grammar's business: the conditional, for one, is the
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import engine
-from .errors import CollapseFailure, InvalidSpec, MissingCell, NoRealization
+from .errors import InvalidSpec, MissingCell, NoRealization
 from .featstruct import EMPTY, Bindings, FeatureStruct, disjoint
 from .grammar import Grammar
 
@@ -128,6 +128,8 @@ def semspec_from_json(data) -> SemSpec:
     if not data:
         raise InvalidSpec("semantic input must be a non-empty JSON object")
     _typed("semantic input", data, {"pred", "args", "tma", "lan"})
+    if "tma" in data and data.get("pred") is None:
+        raise InvalidSpec("a tma needs a pred to mark")
     args = []
     for i, item in enumerate(data.get("args", [])):
         if not isinstance(item, dict) or "lexeme" not in item:
@@ -193,54 +195,29 @@ def fuse_with_sources(entries, lan_set, rules):
 # the categories of the lexemes a SemSpec names; a lexeme of any other
 # category is a particle the search may add wherever the grammar allows
 _CONTENT_CATEGORIES = frozenset(("N", "Nprop", "V"))
-# substitutions plus adjunctions per search, as in criterion 7's oracle
-_MAX_STEPS = 5
+# substitutions plus adjunctions per search, one bound for every category:
+# the shipped grammar's longest sentence takes 9 (a noun phrase 5, a
+# predicate 4)
+_MAX_STEPS = 9
 
 
-def _derivations(grammar, category, spec: SemSpec):
-    """(derived, final) pairs.  An NP or a Pred is one search that
-    anchors each content lexeme of the spec exactly once and reads
-    neither lan nor TMA; a sentence is assembled from such parts."""
-    if category == "S":
-        return _sentences(grammar, spec)
-    if category == "Pred":
-        content = (spec.pred,)
-    else:
-        content = tuple(lexeme_id for lexeme_id in (
-            spec.args[0].lexeme, spec.args[0].complement) if lexeme_id)
+def _finals(grammar, category, spec: SemSpec, goal=EMPTY):
+    """(FinalizeResult, trace) pairs of the one search under `goal` that
+    anchors each content lexeme of the spec (noun, complement,
+    predicate) exactly once.  Under the empty goal they serve every
+    dialect and TMA bundle of the spec's content."""
+    np = spec.args[0] if spec.args else None
+    content = tuple(lexeme_id for lexeme_id in (
+        np and np.lexeme, np and np.complement, spec.pred) if lexeme_id)
     for lexeme_id in content:
         if not grammar.has_lexeme(lexeme_id):
             raise InvalidSpec("unknown lexeme %r" % lexeme_id)
     lexemes = {lexeme.id for lexeme in grammar.lexicon
                if lexeme.category not in _CONTENT_CATEGORIES}
-    return engine.enumerate_derivations(
-        grammar, category, EMPTY, _MAX_STEPS, lexemes=lexemes.union(content),
-        content=content)
-
-
-def _sentences(grammar, spec: SemSpec):
-    """Fill the sites of every unanchored S-rooted initial tree with the
-    parts that match their own goals (the sentence root itself only
-    constrains lan)."""
-    parts = {}
-    for part in (SemSpec(args=spec.args, lan=spec.lan),
-                 SemSpec(pred=spec.pred, tma=spec.tma, lan=spec.lan)):
-        label, goal = _goal_for(grammar, part)
-        parts[label] = [derived for derived, final
-                        in _derivations(grammar, label, part)
-                        if _fits(final.features, goal)]
-    out = []
-    for tree in grammar.initial_trees():
-        if tree.root.label != "S" or tree.anchor_label:
-            continue
-        bare = engine.instance(grammar, tree)
-        for state in engine.fill_sites(grammar, bare,
-                                       lambda label: parts.get(label, ())):
-            try:
-                out.append((state, engine.finalize(grammar, state)))
-            except CollapseFailure:
-                continue
-    return out
+    return [(final, derived.history)
+            for derived, final in engine.enumerate_derivations(
+                grammar, category, goal, _MAX_STEPS,
+                lexemes=lexemes.union(content), content=content)]
 
 
 # --- goals -------------------------------------------------------------------
@@ -264,33 +241,35 @@ def _tma_values(tma: TMA):
             "asp": frozenset(["non" if tma.asp == "none" else tma.asp])}
 
 
+def check_lan(grammar, lan):
+    """Raise InvalidSpec unless every code in `lan` is one of the
+    grammar's dialects."""
+    if "lan" not in grammar.schema:
+        raise InvalidSpec("this grammar has no language attribute left")
+    unknown = lan - grammar.schema.full("lan")
+    if unknown:
+        raise InvalidSpec("unknown language codes: %s"
+                          % ",".join(sorted(unknown)))
+
+
 def _goal_for(grammar, spec: SemSpec):
     """(category, goal FS) for a semantic specification, checked against
     the grammar's schema; one goal serves every dialect."""
     lan = spec.lan
     if lan is not None:
-        if "lan" not in grammar.schema:
-            raise InvalidSpec("this grammar has no language attribute left")
-        unknown = lan - grammar.schema.full("lan")
-        if unknown:
-            raise InvalidSpec("unknown language codes: %s"
-                              % ",".join(sorted(unknown)))
+        check_lan(grammar, lan)
     if spec.pred is None:
         category, goal = "NP", _np_values(spec.args[0])
     elif not spec.args:
         category, goal = "Pred", _tma_values(spec.tma)
     else:
-        category, goal = "S", {}
+        category, goal = "S", {**_np_values(spec.args[0]),
+                               **_tma_values(spec.tma)}
     if lan:
         goal["lan"] = lan
     goal = FeatureStruct(goal)
     grammar.schema.check(goal)
     return category, goal
-
-
-def _fits(features, goal):
-    """Whether finalized, variable-free features unify with the goal."""
-    return disjoint(features, _UNBOUND, goal, _UNBOUND) is None
 
 
 # --- assembling realizations --------------------------------------------------
@@ -307,8 +286,8 @@ def realizations_from_finals(grammar, finals, goal):
     goal_lan = goal.get("lan", lan_full)
     hits = []
     for final, trace in finals:
-        if not _fits(final.features, goal):
-            continue
+        if disjoint(final.features, _UNBOUND, goal, _UNBOUND) is not None:
+            continue  # variable-free: disjoint exactly when unify fails
         if lan_full is not None:
             lan = final.features.get("lan", lan_full) & goal_lan
         else:
@@ -357,21 +336,14 @@ def realizations_from_finals(grammar, finals, goal):
     return kept
 
 
-def _finals(grammar, category, spec: SemSpec):
-    """(FinalizeResult, trace) pairs, the goal half's input.  For NP and
-    Pred they serve every dialect and TMA bundle."""
-    return [(final, derived.history)
-            for derived, final in _derivations(grammar, category, spec)]
-
-
 def generate(grammar: Grammar, spec: SemSpec, finals=None):
     """All maximal realizations of a semantic specification, merged and
     deterministically ordered.  Raises NoRealization when nothing derives.
-    Given `finals` (of a spec differing at most in lan and TMA), skip to
-    the goals."""
+    Given `finals` of a goal-free search for the same content lexemes,
+    as the tables make them, skip to the goals."""
     category, goal = _goal_for(grammar, spec)
     if finals is None:
-        finals = _finals(grammar, category, spec)
+        finals = _finals(grammar, category, spec, goal)
     out = realizations_from_finals(grammar, finals, goal)
     if not out:
         raise NoRealization("nothing derives the requested specification")

@@ -29,6 +29,9 @@ from .grammar import Grammar
 from .specialize import project_language
 
 GOALS = ("NP", "S", "Pred", "N")
+# steps a derivation may take beyond one per target token: substituted
+# trees no token anchors (an NP under S) and zero forms
+_EXTRA_STEPS = 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,13 +132,13 @@ def _choose_candidates(per_token_candidates):
     return tuple(chosen)
 
 
-def _search(grammar, tokens, goal, max_extra=2):
+def _search(grammar, tokens, goal):
     """(derived, final, lan, merged) for every derivation in `grammar`
     whose post-fusion frontier is `tokens`, in the search's trace order
     (:func:`_sorted_analyses` orders the analyses).  `merged` pairs each
     input token with its (lexeme, variant index) sources."""
     decomps = _decompositions(tokens, grammar.fusion_rules)
-    frontiers = {decomp: len(decomp) + max_extra for decomp in decomps}
+    frontiers = {decomp: len(decomp) + _EXTRA_STEPS for decomp in decomps}
     derivations = engine.enumerate_derivations(
         grammar, goal, EMPTY, max(frontiers.values()), frontiers=frontiers)
     full = grammar.schema.full("lan") if "lan" in grammar.schema else None

@@ -49,8 +49,9 @@ class TestGenerate:
         {"args": [{"lexeme": "TABLE"}], "lan": []},
         {"args": [{"lexeme": "TABLE", "nbr": 2}]},
         {"pred": "DANCE", "tma": {"asp": 1}},
+        {"args": [{"lexeme": "DOG", "spe": True}], "tma": {"pas": True}},
     ], ids=["flag-string", "lan-string", "lan-empty", "nbr-number",
-            "asp-number"])
+            "asp-number", "tma-without-pred"])
     def test_mistyped_json_is_bad_input(self, sem_file, capsys, data):
         assert main(["generate", "--sem", sem_file(data)]) == 3
         assert capsys.readouterr().out == ""
@@ -65,6 +66,21 @@ class TestGenerate:
         out, err = capsys.readouterr()
         assert out == ""
         assert "empty language code at %s" % entries in err
+
+    @pytest.mark.parametrize("data, lan, message", [
+        ({"pred": "DANCE", "lan": ["HT"]}, "HT,XX",
+         "unknown language codes: XX"),
+        ({"pred": "DANCE"}, "HT,XX", "unknown language codes: XX"),
+        ({"pred": "DANCE", "lan": ["XX"]}, "HT", "unknown language codes: XX"),
+        ({"pred": "DANCE", "lan": ["HT"]}, "GP,MQ",
+         "--lan GP,MQ shares no dialect with the input's lan HT"),
+    ], ids=["unknown-beside-input", "unknown", "unknown-in-input", "disjoint"])
+    def test_lan_flag_is_checked_before_intersecting(self, sem_file, capsys,
+                                                     data, lan, message):
+        assert main(["generate", "--sem", sem_file(data), "--lan", lan]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message in err
 
     def test_no_realization(self, sem_file, capsys):
         path = sem_file({"pred": "DANCE",

@@ -357,6 +357,35 @@ class TestReplayAndOrder:
         assert engine.finalize(grammar, replayed).features == \
             engine.finalize(grammar, derived).features
 
+    def test_spliced_parts_record_their_steps_flat(self, grammar):
+        """A part built in several steps and spliced whole adds its steps
+        to the host's trace, re-addressed under the site, and the flat
+        trace replays to the same tree."""
+        se_tab_la = engine.adjoin(  # a two-step auxiliary part
+            grammar, engine.instantiate(grammar, "aux-Spec-Art", "ART", 0),
+            (), engine.instantiate(grammar, "aux-Plur-gpmq", "PLUR_SE", 0))
+        noun = engine.adjoin(
+            grammar, engine.instantiate(grammar, "alpha-N", "TABLE", 0), (),
+            se_tab_la)
+        np = engine.substitute(
+            grammar, engine.instantiate(grammar, "alpha-NP-full"), (0,), noun)
+        s = engine.substitute(grammar, engine.instantiate(grammar, "alpha-S"),
+                              (0,), np)
+        s = engine.substitute(
+            grammar, s, (1,),
+            engine.instantiate(grammar, "alpha-Pred", "DANCE", 1))
+        assert [(step.op, step.tree, step.address) for step in s.history] == [
+            ("instantiate", "alpha-S", ()),
+            ("substitute", "alpha-NP-full", (0,)),
+            ("substitute", "alpha-N", (0, 0)),
+            ("adjoin", "aux-Spec-Art", (0, 0)),
+            ("adjoin", "aux-Plur-gpmq", (0, 0)),
+            ("substitute", "alpha-Pred", (1,))]
+        final = engine.finalize(grammar, s)
+        assert final.frontier == ("sé", "tab", "la", "dansé")
+        assert engine.finalize(grammar, engine.replay(grammar, s.history)) \
+            == final
+
     def test_adjunction_order_independence(self, grammar):
         """Adjunctions at distinct addresses commute."""
         s1 = self._sentence(grammar, np_first=True)

@@ -208,7 +208,7 @@ def planes(draw):
         var = dom.name + "A"
         cells[dom.name] = Var(var)
         if how.startswith("aliased"):
-            env = env.alias(var, dom.name + "B")
+            env = env.bind(var, dom.name + "B")  # B is unbound
         if how in ("bound", "aliased-bound"):
             env = env.bind(var, draw(subsets))
     return FeatureStruct(cells), env

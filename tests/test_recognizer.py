@@ -65,6 +65,15 @@ class TestRecognize:
                             (frozenset("+"), frozenset({"HT"}))}
         assert identify_dialect(grammar, "ta danse") == frozenset({"HT"})
 
+    def test_sentence_keeps_both_readings_of_ta(self, grammar):
+        # the sentence states its predicate's features, so the
+        # conditional and the irrealis are two analyses, not one
+        readings = [(a.features["cnd"], a.features["pas"], a.features["psp"])
+                    for a in recognize(grammar, "zwazo yo ta danse", "S")]
+        plus, minus = frozenset("+"), frozenset("-")
+        assert sorted(readings) == sorted([(plus, minus, minus),
+                                           (minus, plus, plus)])
+
     def test_soundness_replay(self, grammar):
         """Every unmixed analysis replays to the input string."""
         for text, goal in (("sé tab la", "NP"), ("moun sa yo", "NP"),
@@ -307,3 +316,45 @@ class TestRoundTripProperty:
         final = engine.finalize(grammar, engine.replay(grammar, analysis.trace))
         return tuple(apply_fusion(list(final.frontier), analysis.lan_set,
                                   grammar.fusion_rules)) == tokens
+
+
+@pytest.fixture(scope="module")
+def specialized(grammar):
+    return {dialect: specialize(grammar, dialect) for dialect in DIALECTS}
+
+
+class TestDialectsOfASentence:
+    """The paper's claim on the recognition side: the dialects of a
+    generated sentence's unmixed analyses are exactly the dialects whose
+    specialized grammar recognizes it."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(noun=st.sampled_from(("PERSON", "TABLE", "DOG", "BIRD")),
+           nbr=st.sampled_from(NUMBERS),
+           determination=st.sampled_from(((False, False), (True, False),
+                                          (True, True))),
+           complement=st.sampled_from((None, "SAINT-THOMAS",
+                                       "SAINT-LAURENT")),
+           tma=st.sampled_from(_bundles()))
+    def test_union_of_unmixed_analyses(self, grammar, specialized, noun, nbr,
+                                       determination, complement, tma):
+        spe, dem = determination
+        spec = SemSpec(pred="DANCE", tma=tma, args=(NPSpec(
+            noun, nbr=nbr, spe=spe, dem=dem, complement=complement),))
+        try:
+            realizations = generate(grammar, spec)
+        except NoRealization:
+            return
+        for tokens in {tokens for real in realizations
+                       for tokens in (real.tokens,) + real.alternatives}:
+            unmixed = frozenset().union(*(
+                a.lan_set for a in recognize(grammar, tokens, "S")
+                if not a.mixed))
+            recognizing = set()
+            for dialect, own in specialized.items():
+                try:
+                    recognize(own, tokens, "S")
+                except NoAnalysis:
+                    continue
+                recognizing.add(dialect)
+            assert unmixed == recognizing, " ".join(tokens)
