@@ -14,7 +14,7 @@ A feature clause ``(attr v1 v2)`` binds the attribute to the subset
 {v1, v2}; ``(attr $X)`` binds it to a variable; an absent attribute is
 unspecified.  Comments run from ``;`` to end of line.  Creole
 orthography uses precomposed characters, and surface tokens compare
-byte-exactly, so files must stay NFC-normalized UTF-8.
+byte-exactly, so a quoted string that is not NFC is a syntax error.
 
 Serialization is canonical: domains, then trees sorted by name, then
 the lexicon sorted by id; attribute lists alphabetical; value sets in
@@ -24,6 +24,7 @@ structurally equal grammar.
 
 from __future__ import annotations
 
+import unicodedata
 from dataclasses import dataclass
 
 from .errors import GrammarSyntaxError, ValidationError
@@ -96,8 +97,11 @@ def _tokenize(text):
                                          start_line, start_col)
             i += 1
             col += 1
-            yield (Atom("".join(buf), start_line, start_col, quoted=True),
-                   start_line, start_col)
+            atom = Atom("".join(buf), start_line, start_col, quoted=True)
+            if not unicodedata.is_normalized("NFC", atom.text):
+                raise GrammarSyntaxError("string is not NFC-normalized",
+                                         start_line, start_col)
+            yield (atom, start_line, start_col)
             continue
         start_line, start_col = line, col
         buf = []

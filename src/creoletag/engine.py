@@ -406,14 +406,9 @@ def _instantiations(grammar, tree, lexemes, vocabulary):
     return out
 
 
-def _is_subsequence(short, long):
-    rest = iter(long)
-    return all(token in rest for token in short)
-
-
 def enumerate_derivations(grammar: Grammar, goal_label: str,
                           goal_fs: FeatureStruct, max_steps: int,
-                          lexemes=None, frontiers=None, content=()):
+                          lexemes=None, targets=None, content=()):
     """Every finalizable derivation within the step bound whose root
     top, the goal unified in, collapses with its bottom, as (derived,
     final) pairs.
@@ -428,27 +423,18 @@ def enumerate_derivations(grammar: Grammar, goal_label: str,
     content words; pass ids for every lexeme the derivation may use).
     `content` lists lexeme ids every result anchors exactly as often as
     listed; a partial derivation that anchors one more often is cut.
-    `frontiers` optionally maps target frontiers (tuples of anchored
-    tokens) to their own step bounds, each capped by `max_steps`:
-    anchors are then restricted to the targets' tokens (zero forms
-    always pass), and only derivations whose frontier is a target and
-    whose cost is within that target's bound are returned.  One call
-    serves every target, so derivations they share are built once.
-    Substitution and adjunction only insert tokens, so a partial
-    derivation whose frontier is not a subsequence of some target it can
-    still afford is cut at once.  An anchoring, adjunction or
-    finalization that :func:`_clash` shows must fail is not tried.
+    `targets` optionally bounds the search by frontier, the anchored
+    tokens: anchors spell only `targets.tokens` (zero forms always pass),
+    and `targets.bounds(frontier)` gives (own, reach), own <= reach, each
+    capped by `max_steps`: a derivation is returned within own steps and
+    explored further within reach (-1: never).  An anchoring, adjunction
+    or finalization that :func:`_clash` shows must fail is not tried.
     Results are deduplicated by (frontier, features) keeping the
     lexicographically least trace, and returned sorted by trace.  The
     goal is checked against the grammar's schema here, where it enters.
     """
     grammar.schema.check(goal_fs)
-    vocabulary = None
-    if frontiers is not None:
-        frontiers = {f: min(bound, max_steps) for f, bound in frontiers.items()}
-        vocabulary = set().union(*frontiers)
-        widest_first = sorted(frontiers.items(), key=lambda item: -item[1])
-        reach = {}  # frontier -> largest bound of a target that contains it
+    vocabulary = None if targets is None else targets.tokens
     schema, code = grammar.schema, grammar.schema.code
     cache = {}
 
@@ -495,22 +481,14 @@ def enumerate_derivations(grammar: Grammar, goal_label: str,
         extra = surplus(nodes)
         if any(n > 0 for n in extra):
             return
-        if frontiers is None:
+        own = bound = max_steps
+        if targets is not None:
+            own, bound = targets.bounds(tuple(
+                node.surface for _, node in nodes
+                if node.kind == ANCHOR and node.surface))
+        if cost <= min(own, max_steps):
             consider(derived, extra)
-            bound = max_steps
-        else:
-            frontier = tuple(node.surface for _, node in nodes
-                             if node.kind == ANCHOR and node.surface)
-            if frontier not in reach:
-                reach[frontier] = next(
-                    (b for target, b in widest_first
-                     if _is_subsequence(frontier, target)), -1)
-            bound = reach[frontier]
-            if cost > bound:
-                return
-            if cost <= frontiers.get(frontier, -1):
-                consider(derived, extra)
-        if cost >= bound:
+        if cost >= min(bound, max_steps):
             return
         env = derived.env
         site = None

@@ -1,12 +1,9 @@
 """Recognition and dialect identification over the shipped grammar.
 
-Fused Haitian forms are first expanded by reverse fusion lookup (tap ->
-te ap), which gives every decomposition of the input.  One derivation
-search then serves them all: each decomposition is a target frontier
-with a step bound tied to its token count, and partial derivations that
-no target can still contain are cut.  Each hit is fused once, carrying
-the (lexeme, variant) sources of every token, and is kept when its fused
-frontier equals the input.
+Fusion is undone on a lattice whose paths spell the decompositions of
+the input (tap -> te ap), and one derivation search serves every path.
+Each hit is fused once, carrying the (lexeme, variant) sources of every
+token, and is kept when its fused frontier equals the input.
 
 The hits become analyses in one place, with the language set consistent
 with the whole string and with each word.  When no language-consistent
@@ -19,7 +16,9 @@ report of which dialects each word belongs to.
 
 from __future__ import annotations
 
+import unicodedata
 from dataclasses import dataclass
+from functools import reduce
 
 from . import engine
 from .errors import InvalidSpec, NoAnalysis
@@ -29,8 +28,8 @@ from .grammar import Grammar
 from .specialize import project_language
 
 GOALS = ("NP", "S", "Pred", "N")
-# steps a derivation may take beyond one per target token: substituted
-# trees no token anchors (an NP under S) and zero forms
+# steps a derivation may take beyond one per token of a lattice path:
+# substituted trees no token anchors (an NP under S) and zero forms
 _EXTRA_STEPS = 2
 
 
@@ -54,28 +53,52 @@ class MixedReport:
 def _as_tokens(tokens):
     if isinstance(tokens, str):
         tokens = tokens.split()
-    tokens = tuple(tokens)
+    # the grammar spells its tokens in NFC, and tokens compare exactly
+    tokens = tuple(unicodedata.normalize("NFC", token) for token in tokens)
     if not tokens:
         raise InvalidSpec("token string must not be empty")
     return tokens
 
 
-def _decompositions(tokens, rules):
-    """All ways to undo fusion replacements anywhere in the string."""
-    results = set()
+class FusionLattice:
+    """Every decomposition of a token string, as a DAG over its positions:
+    fusion inversion composed with the input (Kaplan & Kay, CL 1994).
+    From position i one edge reads tokens[i], and one the pattern of each
+    rule whose replacement starts at i."""
 
-    def rec(i, acc):
-        if i == len(tokens):
-            results.add(tuple(acc))
-            return
-        rec(i + 1, acc + [tokens[i]])
-        for rule in rules:
-            width = len(rule.replacement)
-            if tuple(tokens[i:i + width]) == rule.replacement:
-                rec(i + width, acc + list(rule.pattern))
+    def __init__(self, tokens, rules):
+        self._edges = [[((token,), i + 1)] + [
+            (rule.pattern, i + len(rule.replacement)) for rule in rules
+            if tokens[i:i + len(rule.replacement)] == rule.replacement]
+            for i, token in enumerate(tokens)]
+        self.tokens = frozenset(token for edges in self._edges
+                                for label, _ in edges for token in label)
+        self._bounds = {}
 
-    rec(0, [])
-    return sorted(results, key=lambda d: (len(d), d))
+    def bounds(self, frontier):
+        """(own, reach): the step bound of `frontier` as a whole path and
+        that of the longest path it is a subsequence of, -1 for none."""
+        if frontier not in self._bounds:
+            width = len(frontier)
+            # per position: frontier tokens matched greedily on a path
+            # there -> (fewest, most) tokens such a path reads
+            reached = [{0: (0, 0)}] + [{} for _ in self._edges]
+            for edges, here in zip(self._edges, reached):
+                for matched, (fewest, most) in here.items():
+                    for label, end in edges:
+                        after = matched
+                        for token in label:
+                            if after < width and frontier[after] == token:
+                                after += 1
+                        short, long = fewest + len(label), most + len(label)
+                        low, high = reached[end].get(after, (short, long))
+                        reached[end][after] = (low if low < short else short,
+                                               high if high > long else long)
+            whole = reached[-1].get(width)
+            self._bounds[frontier] = (-1, -1) if whole is None else (
+                width + _EXTRA_STEPS if whole[0] == width else -1,
+                whole[1] + _EXTRA_STEPS)
+        return self._bounds[frontier]
 
 
 def _variant_lan(grammar, lexeme_id, index):
@@ -84,10 +107,7 @@ def _variant_lan(grammar, lexeme_id, index):
 
 
 def _meet_all(sets):
-    out = None
-    for s in sets:
-        out = s if out is None else meet(out, s)
-    return out if out is not None else frozenset()
+    return reduce(meet, sets) if sets else frozenset()
 
 
 def _sources_lan(grammar, sources):
@@ -132,15 +152,12 @@ def _choose_candidates(per_token_candidates):
     return tuple(chosen)
 
 
-def _search(grammar, tokens, goal):
-    """(derived, final, lan, merged) for every derivation in `grammar`
-    whose post-fusion frontier is `tokens`, in the search's trace order
-    (:func:`_sorted_analyses` orders the analyses).  `merged` pairs each
-    input token with its (lexeme, variant index) sources."""
-    decomps = _decompositions(tokens, grammar.fusion_rules)
-    frontiers = {decomp: len(decomp) + _EXTRA_STEPS for decomp in decomps}
+def _search(grammar, tokens, targets, goal):
+    """(derived, final, lan, merged), in trace order, for every derivation
+    in `grammar` along a path of `targets` that fuses to `tokens`; `merged`
+    pairs each input token with its (lexeme, variant index) sources."""
     derivations = engine.enumerate_derivations(
-        grammar, goal, EMPTY, max(frontiers.values()), frontiers=frontiers)
+        grammar, goal, EMPTY, targets.bounds(())[1], targets=targets)
     full = grammar.schema.full("lan") if "lan" in grammar.schema else None
     hits = []
     for derived, final in derivations:
@@ -149,9 +166,8 @@ def _search(grammar, tokens, goal):
             [(token, ((lexeme, variant),))
              for token, lexeme, variant in final.lexical],
             lan, grammar.fusion_rules)
-        if tuple(token for token, _ in merged) != tokens:
-            continue
-        hits.append((derived, final, lan, merged))
+        if tuple(token for token, _ in merged) == tokens:
+            hits.append((derived, final, lan, merged))
     return hits
 
 
@@ -176,10 +192,12 @@ def recognize(grammar: Grammar, tokens, goal: str = "NP"):
         raise InvalidSpec("goal must be one of %s" % (GOALS,))
 
     has_lan = "lan" in grammar.schema
-    hits = _search(grammar, tokens, goal)
+    # the relaxed projection keeps every fusion rule: one lattice serves both
+    targets = FusionLattice(tokens, grammar.fusion_rules)
+    hits = _search(grammar, tokens, targets, goal)
     relaxed = not hits and has_lan
     if relaxed:
-        hits = _search(_relaxed(grammar), tokens, goal)
+        hits = _search(_relaxed(grammar), tokens, targets, goal)
     if not hits:
         raise NoAnalysis("no derivation covers %r" % " ".join(tokens))
 

@@ -1,10 +1,12 @@
 """Grammar format: loading, validation findings, canonical serialization."""
 
+import unicodedata
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from creoletag.creole import grammar_text
+from creoletag.creole import golden_path, grammar_text
 from creoletag.dsl import load_grammar, parse_forms, serialize
 from creoletag.errors import GrammarSyntaxError, ValidationError
 from creoletag.grammar import validate
@@ -86,6 +88,22 @@ class TestSyntaxErrors:
         """
         with pytest.raises(GrammarSyntaxError):
             load_grammar(text)
+
+    def test_decomposed_string_rejected(self):
+        # a string in NFD spells a token no NFC input matches
+        text = grammar_text()
+        assert unicodedata.is_normalized("NFC", text)
+        assert all(unicodedata.is_normalized(
+            "NFC", golden_path(name).read_text(encoding="utf-8"))
+            for name in ("np", "tma"))
+        at = text.index('"dansé"')
+        text = text.replace('"dansé"',
+                            unicodedata.normalize("NFD", '"dansé"'))
+        with pytest.raises(GrammarSyntaxError) as raised:
+            load_grammar(text)
+        line = text.count("\n", 0, at) + 1
+        assert (raised.value.line, raised.value.column) == \
+            (line, at - text.rfind("\n", 0, at))
 
     def test_unquoted_surface_rejected(self):
         with pytest.raises(GrammarSyntaxError):

@@ -16,7 +16,7 @@ from creoletag.featstruct import (EMPTY, AttributeDomain, FeatureStruct, Var,
 from creoletag.generate import (TMA, NPSpec, SemSpec, generate, golden_corpus,
                                 table_tma)
 from creoletag.grammar import Grammar
-from creoletag.recognize import _decompositions, recognize
+from creoletag.recognize import FusionLattice, recognize
 from creoletag.trees import ANCHOR, AUXILIARY, FOOT, INITIAL, SUBST, Node
 
 TOY = """
@@ -476,16 +476,13 @@ class TestEnumeration:
 
 
 def _saturate_then_adjoin(grammar, goal_label, goal_fs, max_steps,
-                          lexemes=None, frontiers=None, content=()):
+                          lexemes=None, targets=None, content=()):
     """The (frontier, features) pairs of a second search, the oracle of
     the top-down one: every site is filled first, recursively, with no
     adjunction, and adjunction then goes anywhere in the tree, so
     adjunctions in different parts are tried in every interleaving.  It
     tries every operation, with no clash pretest."""
-    vocabulary = None
-    if frontiers is not None:
-        frontiers = {f: min(bound, max_steps) for f, bound in frontiers.items()}
-        vocabulary = set().union(*frontiers)
+    vocabulary = None if targets is None else targets.tokens
     trees = {}
 
     def instances(klass, label):
@@ -534,13 +531,11 @@ def _saturate_then_adjoin(grammar, goal_label, goal_fs, max_steps,
             return
         frontier = tuple(node.surface for _, node in derived.root.walk()
                          if node.kind == ANCHOR and node.surface)
-        if frontiers is None:
+        if targets is None:
             bound = own_bound = max_steps
         else:
-            bound = max((b for target, b in frontiers.items()
-                         if engine._is_subsequence(frontier, target)),
-                        default=-1)
-            own_bound = frontiers.get(frontier, -1)
+            own_bound, bound = (min(b, max_steps)
+                                for b in targets.bounds(frontier))
         if cost > bound:
             return
         if cost <= own_bound and all(anchored.count(l) == content.count(l)
@@ -609,12 +604,11 @@ class TestTopDownSearch:
                           for r in generate(grammar, spec))
         assert sum(goal == "S" for _, goal in inputs) >= 8
         for text, goal in sorted(inputs):
-            decomps = _decompositions(tuple(text.split()),
-                                      grammar.fusion_rules)
-            frontiers = {d: len(d) + 2 for d in decomps}
+            targets = FusionLattice(tuple(text.split()),
+                                    grammar.fusion_rules)
             top_down, oracle = self._both(grammar, goal,
-                                          max(frontiers.values()),
-                                          frontiers=frontiers)
+                                          targets.bounds(())[1],
+                                          targets=targets)
             assert top_down and top_down == oracle, text
 
 

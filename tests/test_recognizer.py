@@ -2,6 +2,8 @@
 
 import gc
 import itertools
+import tracemalloc
+import unicodedata
 import weakref
 
 import pytest
@@ -17,7 +19,9 @@ from creoletag.featstruct import EMPTY, FeatureStruct, unify
 from creoletag.generate import (ASPECTS, NUMBERS, TMA, NPSpec, SemSpec,
                                 _goal_for, apply_fusion, fuse_with_sources,
                                 generate)
-from creoletag.recognize import MixedReport, identify_dialect, recognize
+from creoletag.grammar import FusionRule
+from creoletag.recognize import (FusionLattice, MixedReport, identify_dialect,
+                                 recognize)
 from creoletag.specialize import specialize
 
 
@@ -97,6 +101,27 @@ class TestRecognize:
         assert engine_calls["adjoin"] <= 216
         assert engine_calls["finalize"] == 0
 
+    def test_ladder_work_is_bounded(self, fresh_grammar, engine_calls):
+        # a list of the ladder's 5^7 decompositions peaked at 60 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(NoAnalysis):
+                recognize(fresh_grammar, "ta vap " * 7 + "danse", "Pred")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert engine_calls["instantiate"] == 16
+        assert engine_calls["adjoin"] == 43
+
+    def test_decomposed_accents(self, grammar):
+        decomposed = unicodedata.normalize("NFD", "té ka dansé")
+        assert decomposed != "té ka dansé"
+        assert recognize(grammar, decomposed, "Pred") == \
+            recognize(grammar, "té ka dansé", "Pred")
+        assert identify_dialect(grammar, decomposed) == \
+            frozenset({"GF", "GP", "MQ"})
+
     @pytest.mark.parametrize("text, adjunctions", [
         ("zwazo yo ta vap danse", 78), ("sé zozyo la té ka dansé", 40)])
     def test_sentence_tries_one_interleaving(self, fresh_grammar,
@@ -130,12 +155,94 @@ class TestRecognize:
         assert ref() is None
 
 
-def _per_decomposition_search(grammar, tokens, goal, max_extra=2):
-    """One blind search per decomposition, kept apart by lexemes only."""
+def _decompositions(tokens, rules):
+    """Every way to undo fusion replacements anywhere in the string,
+    listed: the reference the lattice is checked against."""
+    results = set()
+
+    def rec(i, acc):
+        if i == len(tokens):
+            results.add(tuple(acc))
+            return
+        rec(i + 1, acc + [tokens[i]])
+        for rule in rules:
+            width = len(rule.replacement)
+            if tuple(tokens[i:i + width]) == rule.replacement:
+                rec(i + width, acc + list(rule.pattern))
+
+    rec(0, [])
+    return sorted(results, key=lambda d: (len(d), d))
+
+
+def _is_subsequence(short, long):
+    rest = iter(long)
+    return all(token in rest for token in short)
+
+
+class _Targets:
+    """Target frontiers mapped to their own step bounds; a frontier
+    reaches the largest bound of a target it is a subsequence of."""
+
+    def __init__(self, own):
+        self._own = own
+        self.tokens = frozenset().union(*own)
+
+    def bounds(self, frontier):
+        return (self._own.get(frontier, -1),
+                max((bound for target, bound in self._own.items()
+                     if _is_subsequence(frontier, target)), default=-1))
+
+
+class TestFusionLattice:
+    """The lattice bounds a frontier as the list of every decomposition
+    does."""
+
+    @staticmethod
+    def _listed(tokens, rules):
+        extra = recognize_module._EXTRA_STEPS
+        return _Targets({decomp: len(decomp) + extra
+                         for decomp in _decompositions(tokens, rules)})
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_bounds_match_enumeration(self, grammar, data):
+        rules = grammar.fusion_rules
+        vocabulary = sorted({token for rule in rules
+                             for token in rule.pattern + rule.replacement}
+                            | {"danse"})
+        tokens = tuple(data.draw(st.lists(st.sampled_from(vocabulary),
+                                          min_size=1, max_size=6)))
+        listed = self._listed(tokens, rules)
+        lattice = FusionLattice(tokens, rules)
+        assert lattice.tokens == listed.tokens
+        path = data.draw(st.sampled_from(_decompositions(tokens, rules)))
+        kept = data.draw(st.lists(st.booleans(), min_size=len(path),
+                                  max_size=len(path)))
+        frontiers = [(), path, tuple(t for t, keep in zip(path, kept) if keep),
+                     tuple(data.draw(st.lists(st.sampled_from(vocabulary),
+                                              max_size=8)))]
+        for frontier in frontiers:
+            assert lattice.bounds(frontier) == listed.bounds(frontier), \
+                frontier
+
+    def test_whole_path_inside_a_longer_one(self):
+        # the path "danse" is a subsequence of the path "te danse"
+        rules = (FusionRule(("te", "danse"), ("danse",)),)
+        lattice = FusionLattice(("danse",), rules)
+        listed = self._listed(("danse",), rules)
+        for frontier in (("danse",), ("te",), ("te", "danse"),
+                         ("danse", "te")):
+            assert lattice.bounds(frontier) == listed.bounds(frontier)
+        own, reach = lattice.bounds(("danse",))
+        assert own < reach
+
+
+def _per_decomposition_search(grammar, tokens, targets, goal, max_extra=2):
+    """One blind search per decomposition, kept apart by lexemes only;
+    the lattice `targets` is not read."""
     hits = []
     full = grammar.schema.full("lan") if "lan" in grammar.schema else None
-    for decomp in recognize_module._decompositions(tokens,
-                                                   grammar.fusion_rules):
+    for decomp in _decompositions(tokens, grammar.fusion_rules):
         lexemes = {lexeme.id for lexeme in grammar.lexicon
                    if any(not v.surface or v.surface in decomp
                           for v in lexeme.variants)}
@@ -173,10 +280,11 @@ def test_one_search_matches_per_decomposition_oracle(grammar, monkeypatch):
     # target, zero forms (danse + a zero aspect) add analyses
     targets = {("danse",): 0, ("te", "danse"): 2}
     together = engine.enumerate_derivations(grammar, "Pred", EMPTY, 2,
-                                            frontiers=targets)
+                                            targets=_Targets(targets))
     apart = [pair for target, bound in targets.items()
              for pair in engine.enumerate_derivations(
-                 grammar, "Pred", EMPTY, bound, frontiers={target: bound})]
+                 grammar, "Pred", EMPTY, bound,
+                 targets=_Targets({target: bound}))]
     assert sorted(d.trace_key() for d, _ in together) == \
         sorted(d.trace_key() for d, _ in apart)
 
