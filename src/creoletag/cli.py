@@ -56,12 +56,6 @@ def _load(path):
     return load_grammar(_file(path, "grammar")) if path else shipped_grammar()
 
 
-def _lan_key(grammar):
-    order = {code: i for i, code in enumerate(
-        grammar.schema.domain("lan").values)}
-    return lambda code: order.get(code, 99)
-
-
 def cmd_generate(args):
     grammar = _load(args.grammar)
     spec = semspec_from_json(_file(args.sem, "semantic input",
@@ -76,7 +70,7 @@ def cmd_generate(args):
         given = spec.lan or frozenset()
         check_lan(grammar, requested | given)
         if given and not given & requested:
-            key = _lan_key(grammar)
+            key = grammar.schema.sort_key("lan")
             raise InvalidSpec("--lan %s shares no dialect with the input's "
                               "lan %s" % (",".join(sorted(requested, key=key)),
                                           ",".join(sorted(given, key=key))))
@@ -86,7 +80,7 @@ def cmd_generate(args):
     except NoRealization as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_NO_RESULT
-    key = _lan_key(grammar) if "lan" in grammar.schema else None
+    key = grammar.schema.sort_key("lan") if "lan" in grammar.schema else None
     for real in realizations:
         lan = ",".join(sorted(real.lan_set, key=key)) if key else "-"
         line = "%s\t%s" % (" ".join(real.tokens), lan)
@@ -175,10 +169,10 @@ def cmd_recognize(args):
     except NoAnalysis as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_NO_RESULT
-    key = _lan_key(grammar) if "lan" in grammar.schema else None
 
-    def codes(s):
-        return sorted(s, key=key) if key else sorted(s)
+    def codes(values, attr="lan"):  # a grammar without lan has empty sets
+        return sorted(values, key=grammar.schema.sort_key(attr)) \
+            if values else []
 
     for analysis in analyses:
         record = {
@@ -187,8 +181,8 @@ def cmd_recognize(args):
             "lan_set": codes(analysis.lan_set),
             "per_token_lan": [codes(s) for s in analysis.per_token_lan],
             "mixed": analysis.mixed,
-            "features": {attr: codes(cell) if isinstance(cell, frozenset)
-                         else str(cell)
+            "features": {attr: codes(cell, attr)
+                         if isinstance(cell, frozenset) else str(cell)
                          for attr, cell in analysis.features.items()},
         }
         print(json.dumps(record, ensure_ascii=False, sort_keys=True))

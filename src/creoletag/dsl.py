@@ -332,9 +332,6 @@ def load_grammar(text: str) -> Grammar:
                                          form.line, form.col)
             values = tuple(_want_atom(a, "domain value").text
                            for a in form.items[2].items)
-            if not values:
-                raise GrammarSyntaxError("domain %r has no values" % name,
-                                         form.line, form.col)
             try:
                 domains.append(AttributeDomain(name=name, values=values))
             except ValueError as exc:
@@ -365,12 +362,8 @@ def _quote(text: str) -> str:
 def _fmt_cell(grammar, attr, cell):
     if isinstance(cell, Var):
         return "(%s $%s)" % (attr, cell.name)
-    if attr in grammar.schema:
-        order = {v: i for i, v in enumerate(grammar.schema.domain(attr).values)}
-        values = sorted(cell, key=lambda v: order.get(v, len(order)))
-    else:
-        values = sorted(cell)
-    return "(%s %s)" % (attr, " ".join(values))
+    key = grammar.schema.sort_key(attr) if attr in grammar.schema else None
+    return "(%s %s)" % (attr, " ".join(sorted(cell, key=key)))
 
 
 def _fmt_fs(grammar, fs):
@@ -415,12 +408,8 @@ def serialize(grammar: Grammar) -> str:
         out[-1] += ")"
         out.append("")
     for rule in grammar.fusion_rules:
-        guard = ""
-        if rule.lan is not None:
-            order = {v: i for i, v in enumerate(
-                grammar.schema.domain("lan").values)} if "lan" in grammar.schema else {}
-            codes = sorted(rule.lan, key=lambda v: order.get(v, len(order)))
-            guard = "(lan %s) " % " ".join(codes)
+        guard = "" if rule.lan is None else _fmt_cell(grammar, "lan",
+                                                      rule.lan) + " "
         out.append("(fuse %s(%s) (%s))"
                    % (guard,
                       " ".join(_quote(t) for t in rule.pattern),

@@ -382,6 +382,35 @@ def _clash(schema, a, b, env=None) -> bool:
         _disjoint(a, env, b, env) is not None
 
 
+def _layout(nodes, part, splittable):
+    """The frontier of a tree's pre-order `nodes`, and its gaps: an int
+    whose bit i is set where a later step may bring tokens in before
+    frontier token i (bit len(frontier): after the last).  That is at a
+    pending site, or at either edge of the yield of a node an adjunction
+    may still split, one in the open `part` whose label is in
+    `splittable`.  Elsewhere tokens adjacent now stay adjacent: an
+    adjunction inserts material only around the yield of the node it
+    splits (Vijay-Shanker & Joshi, ACL 1985)."""
+    frontier, gaps, open_depths = [], 0, []
+    for address, node in nodes:
+        while open_depths and open_depths[-1] >= len(address):
+            open_depths.pop()  # the yield of a splittable node ends here
+            gaps |= 1 << len(frontier)
+        if node.kind == INTERNAL:
+            if not node.was_foot and node.label in splittable and \
+                    address[:len(part)] == part:
+                gaps |= 1 << len(frontier)
+                open_depths.append(len(address))
+        elif node.kind == ANCHOR:
+            if node.surface:
+                frontier.append(node.surface)
+        elif node.kind == SUBST:
+            gaps |= 1 << len(frontier)
+    if open_depths:
+        gaps |= 1 << len(frontier)
+    return tuple(frontier), gaps
+
+
 def _instantiations(grammar, tree, lexemes, vocabulary):
     """All ways to instantiate one elementary tree, deterministically
     ordered.  A variant that :func:`_clash` shows cannot fit the anchor
@@ -425,16 +454,18 @@ def enumerate_derivations(grammar: Grammar, goal_label: str,
     listed; a partial derivation that anchors one more often is cut.
     `targets` optionally bounds the search by frontier, the anchored
     tokens: anchors spell only `targets.tokens` (zero forms always pass),
-    and `targets.bounds(frontier)` gives (own, reach), own <= reach, each
-    capped by `max_steps`: a derivation is returned within own steps and
-    explored further within reach (-1: never).  An anchoring, adjunction
-    or finalization that :func:`_clash` shows must fail is not tried.
+    and `targets.bounds(frontier, gaps)`, with the gaps :func:`_layout`
+    reads, gives (own, reach), own <= reach, each capped by `max_steps`:
+    a derivation is returned within own steps and explored further
+    within reach (-1: never).  An anchoring, adjunction or finalization
+    that :func:`_clash` shows must fail is not tried.
     Results are deduplicated by (frontier, features) keeping the
     lexicographically least trace, and returned sorted by trace.  The
     goal is checked against the grammar's schema here, where it enters.
     """
     grammar.schema.check(goal_fs)
     vocabulary = None if targets is None else targets.tokens
+    splittable = grammar.splittable
     schema, code = grammar.schema, grammar.schema.code
     cache = {}
 
@@ -483,9 +514,7 @@ def enumerate_derivations(grammar: Grammar, goal_label: str,
             return
         own = bound = max_steps
         if targets is not None:
-            own, bound = targets.bounds(tuple(
-                node.surface for _, node in nodes
-                if node.kind == ANCHOR and node.surface))
+            own, bound = targets.bounds(*_layout(nodes, part, splittable))
         if cost <= min(own, max_steps):
             consider(derived, extra)
         if cost >= min(bound, max_steps):
@@ -496,8 +525,8 @@ def enumerate_derivations(grammar: Grammar, goal_label: str,
             if node.kind == SUBST:
                 site = site or (address, node.label)
                 continue
-            if node.kind in (ANCHOR, FOOT) or node.was_foot or \
-                    address[:len(part)] != part:
+            if node.label not in splittable or node.kind != INTERNAL or \
+                    node.was_foot or address[:len(part)] != part:
                 continue
             candidates = instances(AUXILIARY, node.label)
             if candidates:  # each plane encoded once per state

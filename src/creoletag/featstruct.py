@@ -83,6 +83,11 @@ class Schema:
     def full(self, attr: str) -> frozenset:
         return frozenset(self.domain(attr).values)
 
+    def sort_key(self, attr: str):
+        """A sort key that puts values of `attr` in declaration order, the
+        order of their bits; an undeclared value raises KeyError."""
+        return self._bits[self.domain(attr).name].__getitem__
+
     def check(self, fs: "FeatureStruct") -> None:
         """Raise UndeclaredAttribute if fs mentions an unknown attribute."""
         for attr in fs:

@@ -6,10 +6,12 @@ trees: the specification's content lexemes (noun, complement,
 predicate) anchor it, each exactly once, and any other lexeme may come
 in as a particle wherever the grammar lets it.  A sentence is no
 exception: the grammar's S tree carries its parts' features.  A
-paradigm table searches once under the empty goal (per row for NPs),
-which reads neither lan nor the TMA bundle, and filters per dialect:
-the goal half keeps the derivations whose collapsed features unify
-with the goal, applies the fusion rules and groups the survivors.
+paradigm table searches once per category and content under the empty
+goal, which reads neither lan nor the TMA bundle, and fills each
+dialect's cell from it as a request fills its answer from its own
+search: :func:`realizations_from_finals` keeps the derivations whose
+collapsed features unify with the goal, applies the fusion rules and
+groups the survivors.
 
 A request is one goal in every dialect.  How each dialect marks a
 bundle is the grammar's business: the conditional, for one, is the
@@ -201,17 +203,22 @@ _CONTENT_CATEGORIES = frozenset(("N", "Nprop", "V"))
 _MAX_STEPS = 9
 
 
-def _finals(grammar, category, spec: SemSpec, goal=EMPTY):
-    """(FinalizeResult, trace) pairs of the one search under `goal` that
-    anchors each content lexeme of the spec (noun, complement,
-    predicate) exactly once.  Under the empty goal they serve every
-    dialect and TMA bundle of the spec's content."""
+def _content(grammar, spec: SemSpec):
+    """The spec's content lexemes (noun, complement, predicate), each
+    checked against the grammar."""
     np = spec.args[0] if spec.args else None
     content = tuple(lexeme_id for lexeme_id in (
         np and np.lexeme, np and np.complement, spec.pred) if lexeme_id)
     for lexeme_id in content:
         if not grammar.has_lexeme(lexeme_id):
             raise InvalidSpec("unknown lexeme %r" % lexeme_id)
+    return content
+
+
+def _finals(grammar, category, content, goal=EMPTY):
+    """(FinalizeResult, trace) pairs of the one search under `goal` that
+    anchors each `content` lexeme exactly once.  Under the empty goal
+    they serve every dialect and TMA bundle of that content."""
     lexemes = {lexeme.id for lexeme in grammar.lexicon
                if lexeme.category not in _CONTENT_CATEGORIES}
     return [(final, derived.history)
@@ -325,25 +332,16 @@ def realizations_from_finals(grammar, finals, goal):
             kept[kept.index(host)] = replace(
                 host, alternatives=host.alternatives + (real.tokens,))
 
-    order = {code: i for i, code in enumerate(
-        grammar.schema.domain("lan").values)} if lan_full else {}
-
-    def sort_key(real):
-        mask = tuple(sorted(order.get(c, 99) for c in real.lan_set))
-        return (mask, real.tokens)
-
-    kept.sort(key=sort_key)
+    rank = grammar.schema.sort_key("lan") if lan_full else None
+    kept.sort(key=lambda real: (sorted(map(rank, real.lan_set)), real.tokens))
     return kept
 
 
-def generate(grammar: Grammar, spec: SemSpec, finals=None):
+def generate(grammar: Grammar, spec: SemSpec):
     """All maximal realizations of a semantic specification, merged and
-    deterministically ordered.  Raises NoRealization when nothing derives.
-    Given `finals` of a goal-free search for the same content lexemes,
-    as the tables make them, skip to the goals."""
+    deterministically ordered.  Raises NoRealization when nothing derives."""
     category, goal = _goal_for(grammar, spec)
-    if finals is None:
-        finals = _finals(grammar, category, spec, goal)
+    finals = _finals(grammar, category, _content(grammar, spec), goal)
     out = realizations_from_finals(grammar, finals, goal)
     if not out:
         raise NoRealization("nothing derives the requested specification")
@@ -386,54 +384,45 @@ TMA_ROWS = (
 )
 
 
-def _cell(grammar, spec, row, dialect, finals=None):
-    try:
-        reals = generate(grammar, spec, finals)
-    except NoRealization:
-        raise MissingCell(row, dialect) from None
+def _cell(grammar, finals, goal, row, dialect):
+    """The cell of `row` in `dialect`: the one realization among the
+    row's goal-free `finals` that fits `goal` narrowed to the dialect."""
+    reals = realizations_from_finals(
+        grammar, finals, FeatureStruct(dict(goal.items()), lan=(dialect,)))
     if len(reals) != 1:
-        raise MissingCell(row, dialect,
-                          "ambiguous: " + " | ".join(
-                              " ".join(r.tokens) for r in reals))
+        detail = "ambiguous: " + " | ".join(" ".join(r.tokens) for r in reals)
+        raise MissingCell(row, dialect, detail if reals else "")
     real = reals[0]
-    cell = " ".join(real.tokens)
-    for alt in real.alternatives:
-        cell += " / " + " ".join(alt)
-    return cell
+    return " / ".join(map(" ".join, (real.tokens,) + real.alternatives))
+
+
+def _table(grammar, rows):
+    """A grid of (row name, SemSpec) rows that leave lan open, one
+    dialect per column.  The search reads only a row's category and
+    content lexemes, so rows sharing them share one goal-free search."""
+    dialects = grammar.schema.domain("lan").values
+    searches = {}
+    table = []
+    for row, spec in rows:
+        category, goal = _goal_for(grammar, spec)
+        key = category, _content(grammar, spec)
+        if key not in searches:
+            searches[key] = _finals(grammar, *key)
+        table.append((row, [_cell(grammar, searches[key], goal, row, dialect)
+                            for dialect in dialects]))
+    return table
 
 
 def table_np(grammar: Grammar):
-    """The noun-phrase determination grid, one dialect per column.  The
-    search reads only the noun and the complement, so rows sharing
-    them share one derivation."""
-    dialects = grammar.schema.domain("lan").values
-    finals = {}
-    rows = []
-    for row_name, np_spec in NP_ROWS:
-        key = (np_spec.lexeme, np_spec.complement)
-        if key not in finals:
-            finals[key] = _finals(grammar, "NP", SemSpec(args=(np_spec,)))
-        cells = []
-        for dialect in dialects:
-            spec = SemSpec(args=(np_spec,), lan=frozenset([dialect]))
-            cells.append(_cell(grammar, spec, row_name, dialect,
-                               finals[key]))
-        rows.append((row_name, cells))
-    return rows
+    """The noun-phrase determination grid."""
+    return _table(grammar, [(row, SemSpec(args=(np_spec,)))
+                            for row, np_spec in NP_ROWS])
 
 
 def table_tma(grammar: Grammar):
     """The tense/aspect marking grid for the predicate DANCE."""
-    dialects = grammar.schema.domain("lan").values
-    finals = _finals(grammar, "Pred", SemSpec(pred="DANCE"))
-    rows = []
-    for row_name, tma in TMA_ROWS:
-        cells = []
-        for dialect in dialects:
-            spec = SemSpec(pred="DANCE", tma=tma, lan=frozenset([dialect]))
-            cells.append(_cell(grammar, spec, row_name, dialect, finals))
-        rows.append((row_name, cells))
-    return rows
+    return _table(grammar, [(row, SemSpec(pred="DANCE", tma=tma))
+                            for row, tma in TMA_ROWS])
 
 
 def golden_corpus():

@@ -69,6 +69,9 @@ class Grammar:
         self.fusion_rules = tuple(fusion_rules)
         self.metadata = metadata or Metadata()
         self.schema = Schema(self.domains)
+        # the labels an adjunction may split: auxiliary roots
+        self.splittable = frozenset(t.root.label for t in self.trees
+                                    if t.klass == AUXILIARY)
         self._trees_by_name = {t.name: t for t in self.trees}
         self._lexemes_by_id = {l.id: l for l in self.lexicon}
         self._relaxed = None

@@ -2,6 +2,10 @@
 
 Fusion is undone on a lattice whose paths spell the decompositions of
 the input (tap -> te ap), and one derivation search serves every path.
+A partial derivation goes on only while its frontier embeds in a path
+with other tokens only where a later step can put them (see
+:func:`creoletag.engine._layout`), so stacked adjunctions cost work
+linear in their number, not a state per subsequence of the input.
 Each hit is fused once, carrying the (lexeme, variant) sources of every
 token, and is kept when its fused frontier equals the input.
 
@@ -10,8 +14,9 @@ with the whole string and with each word.  When no language-consistent
 derivation exists, the input is searched again in the projection of the
 grammar onto every dialect, which has no language attribute (built once
 per grammar object and kept on it).  Structurally valid but
-dialect-mixed strings then come back flagged `mixed`, with a per-token
-report of which dialects each word belongs to.
+dialect-mixed strings then come back flagged `mixed`, with an empty
+language set and a per-token report of which dialects each word
+belongs to.
 """
 
 from __future__ import annotations
@@ -75,30 +80,46 @@ class FusionLattice:
                                 for label, _ in edges for token in label)
         self._bounds = {}
 
-    def bounds(self, frontier):
+    def bounds(self, frontier, gaps=-1):
         """(own, reach): the step bound of `frontier` as a whole path and
-        that of the longest path it is a subsequence of, -1 for none."""
-        if frontier not in self._bounds:
+        that of the longest path it embeds in, -1 for none.  A path token
+        outside the frontier may come before frontier token i only where
+        bit i of `gaps` is set, and after the last only where bit
+        len(frontier) is; the default sets every bit."""
+        bounds = self._bounds.get((frontier, gaps))
+        if bounds is None:
             width = len(frontier)
-            # per position: frontier tokens matched greedily on a path
-            # there -> (fewest, most) tokens such a path reads
+            spelled = {}  # token -> bit m where frontier[m] is the token
+            for m, token in enumerate(frontier):
+                spelled[token] = spelled.get(token, 0) | 1 << m
+            # per position: frontier tokens matched on a path there ->
+            # (fewest, most) tokens such a path reads
             reached = [{0: (0, 0)}] + [{} for _ in self._edges]
             for edges, here in zip(self._edges, reached):
                 for matched, (fewest, most) in here.items():
                     for label, end in edges:
-                        after = matched
+                        states = 1 << matched  # bit m: m tokens matched
                         for token in label:
-                            if after < width and frontier[after] == token:
-                                after += 1
+                            # the next frontier token, or one in the gap;
+                            # when gap m + 1 is open too, matching loses
+                            # nothing, so a match leaves gap m
+                            hit = states & spelled.get(token, 0)
+                            states = hit << 1 | states & gaps & ~(
+                                hit & gaps >> 1)
                         short, long = fewest + len(label), most + len(label)
-                        low, high = reached[end].get(after, (short, long))
-                        reached[end][after] = (low if low < short else short,
-                                               high if high > long else long)
+                        while states:
+                            after = states.bit_length() - 1
+                            states ^= 1 << after
+                            low, high = reached[end].get(after, (short, long))
+                            reached[end][after] = (
+                                low if low < short else short,
+                                high if high > long else long)
             whole = reached[-1].get(width)
-            self._bounds[frontier] = (-1, -1) if whole is None else (
+            bounds = (-1, -1) if whole is None else (
                 width + _EXTRA_STEPS if whole[0] == width else -1,
                 whole[1] + _EXTRA_STEPS)
-        return self._bounds[frontier]
+            self._bounds[frontier, gaps] = bounds
+        return bounds
 
 
 def _variant_lan(grammar, lexeme_id, index):
@@ -184,8 +205,10 @@ def recognize(grammar: Grammar, tokens, goal: str = "NP"):
 
     Each analysis reports the collapsed root features, the language set
     consistent with the whole derivation, and the language set of every
-    matched lexical variant token by token.  A grammar without `lan`
-    has no dialects to mix: its sets are empty and no analysis is mixed.
+    matched lexical variant token by token.  An analysis that only the
+    projection finds names no dialect: its set is empty and it is mixed.
+    A grammar without `lan` has no dialects to mix: its sets are empty
+    and no analysis is mixed.
     """
     tokens = _as_tokens(tokens)
     if goal not in GOALS:
@@ -203,11 +226,11 @@ def recognize(grammar: Grammar, tokens, goal: str = "NP"):
 
     analyses = []
     for derived, final, lan, merged in hits:
-        if relaxed:
+        if relaxed:  # no dialect has a derivation: name none
             per_token = _choose_candidates(
                 [_candidate_sets(grammar, token, sources)
                  for token, sources in merged])
-            lan_set = _meet_all(per_token)
+            lan_set = frozenset()
         else:
             per_token = tuple(_sources_lan(grammar, sources)
                               for _, sources in merged)

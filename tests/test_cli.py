@@ -153,6 +153,19 @@ class TestRecognize:
         assert record["lan_set"] == ["GP", "MQ"]
         assert record["mixed"] is False
 
+    def test_value_sets_in_declaration_order(self, capsys):
+        # every attribute's values, not only lan's: sorting asp by the
+        # lan order left it in the set's hash order
+        assert main(["recognize", "--goal", "Pred", "ka dansé"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["features"]["asp"] == ["imp", "frq", "prg"]
+        assert record["lan_set"] == ["GP", "MQ", "GF"]
+
+    def test_relaxed_analysis_is_mixed(self, capsys):
+        assert main(["recognize", "--goal", "NP", "moun sa la"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["lan_set"] == [] and record["mixed"] is True
+
     def test_no_analysis(self, capsys):
         assert main(["recognize", "--goal", "NP", "ka zozyo la"]) == 1
 

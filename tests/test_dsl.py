@@ -89,6 +89,12 @@ class TestSyntaxErrors:
         with pytest.raises(GrammarSyntaxError):
             load_grammar(text)
 
+    def test_empty_domain_rejected_at_its_form(self):
+        with pytest.raises(GrammarSyntaxError,
+                           match="domain 'lan' has no values") as err:
+            load_grammar("(grammar g)\n  (domain lan ())\n")
+        assert (err.value.line, err.value.column) == (2, 3)
+
     def test_decomposed_string_rejected(self):
         # a string in NFD spells a token no NFC input matches
         text = grammar_text()

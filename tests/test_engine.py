@@ -612,6 +612,34 @@ class TestTopDownSearch:
             assert top_down and top_down == oracle, text
 
 
+class TestLayout:
+    """Tokens may come in only at a pending site or at either edge of the
+    yield of a node the open part may still split."""
+
+    @staticmethod
+    def _tree(was_foot=False):
+        # ta [NP moun] danse [Adv]
+        return Node("S", children=(
+            Node("T", ANCHOR, surface="ta"),
+            Node("NP", children=(Node("N", ANCHOR, surface="moun"),),
+                 was_foot=was_foot),
+            Node("V", ANCHOR, surface="danse"),
+            Node("Adv", SUBST)))
+
+    @pytest.mark.parametrize("was_foot, part, splittable, gaps", [
+        (False, (), {"NP"}, 0b1110),  # bit i: before token i
+        (False, (), set(), 0b1000),
+        (False, (1,), {"NP"}, 0b1110),
+        (False, (2,), {"NP"}, 0b1000),
+        (True, (), {"NP"}, 0b1000),
+        (False, (), {"S"}, 0b1001),
+    ])
+    def test_gaps(self, was_foot, part, splittable, gaps):
+        nodes = list(self._tree(was_foot).walk())
+        assert engine._layout(nodes, part, splittable) == \
+            (("ta", "moun", "danse"), gaps)
+
+
 class TestSplicesCopyOncePerFrame:
     """A splice reuses the tagged copy of a part it made at the same
     frame before, so a warm grammar's searches build few nodes."""

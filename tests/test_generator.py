@@ -417,11 +417,10 @@ class TestSpecValidation:
 
     def test_missing_cell(self, grammar):
         from creoletag.errors import MissingCell
-        from creoletag.generate import _cell
-        spec = SemSpec(pred="DANCE", tma=TMA(psp=True, asp="frq"),
-                       lan=frozenset(["HT"]))
-        with pytest.raises(MissingCell) as err:
-            _cell(grammar, spec, "imaginary-row", "HT")
+        from creoletag.generate import _table
+        spec = SemSpec(pred="DANCE", tma=TMA(psp=True, asp="frq"))
+        with pytest.raises(MissingCell) as err:  # HT is the first column
+            _table(grammar, [("imaginary-row", spec)])
         assert err.value.row == "imaginary-row"
         assert err.value.dialect == "HT"
 

@@ -7,7 +7,7 @@ import unicodedata
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from creoletag import engine
@@ -102,7 +102,8 @@ class TestRecognize:
         assert engine_calls["finalize"] == 0
 
     def test_ladder_work_is_bounded(self, fresh_grammar, engine_calls):
-        # a list of the ladder's 5^7 decompositions peaked at 60 MB
+        # a list of the ladder's 5^7 decompositions peaked at 60 MB; a
+        # frontier read as any subsequence of a path cost 43 adjunctions
         tracemalloc.start()
         try:
             with pytest.raises(NoAnalysis):
@@ -112,7 +113,19 @@ class TestRecognize:
             tracemalloc.stop()
         assert peak < 1 << 20
         assert engine_calls["instantiate"] == 16
-        assert engine_calls["adjoin"] == 43
+        assert engine_calls["adjoin"] == 33
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 12, 30])
+    @pytest.mark.parametrize("goal, tail, per_pair, base", [
+        ("NP", "", 12, 6), ("S", " ap danse", 18, 12)])
+    def test_name_stack_work_is_linear(self, fresh_grammar, engine_calls,
+                                       k, goal, tail, per_pair, base):
+        # stacked proper-name complements: a frontier read as any
+        # subsequence of a lattice path lets every subset of the names
+        # in, 2^k live states (129 s at k = 12 under NP)
+        text = "moun" + " Sentoma Senloran" * k + " yo" + tail
+        assert len(recognize(fresh_grammar, text, goal)) == 1
+        assert engine_calls["adjoin"] <= per_pair * k + base
 
     def test_decomposed_accents(self, grammar):
         decomposed = unicodedata.normalize("NFD", "té ka dansé")
@@ -174,28 +187,37 @@ def _decompositions(tokens, rules):
     return sorted(results, key=lambda d: (len(d), d))
 
 
-def _is_subsequence(short, long):
-    rest = iter(long)
-    return all(token in rest for token in short)
+def _embeds(short, long, gaps=-1):
+    """Whether `short` is a subsequence of `long` whose tokens have other
+    tokens between them only where `gaps` allows (bit i: before
+    short[i]; bit len(short): after the last), tried at every placement."""
+    def place(i, start):  # short[i:] in long[start:]
+        if i == len(short):
+            return start == len(long) or gaps >> i & 1
+        return any(long[at] == short[i] and place(i + 1, at + 1)
+                   for at in range(start, len(long) if gaps >> i & 1 else
+                                   min(start + 1, len(long))))
+
+    return place(0, 0)
 
 
 class _Targets:
     """Target frontiers mapped to their own step bounds; a frontier
-    reaches the largest bound of a target it is a subsequence of."""
+    reaches the largest bound of a target it embeds in."""
 
     def __init__(self, own):
         self._own = own
         self.tokens = frozenset().union(*own)
 
-    def bounds(self, frontier):
+    def bounds(self, frontier, gaps=-1):
         return (self._own.get(frontier, -1),
                 max((bound for target, bound in self._own.items()
-                     if _is_subsequence(frontier, target)), default=-1))
+                     if _embeds(frontier, target, gaps)), default=-1))
 
 
 class TestFusionLattice:
-    """The lattice bounds a frontier as the list of every decomposition
-    does."""
+    """The lattice bounds a frontier, with or without gaps, as the list
+    of every decomposition does."""
 
     @staticmethod
     def _listed(tokens, rules):
@@ -222,8 +244,20 @@ class TestFusionLattice:
                      tuple(data.draw(st.lists(st.sampled_from(vocabulary),
                                               max_size=8)))]
         for frontier in frontiers:
-            assert lattice.bounds(frontier) == listed.bounds(frontier), \
-                frontier
+            drawn = data.draw(st.integers(0, (2 << len(frontier)) - 1))
+            for gaps in (-1, drawn):
+                assert lattice.bounds(frontier, gaps) == \
+                    listed.bounds(frontier, gaps), (frontier, gaps)
+        # the subsequence with gaps exactly where path tokens were dropped
+        exact, matched = 0, 0
+        for keep in kept:
+            if keep:
+                matched += 1
+            else:
+                exact |= 1 << matched
+        assert lattice.bounds(frontiers[2], exact) == \
+            listed.bounds(frontiers[2], exact)
+        assert lattice.bounds(frontiers[2], exact)[1] >= 0
 
     def test_whole_path_inside_a_longer_one(self):
         # the path "danse" is a subsequence of the path "te danse"
@@ -466,3 +500,57 @@ class TestDialectsOfASentence:
                     continue
                 recognizing.add(dialect)
             assert unmixed == recognizing, " ".join(tokens)
+
+
+def _analyses(grammar, text, goal):
+    try:
+        return recognize(grammar, text, goal)
+    except NoAnalysis:
+        return []
+
+
+def _phrase(*slots):
+    """Strings of one word per slot, the empty word left out."""
+    return st.tuples(*map(st.sampled_from, slots)).map(
+        lambda words: " ".join(word for word in words if word))
+
+
+# noun phrases and predicates with their slots filled from every dialect
+_NP_SLOTS = (("", "yon", "on", "an", "roun", "sé", "sa"),
+             ("moun", "tab", "chyen", "zwazo", "zozyo", "zwézo", "zozo"),
+             ("", "Sentoma", "Senloran"),
+             ("", "la", "nan", "lan", "an", "a", "sa", "lasa", "tala"),
+             ("", "yo", "yan", "ya", "la", "a"))
+_PRED_SLOTS = (("", "te", "té", "ta", "tap"),
+               ("", "va", "ké", "vap", "kay", "pral", "k'alé"),
+               ("", "ka", "ap"), ("danse", "dansé"))
+
+
+class TestNamedDialectsRecognize:
+    """The contract on any string: the dialects its analyses name are
+    exactly the dialects whose specialized grammar recognizes it, goal by
+    goal and through `identify_dialect`.  An analysis found only when
+    `lan` is ignored names none and is mixed."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(text=st.one_of(_phrase(*_NP_SLOTS), _phrase(*_PRED_SLOTS),
+                          _phrase(*_NP_SLOTS + _PRED_SLOTS)))
+    @example(text="moun sa la")  # ART variant 4: la of GP, cns -, nas -
+    @example(text="zwazo Sentoma la")
+    def test_named_dialects_recognize(self, grammar, specialized, text):
+        everywhere = set()
+        for goal in ("NP", "Pred", "S"):
+            analyses = _analyses(grammar, text, goal)
+            assert all(a.mixed == (not a.lan_set) for a in analyses)
+            named = frozenset().union(*(a.lan_set for a in analyses))
+            recognizing = {dialect for dialect, own in specialized.items()
+                           if _analyses(own, text, goal)}
+            assert named == recognizing, goal
+            everywhere |= recognizing
+        try:
+            found = identify_dialect(grammar, text)
+        except NoAnalysis:
+            found = frozenset()
+        if isinstance(found, MixedReport):
+            found = frozenset()
+        assert found == everywhere
