@@ -61,8 +61,8 @@ def cmd_generate(args):
     spec = semspec_from_json(_file(args.sem, "semantic input",
                                    parse=json.loads))
     if args.lan is not None:
-        codes = args.lan.split(",")
-        empty = [str(i) for i, code in enumerate(codes, 1) if not code.strip()]
+        codes = [code.strip() for code in args.lan.split(",")]
+        empty = [str(i) for i, code in enumerate(codes, 1) if not code]
         if empty:
             raise InvalidSpec("--lan %r: empty language code at entry %s"
                               % (args.lan, ", ".join(empty)))

@@ -44,8 +44,9 @@ grammar material is at load; unification checks nothing.
 
 A search skips what a pretest, :func:`_clash`, shows must fail.  An
 adjunction is tested on codes (:meth:`Schema.clash`): an auxiliary
-instance's are made once per search, a node's once per state.  An
-anchoring or a finalization is tested once, by a :func:`disjoint` scan.
+instance's are made once per grammar, a node's once per state.  An
+anchoring is tested once per grammar, a finalization once per state, by
+a :func:`disjoint` scan.
 A derived tree is walked once, into :attr:`DerivedTree.nodes`.
 
 Derived trees are immutable; every operation returns a new tree and
@@ -54,16 +55,18 @@ shares the nodes it leaves unchanged: instantiation copies only the
 path from the elementary root to the anchor, a splice only the path to
 its site and the material it tags.  So :func:`instance` builds each
 elementary instance (tree, lexeme, variant) once per grammar and keeps
-it on the grammar object, a failure as None; every search shares them,
-filtered by the lexemes and tokens it may use, and each instance keeps
-its copies tagged per frame (:func:`_splice_in`).  Nothing else is kept
-between calls.
+it on the grammar object, a failure as None, an auxiliary one with its
+codes (:func:`_coded`).  A search's menu (:func:`_menu`) filters the
+grammar's anchoring index (:func:`_anchorings`: what the pretest admits
+per class and root label, uninstantiated) by the lexemes and tokens it
+may use.  Each instance keeps its copies tagged per frame
+(:func:`_splice_in`).  Nothing else is kept between calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional
 
 from .errors import (AnchorUnificationFailure, CollapseFailure, LabelMismatch,
@@ -411,28 +414,51 @@ def _layout(nodes, part, splittable):
     return tuple(frontier), gaps
 
 
-def _instantiations(grammar, tree, lexemes, vocabulary):
-    """All ways to instantiate one elementary tree, deterministically
-    ordered.  A variant that :func:`_clash` shows cannot fit the anchor
-    is not tried."""
-    anchor_label = tree.anchor_label
-    if anchor_label is None:  # instantiating a bare tree cannot fail
-        return [instance(grammar, tree)]
-    anchor = tree.node_at(tree.anchor_address()).bottom
-    unbound = Bindings()
-    out = []
-    for lexeme in grammar.lexemes_of_category(anchor_label):
-        if lexemes is not None and lexeme.id not in lexemes:
-            continue
-        for index, variant in enumerate(lexeme.variants):
-            if vocabulary is not None and variant.surface and variant.surface not in vocabulary:
+def _anchorings(grammar, klass, label):
+    """The grammar's anchoring index, built on first use: each (tree,
+    lexeme id, variant index, surface) of (klass, label) whose anchor
+    :func:`_clash` does not refute, in grammar order; a bare tree as
+    (tree, None, None, None)."""
+    index = grammar._anchorings  # noqa: SLF001 - same-package friend
+    if (klass, label) not in index:
+        entries = []  # stored whole: a search in another thread reads it
+        for tree in grammar.trees:
+            if (tree.klass, tree.root.label) != (klass, label):
                 continue
-            if _clash(grammar.schema, anchor, variant.features, unbound):
-                continue
-            anchored = instance(grammar, tree, lexeme.id, index)
-            if anchored is not None:
-                out.append(anchored)
-    return out
+            address = tree.anchor_address()
+            anchor = None if address is None else tree.node_at(address)
+            entries.extend([(tree, None, None, None)] if anchor is None else (
+                (tree, lexeme.id, i, variant.surface)
+                for lexeme in grammar.lexicon if lexeme.category == anchor.label
+                for i, variant in enumerate(lexeme.variants)
+                if not _clash(grammar.schema, anchor.bottom, variant.features,
+                              Bindings())))
+        index[klass, label] = entries
+    return index[klass, label]
+
+
+def _coded(grammar, tree, lexeme_id, variant_index):
+    """instance() of an auxiliary tree, or None, with its root top's and
+    foot bottom's codes, made once per grammar and kept on it."""
+    key, code = (tree.name, lexeme_id, variant_index), grammar.schema.code
+    memo = grammar._codes  # noqa: SLF001 - same-package friend
+    if key not in memo:
+        aux = instance(grammar, tree, lexeme_id, variant_index)
+        memo[key] = aux and (aux, code(aux.root.top, aux.env),
+                             code(aux.node_at(aux.foot_address).bottom, aux.env))
+    return memo[key]
+
+
+def _menu(grammar, klass, label, lexemes, vocabulary):
+    """The instances of (klass, label) a search may use: the anchoring
+    index filtered by `lexemes` and by `vocabulary` (a zero form always
+    passes), each made by :func:`instance`, an auxiliary by :func:`_coded`."""
+    make = instance if klass == INITIAL else _coded
+    found = [make(grammar, tree, lexeme, variant) for tree, lexeme, variant,
+             surface in _anchorings(grammar, klass, label)
+             if (lexemes is None or lexeme is None or lexeme in lexemes)
+             and (vocabulary is None or not surface or surface in vocabulary)]
+    return [inst for inst in found if inst is not None]
 
 
 def enumerate_derivations(grammar: Grammar, goal_label: str,
@@ -467,21 +493,10 @@ def enumerate_derivations(grammar: Grammar, goal_label: str,
     vocabulary = None if targets is None else targets.tokens
     splittable = grammar.splittable
     schema, code = grammar.schema, grammar.schema.code
-    cache = {}
 
-    def instances(klass, label):
-        # this search's filter of the grammar's instance memo, built when a
-        # site or node of the label is reached; an auxiliary with two codes
-        if (klass, label) not in cache:
-            found = [inst for tree in grammar.trees
-                     if tree.klass == klass and tree.root.label == label
-                     for inst in _instantiations(grammar, tree, lexemes,
-                                                 vocabulary)]
-            cache[klass, label] = found if klass == INITIAL else [
-                (aux, code(aux.root.top, aux.env),
-                 code(aux.node_at(aux.foot_address).bottom, aux.env))
-                for aux in found]
-        return cache[klass, label]
+    @cache
+    def instances(klass, label):  # this search's menu, made on first reach
+        return _menu(grammar, klass, label, lexemes, vocabulary)
 
     def surplus(nodes):
         # anchors of each content lexeme beyond its listed count
@@ -578,5 +593,5 @@ def enumerate_derivations(grammar: Grammar, goal_label: str,
     # explore refers to itself, so this frame's closures outlive the call
     # until the cycle collector runs; empty what they hold now
     results.clear()
-    cache.clear()
+    instances.cache_clear()
     return ordered

@@ -57,9 +57,10 @@ class Metadata:
 class Grammar:
     """Immutable after construction; safe to share between tasks.
 
-    It carries two memos, filled on first use and collected with it:
+    It carries four memos, filled on first use and collected with it:
     `_relaxed`, the projection onto every dialect that the recognizer
-    falls back to, and `_instances`, the engine's elementary instances.
+    falls back to, and the engine's `_instances` (elementary instances),
+    `_anchorings` (the anchoring index) and `_codes` (auxiliary codes).
     """
 
     def __init__(self, domains, trees, lexicon, fusion_rules=(), metadata=None):
@@ -75,7 +76,7 @@ class Grammar:
         self._trees_by_name = {t.name: t for t in self.trees}
         self._lexemes_by_id = {l.id: l for l in self.lexicon}
         self._relaxed = None
-        self._instances = {}
+        self._instances, self._anchorings, self._codes = {}, {}, {}
 
     def tree(self, name: str) -> ElementaryTree:
         return self._trees_by_name[name]
@@ -88,9 +89,6 @@ class Grammar:
 
     def has_lexeme(self, lid: str) -> bool:
         return lid in self._lexemes_by_id
-
-    def lexemes_of_category(self, category: str):
-        return [l for l in self.lexicon if l.category == category]
 
     def initial_trees(self):
         return [t for t in self.trees if t.klass == INITIAL]

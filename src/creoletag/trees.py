@@ -81,10 +81,5 @@ class ElementaryTree:
         return next((a for a, node in self.nodes() if node.kind == ANCHOR),
                     None)
 
-    @property
-    def anchor_label(self):
-        return next((node.label for _, node in self.nodes()
-                     if node.kind == ANCHOR), None)
-
     def node_at(self, address) -> Node:
         return self.root.node_at(address)

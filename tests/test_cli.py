@@ -82,6 +82,16 @@ class TestGenerate:
         assert out == ""
         assert message in err
 
+    def test_lan_entries_are_stripped(self, sem_file, capsys):
+        path = sem_file({"args": [{"lexeme": "BIRD", "nbr": "sg",
+                                   "spe": True}]})
+        outputs = []
+        for lan in ("HT,GP", "HT, GP", " HT ,GP "):
+            assert main(["generate", "--sem", path, "--lan", lan]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0].out == "zwazo a\tHT\nzozyo la\tGP\n"
+        assert outputs == [outputs[0]] * 3
+
     def test_no_realization(self, sem_file, capsys):
         path = sem_file({"pred": "DANCE",
                          "tma": {"psp": True, "asp": "frq"}})

@@ -3,20 +3,23 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from creoletag import engine
 from creoletag.creole import golden_path, grammar_text
 from creoletag.dsl import load_grammar
 from creoletag.errors import (AnchorUnificationFailure, CollapseFailure,
-                              LabelMismatch, NotAnAdjunctionSite,
+                              LabelMismatch, NoAnalysis, NotAnAdjunctionSite,
                               NotASubstitutionSite, PendingSite,
                               UndeclaredAttribute, UnificationFailure)
-from creoletag.featstruct import (EMPTY, AttributeDomain, FeatureStruct, Var,
-                                  unify)
+from creoletag.featstruct import (EMPTY, AttributeDomain, FeatureStruct,
+                                  Schema, Var, unify)
 from creoletag.generate import (TMA, NPSpec, SemSpec, generate, golden_corpus,
                                 table_tma)
 from creoletag.grammar import Grammar
 from creoletag.recognize import FusionLattice, recognize
+from creoletag.specialize import project_language, specialize
 from creoletag.trees import ANCHOR, AUXILIARY, FOOT, INITIAL, SUBST, Node
 
 TOY = """
@@ -486,12 +489,11 @@ def _saturate_then_adjoin(grammar, goal_label, goal_fs, max_steps,
     trees = {}
 
     def instances(klass, label):
+        # the search's own menu of instances, codes dropped
         if (klass, label) not in trees:
-            trees[klass, label] = [
-                inst for tree in grammar.trees
-                if tree.klass == klass and tree.root.label == label
-                for inst in engine._instantiations(grammar, tree, lexemes,
-                                                   vocabulary)]
+            menu = engine._menu(grammar, klass, label, lexemes, vocabulary)
+            trees[klass, label] = menu if klass == INITIAL else [
+                aux for aux, _, _ in menu]
         return trees[klass, label]
 
     saturated = {}
@@ -686,3 +688,98 @@ class TestOneWalkPerTree:
         monkeypatch.setattr(Node, "walk", walk)
         work(load_grammar(grammar_text()))
         assert calls[0] <= walks
+
+
+def _instantiable(grammar, klass, label, lexemes, spellings):
+    """Every instance of (klass, label) that instantiate() makes, trying
+    each lexeme variant on each tree, in grammar order."""
+    out = []
+    for tree in grammar.trees:
+        if (tree.klass, tree.root.label) != (klass, label):
+            continue
+        if tree.anchor_address() is None:
+            out.append(engine.instantiate(grammar, tree))
+            continue
+        for lexeme in grammar.lexicon:
+            for index, variant in enumerate(lexeme.variants):
+                if lexemes is not None and lexeme.id not in lexemes or \
+                        spellings is not None and variant.surface and \
+                        variant.surface not in spellings:
+                    continue
+                try:
+                    out.append(engine.instantiate(grammar, tree, lexeme.id,
+                                                  index))
+                except AnchorUnificationFailure:
+                    continue
+    return out
+
+
+@pytest.fixture(scope="module")
+def grammars():
+    shipped = load_grammar(grammar_text())
+    return {"shipped": shipped, "lan-free": project_language(shipped),
+            "HT": specialize(shipped, "HT")}
+
+
+class TestAnchoringIndex:
+    """A search's menu, read from the grammar's anchoring index, holds
+    what instantiating every anchoring of the class and root label
+    gives, in the same order, and a warm grammar's searches pretest no
+    anchoring and encode no auxiliary again."""
+
+    @pytest.mark.parametrize("name", ["shipped", "lan-free", "HT"])
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_menu_is_every_instance_that_instantiates(self, grammars, name,
+                                                      data):
+        grammar = grammars[name]
+        code = grammar.schema.code
+        ids = sorted(lexeme.id for lexeme in grammar.lexicon)
+        spellings = sorted({variant.surface for lexeme in grammar.lexicon
+                            for variant in lexeme.variants if variant.surface})
+        lexemes = data.draw(st.none() | st.sets(st.sampled_from(ids)))
+        vocabulary = data.draw(st.none() | st.sets(st.sampled_from(spellings)))
+        for klass, label in sorted({(tree.klass, tree.root.label)
+                                    for tree in grammar.trees}):
+            menu = engine._menu(grammar, klass, label, lexemes, vocabulary)
+            want = [(inst.history, inst.root, inst.env._map) if klass == INITIAL
+                    else (inst.history, inst.root, inst.env._map,
+                          code(inst.root.top, inst.env),
+                          code(inst.node_at(inst.foot_address).bottom,
+                               inst.env))
+                    for inst in _instantiable(grammar, klass, label, lexemes,
+                                              vocabulary)]
+            got = [(inst.history, inst.root, inst.env._map) if klass == INITIAL
+                   else (inst[0].history, inst[0].root, inst[0].env._map)
+                   + inst[1:] for inst in menu]
+            assert got == want, (klass, label)
+
+    @pytest.mark.parametrize("text, goal, scans, codes", [
+        ("tap tap tap danse", "Pred", 0, 26),
+        ("zwazo yo ta vap danse", "S", 56, 48),
+    ], ids=["Pred", "S"])
+    def test_warm_search_set_up(self, monkeypatch, text, goal, scans, codes):
+        # encoding each search's auxiliaries and pretesting its anchorings
+        # cost 18 and 68 scans, 50 and 64 codes
+        grammar = load_grammar(grammar_text())
+
+        def work():
+            try:
+                recognize(grammar, text, goal)
+            except NoAnalysis:
+                pass
+
+        work()
+        calls = {"scans": 0, "codes": 0}
+
+        def counted(key, real):
+            def call(*args):
+                calls[key] += 1
+                return real(*args)
+            return call
+
+        monkeypatch.setattr(engine, "_disjoint",
+                            counted("scans", engine._disjoint))
+        monkeypatch.setattr(Schema, "code", counted("codes", Schema.code))
+        work()
+        assert calls["scans"] <= scans and calls["codes"] <= codes

@@ -229,10 +229,14 @@ class TestGrammarDriven:
         assert outcome(own, spec) == first
         assert engine_calls["instantiate"] == built
         instance = next(i for i in own._instances.values() if i is not None)
-        refs = weakref.ref(own), weakref.ref(instance)
-        del own, instance
+        # the anchoring index and the auxiliary codes go with the grammar
+        anchoring = next(iter(own._anchorings.values()))[0]
+        coded = next(c for c in own._codes.values() if c is not None)
+        refs = [weakref.ref(kept)
+                for kept in (own, instance, anchoring[0], coded[0])]
+        del own, instance, anchoring, coded
         gc.collect()
-        assert [ref() for ref in refs] == [None, None]
+        assert [ref() for ref in refs] == [None] * 4
 
 
 def _bundles():
