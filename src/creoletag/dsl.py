@@ -25,10 +25,11 @@ structurally equal grammar.
 from __future__ import annotations
 
 import unicodedata
+import weakref
 from dataclasses import dataclass
 
 from .errors import GrammarSyntaxError, ValidationError
-from .featstruct import AttributeDomain, FeatureStruct, Var
+from .featstruct import EMPTY, AttributeDomain, FeatureStruct, Var
 from .grammar import (FusionRule, Grammar, Lexeme, Metadata, Variant,
                       validate)
 from .trees import ANCHOR, AUXILIARY, FOOT, INITIAL, INTERNAL, SUBST, \
@@ -37,6 +38,7 @@ from .trees import ANCHOR, AUXILIARY, FOOT, INITIAL, INTERNAL, SUBST, \
 _KIND_WORDS = {"internal": INTERNAL, "anchor": ANCHOR,
                "subst": SUBST, "foot": FOOT}
 _CLASS_WORDS = {"initial": INITIAL, "aux": AUXILIARY}
+_PARSED = weakref.WeakValueDictionary()  # equal parsed values: one object
 
 
 @dataclass(frozen=True)
@@ -188,8 +190,9 @@ def _parse_feature_clauses(forms, where):
         if len(set(subset)) != len(subset):
             raise GrammarSyntaxError("attribute %r repeats a value" % attr,
                                      clause.line, clause.col)
-        bindings[attr] = frozenset(subset)
-    return FeatureStruct(bindings)
+        cell = frozenset(subset)  # not its own key: the table holds it weakly
+        bindings[attr] = _PARSED.setdefault(tuple(sorted(cell)), cell)
+    return _PARSED.setdefault((fs := FeatureStruct(bindings)).items(), fs)
 
 
 def _parse_node(form):
@@ -197,8 +200,7 @@ def _parse_node(form):
         raise GrammarSyntaxError("expected (node ...)", form.line, form.col)
     label = _nth_atom(form, 1, "node label").text
     kind = INTERNAL
-    top = FeatureStruct()
-    bottom = FeatureStruct()
+    top = bottom = EMPTY
     children = []
     for clause in form.items[2:]:
         word = _head(clause)

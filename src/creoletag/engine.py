@@ -33,7 +33,12 @@ finished part is collapsed at once, each node's top unified with its
 bottom into the bindings, as :func:`finalize` does later: no node of
 it changes again and bindings only narrow, so the cut is exact, and
 what the part fixes (the goal's values, a language) reaches the
-pretests of the parts after it.
+pretests of the parts after it.  So generation derives a part once per
+grammar, as chart generators do (Kay, ACL 1996): a site takes finished
+parts anchoring some of the content lexemes left (:func:`_parts`),
+found by this recursion under the empty goal when first reached, and
+none takes an adjunction.  Recognition, whose frontier bound reads the
+whole tree, fills a site in place.
 
 Variables are named by the step that brought them in: instantiation
 keeps the grammar's names, and each splice tags every variable of the
@@ -46,7 +51,7 @@ A search skips what a pretest, :func:`_clash`, shows must fail.  An
 adjunction is tested on codes (:meth:`Schema.clash`): an auxiliary
 instance's are made once per grammar, a node's once per state.  An
 anchoring is tested once per grammar, a finalization once per state, by
-a :func:`disjoint` scan.
+a :func:`disjoint` scan, a finished part by its root's code.
 A derived tree is walked once, into :attr:`DerivedTree.nodes`.
 
 Derived trees are immutable; every operation returns a new tree and
@@ -60,19 +65,22 @@ codes (:func:`_coded`).  A search's menu (:func:`_menu`) filters the
 grammar's anchoring index (:func:`_anchorings`: what the pretest admits
 per class and root label, uninstantiated) by the lexemes and tokens it
 may use.  Each instance keeps its copies tagged per frame
-(:func:`_splice_in`).  Nothing else is kept between calls.
+(:func:`_splice_in`).  A finished part is constant below its root and
+hash-consed (:func:`_constant`), and unless its root links two cells,
+a splice copies none of it.  Nothing else is kept between calls.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, cached_property
+from itertools import combinations
 from typing import Optional
 
 from .errors import (AnchorUnificationFailure, CollapseFailure, LabelMismatch,
                      NotAnAdjunctionSite, NotASubstitutionSite, PendingSite,
                      UnificationFailure)
-from .featstruct import Bindings, FeatureStruct, Var, unify
+from .featstruct import EMPTY, UNBOUND, Bindings, FeatureStruct, Var, unify
 from .featstruct import disjoint as _disjoint
 from .grammar import Grammar
 from .trees import ANCHOR, AUXILIARY, FOOT, INITIAL, INTERNAL, SUBST, Node
@@ -146,27 +154,30 @@ class FinalizeResult:
 
 # --- helpers ---------------------------------------------------------------
 
-def _splice_in(host: DerivedTree, part: DerivedTree):
+def _splice_in(host: DerivedTree, part: DerivedTree, interned=None):
     """`part`'s root and the host's bindings extended with part's, every
     variable of `part` tagged with the splice's frame, distinct within a
     derivation.  ';' ends a grammar atom, so no grammar variable looks
-    tagged.  Cells other than variables are shared, not copied, and the
-    tagged copy is made once per (part, frame), kept in `part.frames`."""
+    tagged.  Cells and subtrees without variables are shared, not copied,
+    and the tagged copy is made once per (part, frame), kept in
+    `part.frames`, its structures interned in the grammar's `_tagged`."""
     tag = "%d;" % len(host.history)
+    interned = {} if interned is None else interned
 
     def tagged(fs):
-        if not fs:
-            return fs
-        return FeatureStruct._of(tuple(
-            (item[0], Var(tag + item[1].name)) if isinstance(item[1], Var)
-            else item for item in fs.items()))
+        items = tuple((item[0], interned.setdefault(
+            (tag, item[1]), Var(tag + item[1].name)))
+            if isinstance(item[1], Var) else item for item in fs.items())
+        return fs if items == fs.items() else \
+            interned.setdefault((tag, fs), FeatureStruct._of(items))
 
     def node(n):
-        return Node(n.label, n.kind, tagged(n.top), tagged(n.bottom),
+        copy = Node(n.label, n.kind, tagged(n.top), tagged(n.bottom),
                     tuple(node(c) for c in n.children), n.surface,
                     n.lexeme, n.variant, n.was_foot)
+        return n if copy == n else copy
 
-    # both closures are made on a hit too: the cycles they leave pace the
+    # the closures are made on a hit too: the cycles they leave pace the
     # collector, and with it the peak memory
     if tag not in part.frames:
         part.frames[tag] = node(part.root), {
@@ -274,7 +285,7 @@ def substitute(grammar: Grammar, host: DerivedTree, address,
         raise NotASubstitutionSite("site %s cannot take a %s filler"
                                    % (site.label, filler.root.label))
 
-    filler_root, env = _splice_in(host, filler)
+    filler_root, env = _splice_in(host, filler, grammar._tagged)  # noqa: SLF001
     unified = unify(site.top, filler_root.top, env)
     if unified is None:
         raise UnificationFailure("substitution at %r: top features clash" % (address,))
@@ -311,7 +322,7 @@ def adjoin(grammar: Grammar, host: DerivedTree, address,
     foot_addr = aux.foot_address
     if foot_addr is None:
         raise NotAnAdjunctionSite("auxiliary tree lost its foot")
-    aux_root, env = _splice_in(host, aux)
+    aux_root, env = _splice_in(host, aux, grammar._tagged)  # noqa: SLF001
     foot = aux_root.node_at(foot_addr)
 
     unified = unify(node.top, aux_root.top, env)
@@ -461,87 +472,99 @@ def _menu(grammar, klass, label, lexemes, vocabulary):
     return [inst for inst in found if inst is not None]
 
 
-def enumerate_derivations(grammar: Grammar, goal_label: str,
-                          goal_fs: FeatureStruct, max_steps: int,
-                          lexemes=None, targets=None, content=()):
-    """Every finalizable derivation within the step bound whose root
-    top, the goal unified in, collapses with its bottom, as (derived,
-    final) pairs.
+def _collapsed(nodes, env, part=()):
+    """`env` with each of `nodes` inside `part` collapsed, or None."""
+    for address, node in nodes:
+        if node.top and node.bottom and address[:len(part)] == part:
+            unified = unify(node.top, node.bottom, env)
+            if unified is None:
+                return None
+            env = unified[1]
+    return env
 
-    Derivation is top-down (see the module docstring): each step adjoins
-    into the part substituted last or fills the first pending site, in
-    pre-order, with an instance of the site's label, so a trace lists
-    the parts flat, in pre-order; filling a site first collapses the
-    part it leaves, and cuts the state if that fails.  The bound counts
-    substitutions plus adjunctions.  `lexemes` optionally restricts
-    which lexemes may anchor trees (the semantic input selects the
-    content words; pass ids for every lexeme the derivation may use).
-    `content` lists lexeme ids every result anchors exactly as often as
-    listed; a partial derivation that anchors one more often is cut.
-    `targets` optionally bounds the search by frontier, the anchored
-    tokens: anchors spell only `targets.tokens` (zero forms always pass),
-    and `targets.bounds(frontier, gaps)`, with the gaps :func:`_layout`
-    reads, gives (own, reach), own <= reach, each capped by `max_steps`:
-    a derivation is returned within own steps and explored further
-    within reach (-1: never).  An anchoring, adjunction or finalization
-    that :func:`_clash` shows must fail is not tried.
-    Results are deduplicated by (frontier, features) keeping the
-    lexicographically least trace, and returned sorted by trace.  The
-    goal is checked against the grammar's schema here, where it enters.
-    """
-    grammar.schema.check(goal_fs)
+
+def _constant(grammar, node, env):
+    """`node` with its subtree resolved through `env`, hash-consed."""
+    memo = grammar._constants  # noqa: SLF001 - same-package friend
+    top, bottom = (memo.setdefault(fs, fs) for fs in
+                   (node.top.resolve(env), node.bottom.resolve(env)))
+    new = Node(node.label, node.kind, top, bottom, tuple(
+        _constant(grammar, child, env) for child in node.children),
+        node.surface, node.lexeme, node.variant, node.was_foot)
+    return memo.setdefault(new, new)
+
+
+def _parts(grammar, label, share, particles, max_steps):
+    """The finished parts of `label` within `max_steps` that anchor the
+    content lexemes `share` exactly and otherwise only `particles`, with
+    their roots' codes: a search under the empty goal, kept on the
+    grammar.  Both planes of a part's root are its collapsed root."""
+    memo = grammar._parts  # noqa: SLF001 - same-package friend
+    key = (label, share, memo.setdefault(particles, particles), max_steps)
+    if key not in memo:
+        memo[key] = None  # in the making: a site of it inside fills in place
+        entries = []  # stored whole: a search in another thread reads it
+        for derived in _derive(grammar, label, EMPTY, max_steps,
+                               particles.union(share), None, share):
+            root, env = derived.root, _collapsed(derived.nodes, derived.env)
+            if env is None:
+                continue
+            fs = unify(root.top, root.bottom, env)[0]
+            children = tuple(_constant(grammar, child, env)
+                             for child in root.children)
+            # a variable met once on the root is its value (unbound: the
+            # full domain); where one links two cells, the bindings stay
+            reps = [env.root(cell.name) for _, cell in fs.items()
+                    if isinstance(cell, Var)]
+            if len(set(reps)) == len(reps):
+                fs, env = fs.resolve(env), UNBOUND
+            fs = grammar._constants.setdefault(fs, fs)  # noqa: SLF001
+            root = replace(root, top=fs, bottom=fs, children=children)
+            entries.append((DerivedTree(root, derived.klass, env,
+                                        derived.history),
+                            grammar.schema.code(fs, env)))
+        memo[key] = entries
+    return memo[key]
+
+
+def _derive(grammar, goal_label, goal_fs, max_steps, lexemes, targets,
+            content):
+    """Yield the complete derivations :func:`enumerate_derivations` checks."""
     vocabulary = None if targets is None else targets.tokens
     splittable = grammar.splittable
     schema, code = grammar.schema, grammar.schema.code
+    if targets is None:  # the lexemes a part may anchor besides its share
+        particles = frozenset(lexemes if lexemes is not None else (
+            lexeme.id for lexeme in grammar.lexicon)).difference(content)
 
     @cache
     def instances(klass, label):  # this search's menu, made on first reach
         return _menu(grammar, klass, label, lexemes, vocabulary)
 
-    def surplus(nodes):
-        # anchors of each content lexeme beyond its listed count
-        if not content:
-            return ()
-        anchored = [node.lexeme for _, node in nodes if node.kind == ANCHOR]
-        return [anchored.count(l) - content.count(l) for l in content]
-
-    results = {}
-
-    def consider(derived, extra):
-        env = derived.env
-        if any(extra) or any(node.kind == SUBST or
-                             _clash(schema, node.top, node.bottom, env)
-                             for _, node in derived.nodes):
-            return
-        try:
-            final = finalize(grammar, derived)
-        except CollapseFailure:
-            return
-        key = (final.frontier, final.features)
-        prior = results.get(key)
-        if prior is None or derived.trace_key() < prior[0].trace_key():
-            results[key] = (derived, final)
+    def unanchored(nodes):  # None where one is anchored too often
+        left = sorted(content)
+        for _, node in nodes:
+            if node.kind == ANCHOR and node.lexeme in content:
+                if node.lexeme not in left:
+                    return None
+                left.remove(node.lexeme)
+        return tuple(left)
 
     def explore(derived, cost, part):
         nodes = derived.nodes
-        extra = surplus(nodes)
-        if any(n > 0 for n in extra):
+        left = unanchored(nodes) if content else ()
+        if left is None:
             return
         own = bound = max_steps
         if targets is not None:
             own, bound = targets.bounds(*_layout(nodes, part, splittable))
-        if cost <= min(own, max_steps):
-            consider(derived, extra)
-        if cost >= min(bound, max_steps):
-            return
-        env = derived.env
-        site = None
+        env, sites, deeper = derived.env, [], cost < min(bound, max_steps)
         for address, node in nodes:
             if node.kind == SUBST:
-                site = site or (address, node.label)
-                continue
-            if node.label not in splittable or node.kind != INTERNAL or \
-                    node.was_foot or address[:len(part)] != part:
+                sites.append((address, node))
+            if not deeper or part is None or node.kind != INTERNAL or \
+                    node.label not in splittable or node.was_foot or \
+                    address[:len(part)] != part:
                 continue
             candidates = instances(AUXILIARY, node.label)
             if candidates:  # each plane encoded once per state
@@ -554,25 +577,37 @@ def enumerate_derivations(grammar: Grammar, goal_label: str,
                     nxt = adjoin(grammar, derived, address, aux)
                 except UnificationFailure:
                     continue
-                explore(nxt, cost + 1, part)
-        if site is None:
+                yield from explore(nxt, cost + 1, part)
+        if cost <= min(own, max_steps) and not sites and not left:
+            yield derived
+        if not deeper or not sites:
             return
-        address, label = site
+        address, site = sites[0]
         # the part is finished: collapse its nodes now, as finalize will
-        # (a plane left empty, as at a site, collapses to the other)
-        for prior, node in nodes:
-            if node.top and node.bottom and prior[:len(part)] == part:
-                unified = unify(node.top, node.bottom, env)
-                if unified is None:
-                    return
-                env = unified[1]
+        if part is not None and (env := _collapsed(nodes, env, part)) is None:
+            return
         host = DerivedTree(derived.root, derived.klass, env, derived.history)
-        for filler in instances(INITIAL, label):
+        # no adjunction follows a finished part: the last one anchors all
+        tables = None if targets is not None else [
+            _parts(grammar, site.label, share, particles, max_steps)
+            for share in sorted({left} if len(sites) == 1 else {
+                share for k in range(len(left) + 1)
+                for share in combinations(left, k)})]
+        if tables is None or None in tables:  # recognition, or a table in
+            fillers = [(filler, 1, address)  # the making: fill in place
+                       for filler in instances(INITIAL, site.label)]
+        else:
+            top = code(site.top, env)
+            fillers = [(filler, len(filler.history), None) for table in tables
+                       for filler, root in table if not _clash(schema, top, root)]
+        for filler, steps, opened in fillers:
+            if cost + steps > max_steps:
+                continue
             try:
                 nxt = substitute(grammar, host, address, filler)
             except UnificationFailure:
                 continue
-            explore(nxt, cost + 1, address)
+            yield from explore(nxt, cost + steps, opened)
 
     for base in instances(INITIAL, goal_label):
         # the goal enters at the root's top, which an adjunction at the
@@ -587,11 +622,52 @@ def enumerate_derivations(grammar: Grammar, goal_label: str,
                                     root.children, root.surface, root.lexeme,
                                     root.variant, root.was_foot),
                                base.klass, env, base.history)
-        explore(base, 0, ())
-
-    ordered = sorted(results.values(), key=lambda pair: pair[0].trace_key())
+        yield from explore(base, 0, ())
     # explore refers to itself, so this frame's closures outlive the call
     # until the cycle collector runs; empty what they hold now
-    results.clear()
     instances.cache_clear()
-    return ordered
+
+
+def enumerate_derivations(grammar: Grammar, goal_label: str,
+                          goal_fs: FeatureStruct, max_steps: int,
+                          lexemes=None, targets=None, content=()):
+    """Every finalizable derivation within the step bound whose root
+    top, the goal unified in, collapses with its bottom, as (derived,
+    final) pairs.
+
+    Derivation is top-down (see the module docstring): each step adjoins
+    into the part substituted last or fills the first pending site, in
+    pre-order, so a trace lists the parts flat, in pre-order; filling a
+    site first collapses the part it leaves, and cuts the state if that
+    fails.  Generation fills a site with finished parts (:func:`_parts`),
+    recognition (`targets` given) with instances.  The bound counts
+    substitutions plus adjunctions, a finished part's own included.
+    `lexemes` optionally restricts which lexemes may anchor trees.
+    `content` lists lexeme ids every result anchors exactly as often as
+    listed; a partial derivation that anchors one more often is cut.
+    `targets` bounds the search by frontier: anchors spell only
+    `targets.tokens` (zero forms always pass), and
+    `targets.bounds(frontier, gaps)`, with the gaps :func:`_layout`
+    reads, gives (own, reach), own <= reach, each capped by `max_steps`:
+    a derivation is returned within own steps and explored further
+    within reach (-1: never).  What :func:`_clash` shows must fail is
+    not tried.  Results are deduplicated by (frontier, features) keeping
+    the least trace, and returned sorted by trace.  The goal is checked
+    against the grammar's schema here, where it enters.
+    """
+    grammar.schema.check(goal_fs)
+    schema, results = grammar.schema, {}
+    for derived in _derive(grammar, goal_label, goal_fs, max_steps, lexemes,
+                           targets, tuple(content)):
+        if any(_clash(schema, node.top, node.bottom, derived.env)
+               for _, node in derived.nodes):
+            continue
+        try:
+            final = finalize(grammar, derived)
+        except CollapseFailure:
+            continue
+        key = (final.frontier, final.features)
+        prior = results.get(key)
+        if prior is None or derived.trace_key() < prior[0].trace_key():
+            results[key] = (derived, final)
+    return sorted(results.values(), key=lambda pair: pair[0].trace_key())

@@ -160,7 +160,7 @@ class Bindings:
 class FeatureStruct(Mapping):
     """An immutable attribute -> cell mapping."""
 
-    __slots__ = ("_items", "_hash")
+    __slots__ = ("_items", "_hash", "__weakref__")
 
     def __init__(self, bindings: Optional[Mapping] = None, **kw):
         merged = dict(bindings or {})
@@ -243,6 +243,7 @@ class FeatureStruct(Mapping):
 FS = FeatureStruct
 
 EMPTY = FeatureStruct()
+UNBOUND = Bindings()
 
 
 def meet(a: frozenset, b: frozenset) -> frozenset:

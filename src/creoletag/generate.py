@@ -5,13 +5,15 @@ Every request is one derivation search under its goal,
 trees: the specification's content lexemes (noun, complement,
 predicate) anchor it, each exactly once, and any other lexeme may come
 in as a particle wherever the grammar lets it.  A sentence is no
-exception: the grammar's S tree carries its parts' features.  A
-paradigm table searches once per category and content under the empty
-goal, which reads neither lan nor the TMA bundle, and fills each
-dialect's cell from it as a request fills its answer from its own
-search: :func:`realizations_from_finals` keeps the derivations whose
-collapsed features unify with the goal, applies the fusion rules and
-groups the survivors.
+exception: the grammar's S tree carries its parts' features.  Only the
+request's top tree is searched under its goal; the engine fills its
+sites with parts derived once per grammar and content.  A paradigm
+table searches once per category and content under the empty goal,
+which reads neither lan nor the TMA bundle, and fills each dialect's
+cell from it as a request fills its answer from its own search:
+:func:`realizations_from_finals` keeps the derivations whose collapsed
+features unify with the goal, applies the fusion rules and groups the
+survivors.
 
 A request is one goal in every dialect.  How each dialect marks a
 bundle is the grammar's business: the conditional, for one, is the
@@ -31,7 +33,7 @@ from typing import Optional
 
 from . import engine
 from .errors import InvalidSpec, MissingCell, NoRealization
-from .featstruct import EMPTY, Bindings, FeatureStruct, disjoint
+from .featstruct import EMPTY, UNBOUND, FeatureStruct, disjoint
 from .grammar import Grammar
 
 ASPECTS = ("none", "imp", "frq", "prg")
@@ -126,7 +128,8 @@ def _typed(where, obj, known):
 
 def semspec_from_json(data) -> SemSpec:
     """Build a SemSpec from the CLI's JSON document.  A value of the
-    wrong JSON type is rejected, never coerced."""
+    wrong JSON type, or a demonstrative said not to be specific, is
+    rejected, never coerced."""
     if not data:
         raise InvalidSpec("semantic input must be a non-empty JSON object")
     _typed("semantic input", data, {"pred", "args", "tma", "lan"})
@@ -136,8 +139,11 @@ def semspec_from_json(data) -> SemSpec:
     for i, item in enumerate(data.get("args", [])):
         if not isinstance(item, dict) or "lexeme" not in item:
             raise InvalidSpec("args[%d] needs at least a lexeme" % i)
-        args.append(NPSpec(**_typed("args[%d]" % i, item, {
-            "lexeme", "nbr", "spe", "dem", "complement"})))
+        item = _typed("args[%d]" % i, item, {
+            "lexeme", "nbr", "spe", "dem", "complement"})
+        if item.get("dem") and item.get("spe") is False:
+            raise InvalidSpec("args[%d]: dem implies spe, not spe false" % i)
+        args.append(NPSpec(**item))
     tma = TMA(**_typed("tma", data.get("tma", {}),
                        {"pas", "psp", "prx", "cnd", "asp"}))
     lan = data.get("lan")
@@ -231,7 +237,6 @@ def _finals(grammar, category, content, goal=EMPTY):
 
 _PLUS = frozenset("+")
 _MINUS = frozenset("-")
-_UNBOUND = Bindings()
 
 
 def _np_values(np_spec: NPSpec):
@@ -293,7 +298,7 @@ def realizations_from_finals(grammar, finals, goal):
     goal_lan = goal.get("lan", lan_full)
     hits = []
     for final, trace in finals:
-        if disjoint(final.features, _UNBOUND, goal, _UNBOUND) is not None:
+        if disjoint(final.features, UNBOUND, goal, UNBOUND) is not None:
             continue  # variable-free: disjoint exactly when unify fails
         if lan_full is not None:
             lan = final.features.get("lan", lan_full) & goal_lan

@@ -57,10 +57,12 @@ class Metadata:
 class Grammar:
     """Immutable after construction; safe to share between tasks.
 
-    It carries four memos, filled on first use and collected with it:
-    `_relaxed`, the projection onto every dialect that the recognizer
-    falls back to, and the engine's `_instances` (elementary instances),
-    `_anchorings` (the anchoring index) and `_codes` (auxiliary codes).
+    Its memos are filled on first use and collected with it: `_relaxed`,
+    the projection onto every dialect that the recognizer falls back
+    to, and the engine's `_instances` (elementary instances),
+    `_anchorings` (the anchoring index), `_codes` (auxiliary codes),
+    `_parts` (finished parts), `_constants` (their hash-consed nodes)
+    and `_tagged` (tagged variables and structures).
     """
 
     def __init__(self, domains, trees, lexicon, fusion_rules=(), metadata=None):
@@ -77,6 +79,7 @@ class Grammar:
         self._lexemes_by_id = {l.id: l for l in self.lexicon}
         self._relaxed = None
         self._instances, self._anchorings, self._codes = {}, {}, {}
+        self._parts, self._constants, self._tagged = {}, {}, {}
 
     def tree(self, name: str) -> ElementaryTree:
         return self._trees_by_name[name]

@@ -26,12 +26,12 @@ INITIAL = "initial"
 AUXILIARY = "aux"
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Node:
     """Not frozen, so that building one costs plain slot stores; nothing
-    assigns to a node once it is built.  Derivation sets `surface`,
-    `lexeme` and `variant` on anchors and `was_foot` on the lower half
-    of a node that hosted an adjunction."""
+    assigns to a node once it is built, so it hashes by value.
+    Derivation sets `surface`, `lexeme` and `variant` on anchors and
+    `was_foot` on the lower half of a node that hosted an adjunction."""
 
     label: str
     kind: str = INTERNAL

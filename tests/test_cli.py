@@ -56,6 +56,13 @@ class TestGenerate:
         assert main(["generate", "--sem", sem_file(data)]) == 3
         assert capsys.readouterr().out == ""
 
+    def test_dem_with_spe_false_is_bad_input(self, sem_file, capsys):
+        path = sem_file({"args": [{"lexeme": "BIRD", "dem": True,
+                                   "spe": False}]})
+        assert main(["generate", "--sem", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "spe" in captured.err
+
     @pytest.mark.parametrize("lan,entries", [
         ("", "entry 1"), ("HT,,GP", "entry 2"), (",HT,", "entry 1, 3"),
     ], ids=["empty", "inner-blank", "outer-blanks"])

@@ -1,6 +1,9 @@
 """Grammar format: loading, validation findings, canonical serialization."""
 
+import gc
+import operator
 import unicodedata
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +37,28 @@ class TestRoundTrip:
 
     def test_lan_domain(self, grammar):
         assert grammar.schema.domain("lan").values == ("HT", "GP", "MQ", "GF")
+
+    def test_equal_values_parse_into_one_object(self, grammar):
+        """Grammars in use share each value set and structure they parse,
+        and a value only a dropped grammar used is dropped with it."""
+        def cells(g):
+            return [cell for tree in g.trees for _, node in tree.nodes()
+                    for fs in (node.top, node.bottom) for cell in (fs,) + tuple(
+                        cell for _, cell in fs.items())]
+        again = load_grammar(grammar_text())
+        assert all(map(operator.is_, cells(again), cells(grammar)))
+        lone = load_grammar("""
+            (grammar lone (version 1))
+            (domain d (lone-value))
+            (tree t (class initial)
+              (node X (kind internal) (bottom (d lone-value))
+                (children (node W (kind anchor)))))
+            (lex L (cat W) (variant "w"))""")
+        bottom = lone.tree("t").root.bottom
+        refs = [weakref.ref(bottom), weakref.ref(bottom["d"])]
+        del lone, bottom
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
 
     def test_fusion_replacement_bare_string_form(self):
         text = """

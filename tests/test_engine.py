@@ -579,17 +579,47 @@ class TestTopDownSearch:
                 _saturate_then_adjoin(grammar, label, EMPTY, max_steps,
                                       **kwargs))
 
-    def test_generation_searches(self, grammar, particle_lexemes):
-        contents = [("Pred", ("DANCE",))] + [
-            ("NP", (noun,) + ((complement,) if complement else ()))
+    def test_generation_searches(self, particle_lexemes):
+        # each content is searched twice on one grammar: the second search
+        # reads the finished parts the first one left on it
+        grammar = load_grammar(grammar_text())
+        contents = [("Pred", ("DANCE",), 5)] + [
+            ("NP", (noun,) + ((complement,) if complement else ()), 5)
             for noun, complement in itertools.product(
                 ("PERSON", "TABLE", "DOG", "BIRD"),
-                (None, "SAINT-THOMAS", "SAINT-LAURENT"))]
-        for label, content in contents:
-            top_down, oracle = self._both(
-                grammar, label, 5, lexemes=particle_lexemes | set(content),
-                content=content)
-            assert top_down and top_down == oracle, content
+                (None, "SAINT-THOMAS", "SAINT-LAURENT"))] + [
+            ("S", ("BIRD", "DANCE"), 7),
+            ("S", ("PERSON", "SAINT-THOMAS", "DANCE"), 7)]
+        for label, content, bound in contents:
+            kwargs = {"lexemes": particle_lexemes | set(content),
+                      "content": content}
+            oracle = _saturate_then_adjoin(grammar, label, EMPTY, bound,
+                                           **kwargs)
+            for _ in range(2):
+                pairs = engine.enumerate_derivations(grammar, label, EMPTY,
+                                                     bound, **kwargs)
+                assert oracle and oracle == {
+                    (final.frontier, final.features) for _, final in pairs
+                }, content
+
+    def test_part_keeps_a_variable_linking_two_cells(self):
+        """A finished part whose root links two attributes through one
+        unbound variable links them still where it is substituted."""
+        grammar = load_grammar("""
+            (grammar linked (version 1))
+            (domain a (+ -))
+            (domain b (+ -))
+            (tree alpha-host (class initial)
+              (node T (kind internal) (bottom (a $X) (b $Y))
+                (children (node P (kind subst) (top (a $X) (b $Y))))))
+            (tree alpha-part (class initial)
+              (node P (kind internal) (bottom (a $Z) (b $Z))
+                (children (node W (kind anchor)))))
+            (lex WORD (cat W) (variant "w"))""")
+        goal = FeatureStruct({"a": frozenset("+")})
+        pairs = engine.enumerate_derivations(grammar, "T", goal, 2)
+        assert [final.features for _, final in pairs] == [
+            FeatureStruct({"a": frozenset("+"), "b": frozenset("+")})]
 
     def test_recognition_searches(self, grammar):
         inputs = set()

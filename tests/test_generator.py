@@ -13,12 +13,13 @@ from creoletag import engine
 from creoletag.creole import DIALECTS, golden_path, grammar_text
 from creoletag.dsl import load_grammar
 from creoletag.errors import InvalidSpec, NoRealization, UndeclaredAttribute
-from creoletag.featstruct import FeatureStruct
+from creoletag.featstruct import FeatureStruct, Var
 from creoletag.generate import (ASPECTS, NUMBERS, NPSpec, SemSpec, TMA,
                                 apply_fusion, format_table, generate,
                                 golden_corpus, semspec_from_json, table_np,
                                 table_tma)
-from creoletag.specialize import specialize
+from creoletag.grammar import Grammar
+from creoletag.specialize import project_language, specialize
 
 
 def tokens_of(reals):
@@ -170,10 +171,18 @@ class TestNounPhraseRealization:
         # the 4 dialect columns of a row share its derivations (1 848
         # substitutions when each cell derives its own), and so do the
         # rows of one noun (42 substitutions in 15 searches when each
-        # row derives its own)
+        # row derives its own); a finished noun is derived once, for both
+        # NP trees, and substituted into each (14 substitutions and 144
+        # adjunctions when each NP tree derives its own nouns)
         assert len(table_np(fresh_grammar)) == 15
         assert engine_calls["enumerate_derivations"] == 4
-        assert engine_calls["substitute"] <= 14
+        assert engine_calls["substitute"] <= 83
+        assert engine_calls["adjoin"] <= 84
+        # a second call reads the finished nouns kept on the grammar
+        built = dict(engine_calls)
+        assert len(table_np(fresh_grammar)) == 15
+        assert engine_calls["adjoin"] == built["adjoin"]
+        assert engine_calls["instantiate"] == built["instantiate"]
 
     def test_sentence_with_subject(self, grammar):
         reals = generate(grammar, SemSpec(
@@ -229,14 +238,60 @@ class TestGrammarDriven:
         assert outcome(own, spec) == first
         assert engine_calls["instantiate"] == built
         instance = next(i for i in own._instances.values() if i is not None)
-        # the anchoring index and the auxiliary codes go with the grammar
+        # the anchoring index, the auxiliary codes, the part tables and
+        # the tagged variables go with the grammar
         anchoring = next(iter(own._anchorings.values()))[0]
         coded = next(c for c in own._codes.values() if c is not None)
-        refs = [weakref.ref(kept)
-                for kept in (own, instance, anchoring[0], coded[0])]
-        del own, instance, anchoring, coded
+        part = next(entry for key, table in own._parts.items()
+                    if isinstance(key, tuple) and table for entry in table)
+        tagged = next(cell for fs in own._tagged.values()
+                      if isinstance(fs, FeatureStruct)
+                      for _, cell in fs.items() if isinstance(cell, Var))
+        refs = [weakref.ref(kept) for kept in (own, instance, anchoring[0],
+                                               coded[0], part[0], tagged)]
+        del own, instance, anchoring, coded, part, tagged
         gc.collect()
-        assert [ref() for ref in refs] == [None] * 4
+        assert [ref() for ref in refs] == [None] * 6
+
+    @pytest.mark.parametrize("name", ["shipped", "lan-free", "HT"])
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_warm_grammar_generates_as_a_fresh_one(self, warmed, name, data):
+        """Finished parts kept on a grammar change no realization, trace
+        or features: a request sequence on one grammar gives what each
+        request gives on the same grammar with every memo empty."""
+        grammar = warmed[name]
+        lan = st.none()
+        if "lan" in grammar.schema:
+            lan |= st.sets(st.sampled_from(DIALECTS), min_size=1)
+        specs = st.builds(
+            lambda noun, nbr, determination, complement, pred, tma, lan:
+            SemSpec(pred=pred, tma=tma if pred else TMA(), lan=lan,
+                    args=(NPSpec(noun, nbr, *determination, complement),)),
+            st.sampled_from(NOUNS), st.sampled_from(NUMBERS),
+            st.sampled_from(((False, False), (True, False), (True, True))),
+            st.sampled_from(COMPLEMENTS), st.sampled_from((None, "DANCE")),
+            st.sampled_from(BUNDLES), lan)
+        for spec in data.draw(st.lists(specs, min_size=1, max_size=3)):
+            fresh = Grammar(grammar.domains, grammar.trees, grammar.lexicon,
+                            grammar.fusion_rules, grammar.metadata)
+            assert realizations(grammar, spec) == realizations(fresh, spec)
+
+
+@pytest.fixture(scope="module")
+def warmed():
+    """One grammar of each kind whose memos every example adds to."""
+    shipped = load_grammar(grammar_text())
+    return {"shipped": shipped, "lan-free": project_language(shipped),
+            "HT": specialize(shipped, "HT")}
+
+
+def realizations(grammar, spec):
+    """What generate gives, traces included, or its error."""
+    try:
+        return generate(grammar, spec)
+    except NoRealization:
+        return "NoRealization"
 
 
 def _bundles():
@@ -448,6 +503,14 @@ class TestSpecValidation:
             semspec_from_json({"args": [{"lexeme": "TABLE", "dem": 1}]})
         with pytest.raises(InvalidSpec, match="pas"):
             semspec_from_json({"pred": "DANCE", "tma": {"pas": "true"}})
+
+    def test_json_dem_with_spe_false_is_rejected(self):
+        # once read as spe: true, four demonstratives for a contradiction
+        with pytest.raises(InvalidSpec, match="dem implies spe"):
+            semspec_from_json({"args": [{"lexeme": "BIRD", "dem": True,
+                                         "spe": False}]})
+        spec = semspec_from_json({"args": [{"lexeme": "BIRD", "dem": True}]})
+        assert spec.args[0].spe
 
     def test_json_lan_must_be_a_list(self):
         # a string once became its letters: "HT" -> {H, T}
