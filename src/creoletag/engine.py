@@ -35,10 +35,10 @@ it changes again and bindings only narrow, so the cut is exact, and
 what the part fixes (the goal's values, a language) reaches the
 pretests of the parts after it.  So generation derives a part once per
 grammar, as chart generators do (Kay, ACL 1996): a site takes finished
-parts anchoring some of the content lexemes left (:func:`_parts`),
-found by this recursion under the empty goal when first reached, and
-none takes an adjunction.  Recognition, whose frontier bound reads the
-whole tree, fills a site in place.
+parts anchoring some of the content lexemes left that its label can
+reach (:func:`_parts`), found by this recursion under the empty goal
+when first reached, and none takes an adjunction.  Recognition, whose
+frontier bound reads the whole tree, fills a site in place.
 
 Variables are named by the step that brought them in: instantiation
 keeps the grammar's names, and each splice tags every variable of the
@@ -65,14 +65,15 @@ codes (:func:`_coded`).  A search's menu (:func:`_menu`) filters the
 grammar's anchoring index (:func:`_anchorings`: what the pretest admits
 per class and root label, uninstantiated) by the lexemes and tokens it
 may use.  Each instance keeps its copies tagged per frame
-(:func:`_splice_in`).  A finished part is constant below its root and
-hash-consed (:func:`_constant`), and unless its root links two cells,
-a splice copies none of it.  Nothing else is kept between calls.
+(:func:`_splice_in`).  A finished part is kept with its root's code
+and its frontier, constant below its root and hash-consed
+(:func:`_constant`), and unless its root links two cells, a splice
+copies none of it.  Nothing else is kept between calls.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
 from typing import Optional
@@ -486,6 +487,8 @@ def _collapsed(nodes, env, part=()):
 def _constant(grammar, node, env):
     """`node` with its subtree resolved through `env`, hash-consed."""
     memo = grammar._constants  # noqa: SLF001 - same-package friend
+    if memo.get(node.top) is node.top and memo.get(node) is node:
+        return node  # spliced in (a node's hash reads its whole subtree)
     top, bottom = (memo.setdefault(fs, fs) for fs in
                    (node.top.resolve(env), node.bottom.resolve(env)))
     new = Node(node.label, node.kind, top, bottom, tuple(
@@ -495,10 +498,10 @@ def _constant(grammar, node, env):
 
 
 def _parts(grammar, label, share, particles, max_steps):
-    """The finished parts of `label` within `max_steps` that anchor the
-    content lexemes `share` exactly and otherwise only `particles`, with
-    their roots' codes: a search under the empty goal, kept on the
-    grammar.  Both planes of a part's root are its collapsed root."""
+    """(part, root code, frontier) of each finished part of `label` within
+    `max_steps` that anchors the content lexemes `share` exactly and
+    otherwise only `particles`: a search under the empty goal, kept on
+    the grammar.  Both planes of a part's root are its collapsed root."""
     memo = grammar._parts  # noqa: SLF001 - same-package friend
     key = (label, share, memo.setdefault(particles, particles), max_steps)
     if key not in memo:
@@ -519,10 +522,13 @@ def _parts(grammar, label, share, particles, max_steps):
             if len(set(reps)) == len(reps):
                 fs, env = fs.resolve(env), UNBOUND
             fs = grammar._constants.setdefault(fs, fs)  # noqa: SLF001
-            root = replace(root, top=fs, bottom=fs, children=children)
+            root = Node(root.label, root.kind, fs, fs, children, root.surface,
+                        root.lexeme, root.variant, root.was_foot)
             entries.append((DerivedTree(root, derived.klass, env,
                                         derived.history),
-                            grammar.schema.code(fs, env)))
+                            grammar.schema.code(fs, env),
+                            tuple(node.surface for _, node in derived.nodes
+                                  if node.kind == ANCHOR and node.surface)))
         memo[key] = entries
     return memo[key]
 
@@ -592,14 +598,15 @@ def _derive(grammar, goal_label, goal_fs, max_steps, lexemes, targets,
             _parts(grammar, site.label, share, particles, max_steps)
             for share in sorted({left} if len(sites) == 1 else {
                 share for k in range(len(left) + 1)
-                for share in combinations(left, k)})]
+                for share in combinations(left, k)})
+            if grammar.reach.get(site.label, frozenset()).issuperset(share)]
         if tables is None or None in tables:  # recognition, or a table in
             fillers = [(filler, 1, address)  # the making: fill in place
                        for filler in instances(INITIAL, site.label)]
         else:
             top = code(site.top, env)
             fillers = [(filler, len(filler.history), None) for table in tables
-                       for filler, root in table if not _clash(schema, top, root)]
+                       for filler, root, _ in table if not _clash(schema, top, root)]
         for filler, steps, opened in fillers:
             if cost + steps > max_steps:
                 continue

@@ -8,12 +8,12 @@ in as a particle wherever the grammar lets it.  A sentence is no
 exception: the grammar's S tree carries its parts' features.  Only the
 request's top tree is searched under its goal; the engine fills its
 sites with parts derived once per grammar and content.  A paradigm
-table searches once per category and content under the empty goal,
-which reads neither lan nor the TMA bundle, and fills each dialect's
-cell from it as a request fills its answer from its own search:
-:func:`realizations_from_finals` keeps the derivations whose collapsed
-features unify with the goal, applies the fusion rules and groups the
-survivors.
+table reads each row from the grammar's part table for its category
+and content, found under the empty goal, which reads neither lan nor
+the TMA bundle, and fills each dialect's cell from it as a request
+fills its answer from its own search: :func:`realizations_from_finals`
+keeps the derivations whose collapsed features unify with the goal,
+applies the fusion rules and groups the survivors.
 
 A request is one goal in every dialect.  How each dialect marks a
 bundle is the grammar's business: the conditional, for one, is the
@@ -209,6 +209,11 @@ _CONTENT_CATEGORIES = frozenset(("N", "Nprop", "V"))
 _MAX_STEPS = 9
 
 
+def _particles(grammar):
+    return frozenset(lexeme.id for lexeme in grammar.lexicon
+                     if lexeme.category not in _CONTENT_CATEGORIES)
+
+
 def _content(grammar, spec: SemSpec):
     """The spec's content lexemes (noun, complement, predicate), each
     checked against the grammar."""
@@ -219,18 +224,6 @@ def _content(grammar, spec: SemSpec):
         if not grammar.has_lexeme(lexeme_id):
             raise InvalidSpec("unknown lexeme %r" % lexeme_id)
     return content
-
-
-def _finals(grammar, category, content, goal=EMPTY):
-    """(FinalizeResult, trace) pairs of the one search under `goal` that
-    anchors each `content` lexeme exactly once.  Under the empty goal
-    they serve every dialect and TMA bundle of that content."""
-    lexemes = {lexeme.id for lexeme in grammar.lexicon
-               if lexeme.category not in _CONTENT_CATEGORIES}
-    return [(final, derived.history)
-            for derived, final in engine.enumerate_derivations(
-                grammar, category, goal, _MAX_STEPS,
-                lexemes=lexemes.union(content), content=content)]
 
 
 # --- goals -------------------------------------------------------------------
@@ -291,8 +284,8 @@ def realizations_from_finals(grammar, finals, goal):
     fold.  A realization's language set is its derivation's, narrowed
     by the goal's.
 
-    `finals` is an iterable of (FinalizeResult, trace) pairs, as
-    :func:`_finals` makes them or any other search's results.
+    `finals` is an iterable of (FinalizeResult, trace) pairs: a search's
+    results, or a part table's entries, which carry no lexical entries.
     """
     lan_full = grammar.schema.full("lan") if "lan" in grammar.schema else None
     goal_lan = goal.get("lan", lan_full)
@@ -346,8 +339,12 @@ def generate(grammar: Grammar, spec: SemSpec):
     """All maximal realizations of a semantic specification, merged and
     deterministically ordered.  Raises NoRealization when nothing derives."""
     category, goal = _goal_for(grammar, spec)
-    finals = _finals(grammar, category, _content(grammar, spec), goal)
-    out = realizations_from_finals(grammar, finals, goal)
+    content = _content(grammar, spec)
+    searched = engine.enumerate_derivations(
+        grammar, category, goal, _MAX_STEPS,
+        lexemes=_particles(grammar).union(content), content=content)
+    out = realizations_from_finals(
+        grammar, [(final, derived.history) for derived, final in searched], goal)
     if not out:
         raise NoRealization("nothing derives the requested specification")
     return out
@@ -389,32 +386,38 @@ TMA_ROWS = (
 )
 
 
-def _cell(grammar, finals, goal, row, dialect):
-    """The cell of `row` in `dialect`: the one realization among the
-    row's goal-free `finals` that fits `goal` narrowed to the dialect."""
-    reals = realizations_from_finals(
-        grammar, finals, FeatureStruct(dict(goal.items()), lan=(dialect,)))
-    if len(reals) != 1:
-        detail = "ambiguous: " + " | ".join(" ".join(r.tokens) for r in reals)
-        raise MissingCell(row, dialect, detail if reals else "")
-    real = reals[0]
-    return " / ".join(map(" ".join, (real.tokens,) + real.alternatives))
+def _row(grammar, spec: SemSpec):
+    """(dialect, realizations) per dialect of a request, read from its
+    part table, each part pretested on its root's code."""
+    category, goal = _goal_for(grammar, spec)
+    content = _content(grammar, spec)
+    parts = engine._parts(  # noqa: SLF001 - same-package friend
+        grammar, category, tuple(sorted(content)),
+        _particles(grammar).difference(content), _MAX_STEPS)
+    schema = grammar.schema
+    for dialect in schema.domain("lan").values:
+        cell = FeatureStruct(dict(goal.items()), lan=(dialect,))
+        code = schema.code(cell, UNBOUND)
+        yield dialect, realizations_from_finals(grammar, [
+            (engine.FinalizeResult(frontier, part.root.top.resolve(part.env),
+                                   ()), part.history)
+            for part, root, frontier in parts
+            if not schema.clash(code, root)], cell)
 
 
 def _table(grammar, rows):
     """A grid of (row name, SemSpec) rows that leave lan open, one
-    dialect per column.  The search reads only a row's category and
-    content lexemes, so rows sharing them share one goal-free search."""
-    dialects = grammar.schema.domain("lan").values
-    searches = {}
+    dialect per column: the one realization :func:`_row` finds."""
     table = []
     for row, spec in rows:
-        category, goal = _goal_for(grammar, spec)
-        key = category, _content(grammar, spec)
-        if key not in searches:
-            searches[key] = _finals(grammar, *key)
-        table.append((row, [_cell(grammar, searches[key], goal, row, dialect)
-                            for dialect in dialects]))
+        cells = []
+        for dialect, reals in _row(grammar, spec):
+            if len(reals) != 1:
+                raise MissingCell(row, dialect, "ambiguous: " + " | ".join(
+                    " ".join(r.tokens) for r in reals) if reals else "")
+            cells.append(" / ".join(map(" ".join, (reals[0].tokens,)
+                                        + reals[0].alternatives)))
+        table.append((row, cells))
     return table
 
 

@@ -9,6 +9,7 @@ lexeme is meaningful and preserved as written.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .featstruct import FeatureStruct, Schema, Var
@@ -59,7 +60,7 @@ class Grammar:
 
     Its memos are filled on first use and collected with it: `_relaxed`,
     the projection onto every dialect that the recognizer falls back
-    to, and the engine's `_instances` (elementary instances),
+    to, `reach`, and the engine's `_instances` (elementary instances),
     `_anchorings` (the anchoring index), `_codes` (auxiliary codes),
     `_parts` (finished parts), `_constants` (their hash-consed nodes)
     and `_tagged` (tagged variables and structures).
@@ -95,6 +96,20 @@ class Grammar:
 
     def initial_trees(self):
         return [t for t in self.trees if t.klass == INITIAL]
+
+    @cached_property
+    def reach(self):
+        """Root label -> ids of the lexemes a derivation from it may anchor:
+        a tree's every node leads to the trees rooted in its label."""
+        edges = {}
+        for tree in self.trees:
+            edges.setdefault(tree.root.label, set()).update(
+                node.label for _, node in tree.nodes())
+        for found in [*edges.values()] * len(edges):  # closes every path
+            found.update(*[edges.get(label, ()) for label in found])
+        return {label: frozenset(lexeme.id for lexeme in self.lexicon
+                                 if lexeme.category in found)
+                for label, found in edges.items()}
 
     def __eq__(self, other):
         return (isinstance(other, Grammar)

@@ -14,12 +14,14 @@ from creoletag.creole import DIALECTS, golden_path, grammar_text
 from creoletag.dsl import load_grammar
 from creoletag.errors import InvalidSpec, NoRealization, UndeclaredAttribute
 from creoletag.featstruct import FeatureStruct, Var
-from creoletag.generate import (ASPECTS, NUMBERS, NPSpec, SemSpec, TMA,
-                                apply_fusion, format_table, generate,
+from creoletag.generate import (_MAX_STEPS, ASPECTS, NUMBERS, NPSpec, SemSpec,
+                                TMA, _content, _goal_for, _particles,
+                                _row, apply_fusion, format_table, generate,
                                 golden_corpus, semspec_from_json, table_np,
                                 table_tma)
 from creoletag.grammar import Grammar
 from creoletag.specialize import project_language, specialize
+from creoletag.trees import Node
 
 
 def tokens_of(reals):
@@ -173,16 +175,13 @@ class TestNounPhraseRealization:
         # rows of one noun (42 substitutions in 15 searches when each
         # row derives its own); a finished noun is derived once, for both
         # NP trees, and substituted into each (14 substitutions and 144
-        # adjunctions when each NP tree derives its own nouns)
+        # adjunctions when each NP tree derives its own nouns); a row
+        # reads the part table, so the searches are one per NP row key
+        # and one per noun table
         assert len(table_np(fresh_grammar)) == 15
-        assert engine_calls["enumerate_derivations"] == 4
+        assert engine_calls["_derive"] == 8
         assert engine_calls["substitute"] <= 83
         assert engine_calls["adjoin"] <= 84
-        # a second call reads the finished nouns kept on the grammar
-        built = dict(engine_calls)
-        assert len(table_np(fresh_grammar)) == 15
-        assert engine_calls["adjoin"] == built["adjoin"]
-        assert engine_calls["instantiate"] == built["instantiate"]
 
     def test_sentence_with_subject(self, grammar):
         reals = generate(grammar, SemSpec(
@@ -269,7 +268,7 @@ class TestGrammarDriven:
             SemSpec(pred=pred, tma=tma if pred else TMA(), lan=lan,
                     args=(NPSpec(noun, nbr, *determination, complement),)),
             st.sampled_from(NOUNS), st.sampled_from(NUMBERS),
-            st.sampled_from(((False, False), (True, False), (True, True))),
+            st.sampled_from(DETERMINATIONS),
             st.sampled_from(COMPLEMENTS), st.sampled_from((None, "DANCE")),
             st.sampled_from(BUNDLES), lan)
         for spec in data.draw(st.lists(specs, min_size=1, max_size=3)):
@@ -307,7 +306,108 @@ def _bundles():
 
 BUNDLES = _bundles()
 NOUNS = ("PERSON", "TABLE", "DOG", "BIRD")
+DETERMINATIONS = ((False, False), (True, False), (True, True))  # spe, dem
 COMPLEMENTS = (None, "SAINT-THOMAS", "SAINT-LAURENT")
+# every noun phrase and every TMA bundle a table row could ask for
+SPACE = [SemSpec(args=(NPSpec(noun, nbr, *determination, complement),))
+         for noun in NOUNS for nbr in NUMBERS
+         for determination in DETERMINATIONS for complement in COMPLEMENTS] + \
+    [SemSpec(pred="DANCE", tma=tma) for tma in BUNDLES]
+
+
+class TestTableLookup:
+    """A paradigm row is a lookup into the grammar's part table: a warm
+    table makes no engine operation, the part table holds what a search
+    under the empty goal finds, and a cell is what the request for it
+    gives, over the whole spec space."""
+
+    @pytest.mark.parametrize("table", [table_np, table_tma])
+    def test_warm_table_makes_no_engine_operation(
+            self, fresh_grammar, engine_calls, monkeypatch, table):
+        # a warm table that searches again repeats 83 substitutions and
+        # 83 finalizations (NP), or 37 adjunctions and 30 finalizations
+        # (TMA), and walks each tree it builds
+        first = table(fresh_grammar)
+        built = dict(engine_calls)
+        walks = [0]
+        real = Node.walk
+
+        def walk(node, address=()):
+            walks[0] += not address
+            return real(node, address)
+
+        monkeypatch.setattr(Node, "walk", walk)
+        assert table(fresh_grammar) == first
+        assert engine_calls == built
+        assert walks == [0]
+
+    def test_part_table_holds_the_goal_free_finals(self):
+        grammar = load_grammar(grammar_text())
+        for _ in range(2):  # fresh, then warm
+            searched = set()
+            for spec in SPACE:
+                category = _goal_for(grammar, spec)[0]
+                content = _content(grammar, spec)
+                if (category, content) in searched:
+                    continue
+                searched.add((category, content))
+                kept = {}
+                for part, _, frontier in engine._parts(
+                        grammar, category, tuple(sorted(content)),
+                        _particles(grammar).difference(content), _MAX_STEPS):
+                    key = frontier, part.root.top.resolve(part.env)
+                    if key not in kept or \
+                            part.trace_key() < kept[key].trace_key():
+                        kept[key] = part
+                found = sorted(((*key, part.history)
+                                for key, part in kept.items()),
+                               key=lambda item: [s.key() for s in item[2]])
+                oracle = engine.enumerate_derivations(
+                    grammar, category, FeatureStruct(), _MAX_STEPS,
+                    lexemes=_particles(grammar).union(content),
+                    content=content)
+                assert found == [(final.frontier, final.features,
+                                  derived.history)
+                                 for derived, final in oracle], content
+            assert len(searched) == 13
+
+    def test_cells_equal_requests(self):
+        grammar = load_grammar(grammar_text())
+        key = lambda reals: [(r.tokens, r.lan_set, r.alternatives)
+                             for r in reals]
+        assert len(SPACE) == 100
+        for _ in range(2):  # fresh, then warm
+            empty = 0
+            for spec in SPACE:
+                cells = 0
+                for dialect, reals in _row(grammar, spec):
+                    request = realizations(
+                        grammar, replace(spec, lan=frozenset([dialect])))
+                    if request == "NoRealization":
+                        request, empty = [], empty + 1
+                    assert key(reals) == key(request), (spec, dialect)
+                    cells += 1
+                assert cells == len(DIALECTS)
+            assert empty == 35
+
+    def test_no_part_table_for_a_share_the_label_cannot_anchor(self):
+        # an S request's NP site used to build NP and N tables for DANCE,
+        # and its Pred site, after an NP without the complement, a Pred
+        # table for the place name: each searches a whole space in vain
+        anchors = {"N": {"N", "Nprop"}, "NP": {"N", "Nprop"}, "Pred": {"V"}}
+        shipped = load_grammar(grammar_text())
+        for grammar in (shipped, specialize(shipped, "HT")):
+            for noun in NOUNS:
+                for complement in COMPLEMENTS:
+                    np = NPSpec(noun, "pl", True, False, complement)
+                    for spec in (SemSpec(args=(np,)), SemSpec(
+                            pred="DANCE", args=(np,), tma=TMA(pas=True))):
+                        assert realizations(grammar, spec) != "NoRealization"
+            keys = [key for key in grammar._parts if isinstance(key, tuple)]
+            assert {label for label, *_ in keys} == {"N", "NP", "Pred"}
+            for label, share, *_ in keys:
+                assert {grammar.lexeme(lexeme).category
+                        for lexeme in share} <= anchors[label], (label, share)
 
 
 @pytest.fixture(scope="module")
