@@ -8,7 +8,7 @@
 
 All output is UTF-8 and deterministic: identical inputs produce
 byte-identical output.  Exit codes: 0 success, 1 no result / mismatch,
-2 validation findings, 3 bad input.
+2 validation findings, 3 bad input (a usage error among them).
 """
 
 from __future__ import annotations
@@ -92,10 +92,6 @@ def cmd_generate(args):
 
 
 def cmd_tables(args):
-    if args.which not in ("np", "tma"):
-        print("unknown table %r (expected np or tma)" % args.which,
-              file=sys.stderr)
-        return EXIT_BAD_INPUT
     grammar = _load(args.grammar)
     try:
         rows = table_np(grammar) if args.which == "np" else table_tma(grammar)
@@ -202,7 +198,7 @@ def build_parser():
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("tables", help="regenerate a paradigm table")
-    p.add_argument("which", help="np or tma")
+    p.add_argument("which", choices=("np", "tma"), help="np or tma")
     p.add_argument("--golden", help="compare byte-for-byte against this file")
     p.add_argument("--grammar", help="grammar file (default: embedded)")
     p.set_defaults(func=cmd_tables)
@@ -227,8 +223,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        return exc.code and EXIT_BAD_INPUT
     try:
         return args.func(args)
     except (InvalidSpec, UndeclaredAttribute, GrammarSyntaxError,

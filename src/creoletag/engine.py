@@ -5,8 +5,8 @@ spliced at a node, the node splits: its top goes to the copy built from
 the auxiliary root (unified with the root's top), its bottom to the copy
 built from the foot (unified with the foot's bottom), and the subtree
 below the node hangs from the foot position.  Nothing checks that a
-node's own top and bottom agree until :func:`finalize`, which collapses
-every node once and reports the first node that refuses.
+node's own top and bottom agree until it collapses: once per part in a
+search, and in :func:`finalize`, which names the first node that refuses.
 
 Node addresses are Gorn paths (root = (), i-th child appends i).  After
 a splice the subtree below the foot keeps its addresses relative to the
@@ -15,10 +15,9 @@ as a foot; the particle stacks of the grammar grow by adjoining at the
 fresh root copy instead, so every node hosts at most one auxiliary.
 
 Substitution takes any initial-derived filler, complete or open: an
-open filler's pending sites become the host's, and :func:`finalize`,
-which refuses a tree with a pending site, is the one completeness
-check.  A spliced part's own steps enter the host's trace flat,
-re-addressed under the site.
+open filler's pending sites become the host's, and :func:`finalize`
+refuses a tree with a pending site.  A spliced part's own steps enter
+the host's trace flat, re-addressed under the site.
 
 A search derives top-down, in one recursion.  It starts from instances
 of the goal's initial trees, the goal unified into the root's top
@@ -29,16 +28,18 @@ that part for good.  A derivation tree is context-free: what adjoins
 inside a part depends on its host only through the site (Schabes &
 Shieber, CL 1994).  So every derivation is still reached, and the
 adjunctions of different parts are tried in one interleaving only.  A
-finished part is collapsed at once, each node's top unified with its
-bottom into the bindings, as :func:`finalize` does later: no node of
-it changes again and bindings only narrow, so the cut is exact, and
-what the part fixes (the goal's values, a language) reaches the
-pretests of the parts after it.  So generation derives a part once per
-grammar, as chart generators do (Kay, ACL 1996): a site takes finished
-parts anchoring some of the content lexemes left that its label can
-reach (:func:`_parts`), found by this recursion under the empty goal
-when first reached, and none takes an adjunction.  Recognition, whose
-frontier bound reads the whole tree, fills a site in place.
+part is collapsed once, when the search leaves it for the next site or
+for good, each node's top unified with its bottom into the bindings:
+no node of it changes again and bindings only narrow, so the cut is
+exact, and what the part fixes (the goal's values, a language) reaches
+the pretests of the parts after it.  One reader, :func:`_final`, reads
+a complete derivation under those bindings.  So generation derives a
+part once per grammar, as chart generators do (Kay, ACL 1996): a site
+takes finished parts anchoring some of the content lexemes left that
+its label can reach (:func:`_parts`), found by this recursion under
+the empty goal when first reached, and none takes an adjunction.
+Recognition, whose frontier bound reads the whole tree, fills a site
+in place.
 
 Variables are named by the step that brought them in: instantiation
 keeps the grammar's names, and each splice tags every variable of the
@@ -47,11 +48,10 @@ length, so an instance spliced twice never shares a variable with
 itself.  Goals are checked against the schema where they enter, as
 grammar material is at load; unification checks nothing.
 
-A search skips what a pretest, :func:`_clash`, shows must fail.  An
-adjunction is tested on codes (:meth:`Schema.clash`): an auxiliary
-instance's are made once per grammar, a node's once per state.  An
-anchoring is tested once per grammar, a finalization once per state, by
-a :func:`disjoint` scan, a finished part by its root's code.
+A search skips what a pretest, :func:`_clash`, shows must fail, on
+codes (:meth:`Schema.clash`): an anchoring once per grammar; an
+adjunction on its auxiliary instance's codes, made once per grammar,
+and its node's, made once per state; a finished part on its root's.
 A derived tree is walked once, into :attr:`DerivedTree.nodes`.
 
 Derived trees are immutable; every operation returns a new tree and
@@ -66,7 +66,7 @@ grammar's anchoring index (:func:`_anchorings`: what the pretest admits
 per class and root label, uninstantiated) by the lexemes and tokens it
 may use.  Each instance keeps its copies tagged per frame
 (:func:`_splice_in`).  A finished part is kept with its root's code
-and its frontier, constant below its root and hash-consed
+and its final reading, constant below its root and hash-consed
 (:func:`_constant`), and unless its root links two cells, a splice
 copies none of it.  Nothing else is kept between calls.
 """
@@ -349,28 +349,32 @@ def adjoin(grammar: Grammar, host: DerivedTree, address,
 
 
 def finalize(grammar: Grammar, derived: DerivedTree) -> FinalizeResult:
-    """Collapse top against bottom at every node and read the frontier."""
+    """Collapse every node of a derived tree, a replayed trace say, and
+    read it (:func:`_final`); CollapseFailure names the first refusal."""
     pending = derived.pending_sites
     if pending:
         raise PendingSite("substitution sites still open at %s"
                           % ", ".join(str(a) for a in pending))
 
     env = derived.env
-    for address, node in derived.nodes:  # the root comes first
+    for address, node in derived.nodes:
         unified = unify(node.top, node.bottom, env)
         if unified is None:
             raise CollapseFailure(address, _disjoint(node.top, env,
                                                      node.bottom, env))
-        fs, env = unified
-        if address == ():
-            collapsed_root = fs
+        env = unified[1]
+    return _final(derived, env)
 
+
+def _final(derived: DerivedTree, env) -> FinalizeResult:
+    """The frontier, lexical entries and collapsed root features of a
+    complete derivation whose nodes `env` collapses."""
+    root = derived.root
     lexical = tuple((node.surface, node.lexeme, node.variant)
                     for _, node in derived.nodes
                     if node.kind == ANCHOR and node.surface)
-    return FinalizeResult(frontier=tuple(entry[0] for entry in lexical),
-                          features=collapsed_root.resolve(env),
-                          lexical=lexical)
+    fs = unify(root.top, root.bottom, env)[0].resolve(env)
+    return FinalizeResult(tuple(token for token, *_ in lexical), fs, lexical)
 
 
 def replay(grammar: Grammar, history) -> DerivedTree:
@@ -391,10 +395,10 @@ def replay(grammar: Grammar, history) -> DerivedTree:
 
 # --- enumeration -------------------------------------------------------------
 
-def _clash(schema, a, b, env=None) -> bool:
-    """Whether unifying two codes, or two structures under env, must fail."""
-    return schema.clash(a, b) if env is None else \
-        _disjoint(a, env, b, env) is not None
+def _clash(schema, a, b) -> bool:
+    """Whether unifying structures of the codes `a` and `b` must fail:
+    every pretest of a search, in the one place a test can turn off."""
+    return schema.clash(a, b)
 
 
 def _layout(nodes, part, splittable):
@@ -439,12 +443,13 @@ def _anchorings(grammar, klass, label):
                 continue
             address = tree.anchor_address()
             anchor = None if address is None else tree.node_at(address)
+            bottom = anchor and grammar.schema.code(anchor.bottom, UNBOUND)
             entries.extend([(tree, None, None, None)] if anchor is None else (
                 (tree, lexeme.id, i, variant.surface)
                 for lexeme in grammar.lexicon if lexeme.category == anchor.label
                 for i, variant in enumerate(lexeme.variants)
-                if not _clash(grammar.schema, anchor.bottom, variant.features,
-                              Bindings())))
+                if not _clash(grammar.schema, bottom,
+                              grammar.schema.code(variant.features, UNBOUND))))
         index[klass, label] = entries
     return index[klass, label]
 
@@ -473,7 +478,7 @@ def _menu(grammar, klass, label, lexemes, vocabulary):
     return [inst for inst in found if inst is not None]
 
 
-def _collapsed(nodes, env, part=()):
+def _collapsed(nodes, env, part):
     """`env` with each of `nodes` inside `part` collapsed, or None."""
     for address, node in nodes:
         if node.top and node.bottom and address[:len(part)] == part:
@@ -498,7 +503,7 @@ def _constant(grammar, node, env):
 
 
 def _parts(grammar, label, share, particles, max_steps):
-    """(part, root code, frontier) of each finished part of `label` within
+    """(part, root code, final) of each finished part of `label` within
     `max_steps` that anchors the content lexemes `share` exactly and
     otherwise only `particles`: a search under the empty goal, kept on
     the grammar.  Both planes of a part's root are its collapsed root."""
@@ -507,35 +512,34 @@ def _parts(grammar, label, share, particles, max_steps):
     if key not in memo:
         memo[key] = None  # in the making: a site of it inside fills in place
         entries = []  # stored whole: a search in another thread reads it
-        for derived in _derive(grammar, label, EMPTY, max_steps,
-                               particles.union(share), None, share):
-            root, env = derived.root, _collapsed(derived.nodes, derived.env)
-            if env is None:
-                continue
-            fs = unify(root.top, root.bottom, env)[0]
+        for derived, env in _derive(grammar, label, EMPTY, max_steps,
+                                    particles.union(share), None, share):
+            root, final = derived.root, _final(derived, env)
             children = tuple(_constant(grammar, child, env)
                              for child in root.children)
             # a variable met once on the root is its value (unbound: the
             # full domain); where one links two cells, the bindings stay
-            reps = [env.root(cell.name) for _, cell in fs.items()
-                    if isinstance(cell, Var)]
-            if len(set(reps)) == len(reps):
-                fs, env = fs.resolve(env), UNBOUND
+            reps = {attr: env.root(cell.name)
+                    for plane in (root.top, root.bottom)
+                    for attr, cell in plane.items() if isinstance(cell, Var)}
+            if len(set(reps.values())) == len(reps):
+                fs, env = final.features, UNBOUND
+            else:
+                fs = unify(root.top, root.bottom, env)[0]
             fs = grammar._constants.setdefault(fs, fs)  # noqa: SLF001
             root = Node(root.label, root.kind, fs, fs, children, root.surface,
                         root.lexeme, root.variant, root.was_foot)
             entries.append((DerivedTree(root, derived.klass, env,
                                         derived.history),
-                            grammar.schema.code(fs, env),
-                            tuple(node.surface for _, node in derived.nodes
-                                  if node.kind == ANCHOR and node.surface)))
+                            grammar.schema.code(fs, env), final))
         memo[key] = entries
     return memo[key]
 
 
 def _derive(grammar, goal_label, goal_fs, max_steps, lexemes, targets,
             content):
-    """Yield the complete derivations :func:`enumerate_derivations` checks."""
+    """Yield each complete derivation with the bindings that collapse
+    every node of it, for :func:`_final` to read."""
     vocabulary = None if targets is None else targets.tokens
     splittable = grammar.splittable
     schema, code = grammar.schema, grammar.schema.code
@@ -584,14 +588,16 @@ def _derive(grammar, goal_label, goal_fs, max_steps, lexemes, targets,
                 except UnificationFailure:
                     continue
                 yield from explore(nxt, cost + 1, part)
-        if cost <= min(own, max_steps) and not sites and not left:
-            yield derived
-        if not deeper or not sites:
+        if not (deeper if sites else cost <= min(own, max_steps) and not left):
             return
-        address, site = sites[0]
-        # the part is finished: collapse its nodes now, as finalize will
+        # collapse the finished part (one from a table is collapsed
+        # already, and the site's top holds its root)
         if part is not None and (env := _collapsed(nodes, env, part)) is None:
             return
+        if not sites:
+            yield derived, env
+            return
+        address, site = sites[0]
         host = DerivedTree(derived.root, derived.klass, env, derived.history)
         # no adjunction follows a finished part: the last one anchors all
         tables = None if targets is not None else [
@@ -638,17 +644,18 @@ def _derive(grammar, goal_label, goal_fs, max_steps, lexemes, targets,
 def enumerate_derivations(grammar: Grammar, goal_label: str,
                           goal_fs: FeatureStruct, max_steps: int,
                           lexemes=None, targets=None, content=()):
-    """Every finalizable derivation within the step bound whose root
-    top, the goal unified in, collapses with its bottom, as (derived,
-    final) pairs.
+    """Every complete derivation within the step bound whose nodes all
+    collapse, the goal unified into its root's top, as (derived, final)
+    pairs, each final read by :func:`_final`.
 
     Derivation is top-down (see the module docstring): each step adjoins
     into the part substituted last or fills the first pending site, in
-    pre-order, so a trace lists the parts flat, in pre-order; filling a
-    site first collapses the part it leaves, and cuts the state if that
-    fails.  Generation fills a site with finished parts (:func:`_parts`),
-    recognition (`targets` given) with instances.  The bound counts
-    substitutions plus adjunctions, a finished part's own included.
+    pre-order, so a trace lists the parts flat, in pre-order; a part is
+    collapsed once, when the search leaves it for the next site or for
+    good, and a part that does not collapse cuts the state.  Generation
+    fills a site with finished parts (:func:`_parts`), recognition
+    (`targets` given) with instances.  The bound counts substitutions
+    plus adjunctions, a finished part's own included.
     `lexemes` optionally restricts which lexemes may anchor trees.
     `content` lists lexeme ids every result anchors exactly as often as
     listed; a partial derivation that anchors one more often is cut.
@@ -663,16 +670,10 @@ def enumerate_derivations(grammar: Grammar, goal_label: str,
     against the grammar's schema here, where it enters.
     """
     grammar.schema.check(goal_fs)
-    schema, results = grammar.schema, {}
-    for derived in _derive(grammar, goal_label, goal_fs, max_steps, lexemes,
-                           targets, tuple(content)):
-        if any(_clash(schema, node.top, node.bottom, derived.env)
-               for _, node in derived.nodes):
-            continue
-        try:
-            final = finalize(grammar, derived)
-        except CollapseFailure:
-            continue
+    results = {}
+    for derived, env in _derive(grammar, goal_label, goal_fs, max_steps,
+                                lexemes, targets, tuple(content)):
+        final = _final(derived, env)
         key = (final.frontier, final.features)
         prior = results.get(key)
         if prior is None or derived.trace_key() < prior[0].trace_key():

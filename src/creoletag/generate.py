@@ -284,8 +284,8 @@ def realizations_from_finals(grammar, finals, goal):
     fold.  A realization's language set is its derivation's, narrowed
     by the goal's.
 
-    `finals` is an iterable of (FinalizeResult, trace) pairs: a search's
-    results, or a part table's entries, which carry no lexical entries.
+    `finals` is an iterable of (FinalizeResult, trace) pairs, from a
+    search's results or a part table's entries.
     """
     lan_full = grammar.schema.full("lan") if "lan" in grammar.schema else None
     goal_lan = goal.get("lan", lan_full)
@@ -399,9 +399,7 @@ def _row(grammar, spec: SemSpec):
         cell = FeatureStruct(dict(goal.items()), lan=(dialect,))
         code = schema.code(cell, UNBOUND)
         yield dialect, realizations_from_finals(grammar, [
-            (engine.FinalizeResult(frontier, part.root.top.resolve(part.env),
-                                   ()), part.history)
-            for part, root, frontier in parts
+            (final, part.history) for part, root, final in parts
             if not schema.clash(code, root)], cell)
 
 

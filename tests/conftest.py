@@ -30,7 +30,7 @@ def engine_calls(monkeypatch):
     counts guard the 5 s table gates of criteria 1-2 and the recognizer's
     work on any machine."""
     calls = dict.fromkeys(("instantiate", "substitute", "adjoin", "finalize",
-                           "enumerate_derivations", "_derive"), 0)
+                           "enumerate_derivations", "_derive", "_final"), 0)
     for name in calls:
         def counted(*args, _name=name, _real=getattr(engine, name), **kwargs):
             calls[_name] += 1

@@ -139,6 +139,19 @@ class TestSpecializeAndCheck:
         grammar = load_grammar(out.read_text(encoding="utf-8"))
         assert "lan" not in grammar.schema
 
+    def test_check_without_a_file_is_bad_input(self, capsys):
+        # argparse's own exit status, 2, is kept for validation findings
+        assert main(["check"]) == 3
+        assert "required: file" in capsys.readouterr().err
+
+    def test_generate_without_sem_is_bad_input(self, capsys):
+        assert main(["generate"]) == 3
+        assert "required: --sem" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert "usage: creoletag" in capsys.readouterr().out
+
     def test_check_missing_file(self, capsys):
         assert main(["check", "no-such-file.fstag"]) == 3
 

@@ -337,7 +337,17 @@ class TestShippedOperations:
         derived = engine.adjoin(grammar, derived, (), sa)
         with pytest.raises(CollapseFailure) as err:
             engine.finalize(grammar, derived)
-        assert err.value.attr == "bar"
+        assert (err.value.address, err.value.attr) == ((), "bar")
+
+    def test_collapse_names_a_node_below_the_root(self, grammar):
+        """A bare noun (bar 1) cannot fill the determined noun's site
+        (bar 2): the root collapses, the filled site refuses."""
+        derived = engine.instantiate(grammar, "alpha-NP-full")
+        noun = engine.instantiate(grammar, "alpha-N", "PERSON", 0)
+        derived = engine.substitute(grammar, derived, (0,), noun)
+        with pytest.raises(CollapseFailure) as err:
+            engine.finalize(grammar, derived)
+        assert (err.value.address, err.value.attr) == ((0,), "bar")
 
     @staticmethod
     def _variant(grammar, lexeme_id, surface):
@@ -670,6 +680,59 @@ class TestLayout:
         nodes = list(self._tree(was_foot).walk())
         assert engine._layout(nodes, part, splittable) == \
             (("ta", "moun", "danse"), gaps)
+
+
+class TestOneReader:
+    """A search reads each complete derivation as finalize, the check of
+    a replayed trace, reads it: the search's one collapse and finalize's
+    collapse of every node agree."""
+
+    @pytest.fixture
+    def searched(self, monkeypatch):
+        found = []
+        search = engine.enumerate_derivations
+
+        def recorded(grammar, *args, **kwargs):
+            results = search(grammar, *args, **kwargs)
+            found.extend((grammar, *pair) for pair in results)
+            return results
+
+        monkeypatch.setattr(engine, "enumerate_derivations", recorded)
+        return found
+
+    @staticmethod
+    def _agree(found, searches):
+        assert len(found) >= searches
+        for grammar, derived, final in found:
+            assert engine.finalize(grammar, derived) == final, derived.history
+
+    def test_golden_corpus_requests(self, grammar, searched):
+        for spec in golden_corpus():
+            generate(grammar, spec)
+        self._agree(searched, len(golden_corpus()))
+
+    def test_golden_strings(self, grammar, searched):
+        forms = set()
+        for name, goal in (("np", "NP"), ("tma", "Pred")):
+            rows = golden_path(name).read_text(encoding="utf-8").splitlines()
+            forms.update((form, goal) for row in rows[1:]
+                         for cell in row.split("\t")[1:]
+                         for form in cell.split(" / "))
+        for form, goal in sorted(forms):
+            recognize(grammar, form, goal)
+        self._agree(searched, len(forms))
+
+    def test_generated_sentences(self, grammar, searched):
+        sentences = {real.tokens for noun in ("PERSON", "BIRD")
+                     for tma in (TMA(), TMA(pas=True, asp="imp"),
+                                 TMA(cnd=True))
+                     for real in generate(grammar, SemSpec(
+                         pred="DANCE", tma=tma,
+                         args=(NPSpec(noun, "pl", True),)))}
+        searched.clear()  # keep the recognizer's searches only
+        for tokens in sorted(sentences):
+            recognize(grammar, " ".join(tokens), "S")
+        self._agree(searched, len(sentences))
 
 
 class TestSplicesCopyOncePerFrame:

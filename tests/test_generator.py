@@ -110,10 +110,10 @@ class TestPredicateRealization:
 
     def test_tma_table_derives_once(self, fresh_grammar, engine_calls):
         # every row is DANCE and derivation reads neither lan nor TMA, so
-        # the 48 cells share one derivation run (1 536 finalizations when
-        # each cell derives its own)
+        # the 48 cells share one derivation run (80 completed derivations
+        # when each cell derives its own)
         assert len(table_tma(fresh_grammar)) == 12
-        assert engine_calls["finalize"] <= 32
+        assert engine_calls["_final"] <= 30
         assert engine_calls["instantiate"] <= 17
         assert engine_calls["adjoin"] <= 167
 
@@ -159,7 +159,8 @@ class TestNounPhraseRealization:
                                                      engine_calls):
         # 22 plans each restarting from the bare NP tree cost this cell
         # 22 substitutions, 161 instantiations and 120 adjunctions; a goal
-        # checked after finalizing cost 19 finalizations
+        # checked after the search cost 38 completed derivations, 19 of
+        # them noun parts
         reals = generate(fresh_grammar, SemSpec(
             args=(NPSpec("TABLE", nbr="pl", spe=True, dem=True),),
             lan=frozenset(["GP"])))
@@ -167,7 +168,7 @@ class TestNounPhraseRealization:
         assert engine_calls["substitute"] <= 2
         assert engine_calls["instantiate"] <= 41
         assert engine_calls["adjoin"] <= 108
-        assert engine_calls["finalize"] == 1
+        assert engine_calls["_final"] <= 20
 
     def test_np_table_derives_each_row_once(self, fresh_grammar, engine_calls):
         # the 4 dialect columns of a row share its derivations (1 848
@@ -352,22 +353,22 @@ class TestTableLookup:
                     continue
                 searched.add((category, content))
                 kept = {}
-                for part, _, frontier in engine._parts(
+                for part, _, final in engine._parts(
                         grammar, category, tuple(sorted(content)),
                         _particles(grammar).difference(content), _MAX_STEPS):
-                    key = frontier, part.root.top.resolve(part.env)
+                    assert engine.finalize(grammar, part) == final
+                    key = final.frontier, final.features
                     if key not in kept or \
-                            part.trace_key() < kept[key].trace_key():
-                        kept[key] = part
-                found = sorted(((*key, part.history)
-                                for key, part in kept.items()),
-                               key=lambda item: [s.key() for s in item[2]])
+                            part.trace_key() < kept[key][1].trace_key():
+                        kept[key] = final, part
+                found = sorted(((final, part.history)
+                                for final, part in kept.values()),
+                               key=lambda item: [s.key() for s in item[1]])
                 oracle = engine.enumerate_derivations(
                     grammar, category, FeatureStruct(), _MAX_STEPS,
                     lexemes=_particles(grammar).union(content),
                     content=content)
-                assert found == [(final.frontier, final.features,
-                                  derived.history)
+                assert found == [(final, derived.history)
                                  for derived, final in oracle], content
             assert len(searched) == 13
 
@@ -435,7 +436,7 @@ def unpruned():
 
 
 class TestPruningSoundness:
-    """The search skips adjunctions and finalizations that the clash test
+    """The search skips anchorings, adjunctions and parts that the clash test
     shows must fail; skipping them may not change what generate gives."""
 
     def test_golden_corpus(self, grammar, unpruned):

@@ -93,13 +93,14 @@ class TestRecognize:
 
     def test_stack_is_one_search(self, fresh_grammar, engine_calls):
         # one search per decomposition costs this stack 50 searches, 5 862
-        # instantiations, 4 408 adjunctions and 1 294 finalizations
+        # instantiations, 4 408 adjunctions and 1 294 finalizations; a
+        # search without its frontier bound completes 31 derivations
         with pytest.raises(NoAnalysis):
             recognize(fresh_grammar, "ta vap ta vap danse", "Pred")
         assert engine_calls["enumerate_derivations"] <= 2
         assert engine_calls["instantiate"] <= 18
         assert engine_calls["adjoin"] <= 216
-        assert engine_calls["finalize"] == 0
+        assert engine_calls["_final"] == 0
 
     def test_ladder_work_is_bounded(self, fresh_grammar, engine_calls):
         # a list of the ladder's 5^7 decompositions peaked at 60 MB; a
