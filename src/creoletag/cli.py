@@ -26,8 +26,6 @@ from .errors import (CreoleTagError, GrammarSyntaxError, InvalidSpec,
                      UndeclaredAttribute, ValidationError)
 from .generate import check_lan, format_table, generate, semspec_from_json, \
     table_np, table_tma
-from .recognize import recognize
-from .specialize import specialize
 
 EXIT_OK = 0
 EXIT_NO_RESULT = 1
@@ -133,6 +131,7 @@ def _report_diff(text, golden):
 
 
 def cmd_specialize(args):
+    from .specialize import specialize  # only this command pays its import
     grammar = _load(args.grammar)
     specialized = specialize(grammar, args.lan)
     text = serialize(specialized)
@@ -159,6 +158,7 @@ def cmd_check(args):
 
 
 def cmd_recognize(args):
+    from .recognize import recognize  # only this command pays its import
     grammar = _load(args.grammar)
     try:
         analyses = recognize(grammar, args.tokens, args.goal)

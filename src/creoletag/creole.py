@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import os
 from functools import lru_cache
-from importlib import resources
 
 from .dsl import load_grammar
 from .grammar import Grammar
@@ -12,10 +12,13 @@ ENV_GRAMMAR = "CREOLETAG_GRAMMAR"
 
 DIALECTS = ("HT", "GP", "MQ", "GF")
 
+# a plain path: importing importlib.resources would slow every cold start
+_DATA = os.path.join(os.path.dirname(__file__), "data")
+
 
 def grammar_text() -> str:
-    return resources.files("creoletag.data").joinpath("creole.fstag") \
-        .read_text(encoding="utf-8")
+    with open(os.path.join(_DATA, "creole.fstag"), encoding="utf-8") as handle:
+        return handle.read()
 
 
 @lru_cache(maxsize=None)
@@ -25,5 +28,6 @@ def shipped_grammar() -> Grammar:
 
 
 def golden_path(name: str):
-    """Path-like handle on a shipped golden table (``np`` or ``tma``)."""
-    return resources.files("creoletag.data").joinpath("golden/%s.tsv" % name)
+    """Path of a shipped golden table (``np`` or ``tma``)."""
+    from pathlib import Path  # only the golden tables' readers pay for it
+    return Path(_DATA, "golden", "%s.tsv" % name)

@@ -17,16 +17,16 @@ orthography uses precomposed characters, and surface tokens compare
 byte-exactly, so a quoted string that is not NFC is a syntax error.
 
 Serialization is canonical: domains, then trees sorted by name, then
-the lexicon sorted by id; attribute lists alphabetical; value sets in
-domain declaration order.  Loading what serialize produced yields a
-structurally equal grammar.
+the lexicon sorted by id, then the fusion rules longest pattern first;
+attribute lists alphabetical; value sets in domain declaration order.
+Loading what serialize produced yields a structurally equal grammar.
 """
 
 from __future__ import annotations
 
 import unicodedata
 import weakref
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import GrammarSyntaxError, ValidationError
 from .featstruct import EMPTY, AttributeDomain, FeatureStruct, Var
@@ -41,16 +41,14 @@ _CLASS_WORDS = {"initial": INITIAL, "aux": AUXILIARY}
 _PARSED = weakref.WeakValueDictionary()  # equal parsed values: one object
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     text: str
     line: int
     col: int
     quoted: bool = False
 
 
-@dataclass(frozen=True)
-class SList:
+class SList(NamedTuple):
     items: tuple
     line: int
     col: int
@@ -119,9 +117,14 @@ def parse_forms(text):
     stack = []
     forms = []
     for token, line, col in _tokenize(text):
-        if token == "(":
+        if isinstance(token, Atom):
+            if not stack:
+                raise GrammarSyntaxError("top-level atom %r" % token.text,
+                                         line, col)
+            stack[-1][0].append(token)
+        elif token == "(":
             stack.append(([], line, col))
-        elif token == ")":
+        else:
             if not stack:
                 raise GrammarSyntaxError("unbalanced ')'", line, col)
             items, l0, c0 = stack.pop()
@@ -130,11 +133,6 @@ def parse_forms(text):
                 stack[-1][0].append(form)
             else:
                 forms.append(form)
-        else:
-            if not stack:
-                raise GrammarSyntaxError("top-level atom %r" % token.text,
-                                         line, col)
-            stack[-1][0].append(token)
     if stack:
         raise GrammarSyntaxError("unbalanced '('", stack[-1][1], stack[-1][2])
     return forms

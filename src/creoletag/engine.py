@@ -76,7 +76,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (AnchorUnificationFailure, CollapseFailure, LabelMismatch,
                      NotAnAdjunctionSite, NotASubstitutionSite, PendingSite,
@@ -89,8 +89,7 @@ from .trees import ANCHOR, AUXILIARY, FOOT, INITIAL, INTERNAL, SUBST, Node
 _OP_ORDER = {"instantiate": 0, "substitute": 1, "adjoin": 2}
 
 
-@dataclass(frozen=True, slots=True)
-class Step:
+class Step(NamedTuple):
     """One derivation event, replayable against the same grammar."""
 
     op: str
@@ -146,8 +145,7 @@ class DerivedTree:
         return tuple(step.key() for step in self.history)
 
 
-@dataclass(frozen=True)
-class FinalizeResult:
+class FinalizeResult(NamedTuple):
     frontier: tuple[str, ...]
     features: FeatureStruct
     lexical: tuple  # (token, lexeme id, variant index) per frontier token

@@ -28,8 +28,8 @@ optional Guianese imperfective particle and the k'alé/kay doublet).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional
 
 from . import engine
 from .errors import InvalidSpec, MissingCell, NoRealization
@@ -96,8 +96,7 @@ class SemSpec:
             raise InvalidSpec("the shipped fragment covers at most one argument")
 
 
-@dataclass(frozen=True)
-class Realization:
+class Realization(NamedTuple):
     tokens: tuple
     lan_set: frozenset
     alternatives: tuple = ()
@@ -155,16 +154,11 @@ def semspec_from_json(data) -> SemSpec:
 
 # --- fusion -----------------------------------------------------------------
 
-def _fusion_rules_for(lan_set, rules):
-    applicable = [r for r in rules if r.lan is None or lan_set <= r.lan]
-    applicable.sort(key=lambda r: (-len(r.pattern), r.pattern))
-    return applicable
-
-
 def apply_fusion(tokens, lan_set, rules):
     """One left-to-right pass, longest pattern first, once per position.
 
-    Only rules whose language guard covers the whole `lan_set` fire.
+    `rules` come in that order, as :class:`Grammar` keeps them.  Only
+    rules whose language guard covers the whole `lan_set` fire.
     Generation and recognition fuse by this one rule, so every fused
     string a derivation yields can be recognized again.
     """
@@ -179,7 +173,8 @@ def fuse_with_sources(entries, lan_set, rules):
     its payloads and every replacement token carries the combined tuple,
     which is how per-token provenance survives fusion.
     """
-    applicable = _fusion_rules_for(frozenset(lan_set), rules)
+    lan_set = frozenset(lan_set)
+    applicable = [r for r in rules if r.lan is None or lan_set <= r.lan]
     out = []
     i = 0
     while i < len(entries):
@@ -311,8 +306,10 @@ def realizations_from_finals(grammar, finals, goal):
 
     realizations = []
     for tokens, (lan, features, trace) in merged.items():
-        if lan and "lan" in features:
-            features = FeatureStruct({**dict(features), "lan": lan})
+        if lan and "lan" in features:  # the items stay sorted
+            features = FeatureStruct._of(tuple(
+                (attr, lan if attr == "lan" else cell)
+                for attr, cell in features.items()))
         realizations.append(Realization(tokens=tokens, lan_set=lan,
                                         trace=trace, features=features))
 
@@ -327,8 +324,8 @@ def realizations_from_finals(grammar, finals, goal):
         if host is None:
             kept.append(real)
         else:
-            kept[kept.index(host)] = replace(
-                host, alternatives=host.alternatives + (real.tokens,))
+            kept[kept.index(host)] = host._replace(
+                alternatives=host.alternatives + (real.tokens,))
 
     rank = grammar.schema.sort_key("lan") if lan_full else None
     kept.sort(key=lambda real: (sorted(map(rank, real.lan_set)), real.tokens))

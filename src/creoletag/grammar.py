@@ -1,23 +1,22 @@
 """Grammar container: domains, elementary trees, lexicon, fusion rules.
 
 A Grammar is canonicalized at construction (domains sorted by name,
-trees by name, lexemes by id) so that serialization is deterministic and
-a load/serialize round trip is the identity.  Variant order inside a
-lexeme is meaningful and preserved as written.
+trees by name, lexemes by id, fusion rules longest pattern first) so
+that serialization is deterministic and a load/serialize round trip is
+the identity.  Variant order inside a lexeme is meaningful and
+preserved as written.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .featstruct import FeatureStruct, Schema, Var
 from .trees import ANCHOR, AUXILIARY, FOOT, INITIAL, SUBST, ElementaryTree
 
 
-@dataclass(frozen=True)
-class Variant:
+class Variant(NamedTuple):
     """One surface realization of a lexeme with its features.
 
     An empty surface is a zero form: it anchors a tree but contributes
@@ -28,15 +27,13 @@ class Variant:
     features: FeatureStruct
 
 
-@dataclass(frozen=True)
-class Lexeme:
+class Lexeme(NamedTuple):
     id: str
     category: str
     variants: tuple[Variant, ...]
 
 
-@dataclass(frozen=True)
-class FusionRule:
+class FusionRule(NamedTuple):
     """Surface contraction of adjacent particles (te + ap > tap).
 
     `lan` is the language guard: the rule fires only for realizations
@@ -49,8 +46,7 @@ class FusionRule:
     lan: Optional[frozenset] = None
 
 
-@dataclass(frozen=True)
-class Metadata:
+class Metadata(NamedTuple):
     name: str = "grammar"
     version: str = "1"
 
@@ -70,7 +66,10 @@ class Grammar:
         self.domains = tuple(sorted(domains, key=lambda d: d.name))
         self.trees = tuple(sorted(trees, key=lambda t: t.name))
         self.lexicon = tuple(sorted(lexicon, key=lambda l: l.id))
-        self.fusion_rules = tuple(fusion_rules)
+        # longest pattern first, as fusion tries them; stable, so the
+        # first of two rules with one pattern stays first
+        self.fusion_rules = tuple(sorted(
+            fusion_rules, key=lambda r: (-len(r.pattern), r.pattern)))
         self.metadata = metadata or Metadata()
         self.schema = Schema(self.domains)
         # the labels an adjunction may split: auxiliary roots

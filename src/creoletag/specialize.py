@@ -48,12 +48,12 @@ def _project(grammar: Grammar, keep: frozenset, suffix: str,
         variants = []
         for variant in lexeme.variants:
             if admits(variant.features.get("lan")):
-                variants.append(dc_replace(variant, features=erase_attribute(
+                variants.append(variant._replace(features=erase_attribute(
                     variant.features, "lan")))
             else:
                 report.dropped_variants.append((lexeme.id, variant.surface))
         if variants:
-            lexicon.append(dc_replace(lexeme, variants=tuple(variants)))
+            lexicon.append(lexeme._replace(variants=tuple(variants)))
             anchors.setdefault(lexeme.category, []).extend(
                 variant.features for variant in variants)
         else:
@@ -80,7 +80,7 @@ def _project(grammar: Grammar, keep: frozenset, suffix: str,
     rules = []
     for rule in grammar.fusion_rules:
         if admits(rule.lan):
-            rules.append(dc_replace(rule, lan=None))
+            rules.append(rule._replace(lan=None))
         else:
             report.dropped_rules += 1
 

@@ -1,11 +1,15 @@
 """Command-line interface: outputs and exit codes."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import creoletag
 from creoletag.cli import main
 from creoletag.creole import golden_path
 from creoletag.dsl import load_grammar
@@ -312,3 +316,19 @@ class TestArbitraryJson:
         """Any JSON document gets an exit code, never a traceback."""
         sem_path.write_text(json.dumps(document), encoding="utf-8")
         assert main(["generate", "--sem", str(sem_path)]) in (0, 1, 3)
+
+
+class TestStartUp:
+    def test_generate_and_tables_import_no_recognizer(self):
+        """A fresh interpreter that imports the CLI and loads the shipped
+        grammar, all that generate and tables need, leaves recognition
+        and specialization unimported."""
+        code = ("import sys, creoletag.cli; "
+                "from creoletag.creole import shipped_grammar; "
+                "shipped_grammar(); "
+                "print(sorted({'creoletag.recognize', 'creoletag.specialize'}"
+                " & set(sys.modules)))")
+        src = str(Path(creoletag.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], cwd=src,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout == "[]\n"

@@ -19,7 +19,7 @@ from creoletag.generate import (_MAX_STEPS, ASPECTS, NUMBERS, NPSpec, SemSpec,
                                 _row, apply_fusion, format_table, generate,
                                 golden_corpus, semspec_from_json, table_np,
                                 table_tma)
-from creoletag.grammar import Grammar
+from creoletag.grammar import FusionRule, Grammar
 from creoletag.specialize import project_language, specialize
 from creoletag.trees import Node
 
@@ -45,6 +45,50 @@ class TestFusion:
         # a rule fires only when its guard covers the full language set
         assert apply_fusion(["te", "ap", "danse"], {"HT", "GP"},
                             grammar.fusion_rules) == ["te", "ap", "danse"]
+
+    def test_grammar_orders_rules_longest_first(self, grammar):
+        """Construction sorts the rules stably, longest pattern first, so
+        fusion only filters them: a grammar given them reversed fuses
+        alike, and of two rules with one pattern the first still wins."""
+        rules = grammar.fusion_rules
+        extra = FusionRule(("te", "ap"), ("tè",), frozenset({"HT"}))
+        reversed_ = Grammar(grammar.domains, grammar.trees, grammar.lexicon,
+                            (extra,) + rules[::-1], grammar.metadata)
+        assert reversed_.fusion_rules[0] == rules[0]
+        assert reversed_.fusion_rules[1:3] == (extra, rules[1])
+        assert apply_fusion(["te", "va", "ap", "danse"], {"HT"},
+                            reversed_.fusion_rules) == ["ta", "vap", "danse"]
+        assert apply_fusion(["te", "ap", "danse"], {"HT"},
+                            reversed_.fusion_rules) == ["tè", "danse"]
+
+
+class TestRecordRepr:
+    def test_records_print_as_before(self, grammar):
+        """A realization, its trace's steps and a finalized derivation
+        print their fields by name, as they did as dataclasses."""
+        real, = generate(grammar, SemSpec(pred="DANCE", tma=TMA(asp="imp"),
+                                          lan=frozenset({"GF"})))
+        assert repr(real) == (
+            "Realization(tokens=('ka', 'dansé'), lan_set=frozenset({'GF'}), "
+            "alternatives=(('dansé',),), trace=(Step(op='instantiate', "
+            "tree='alpha-Pred', address=(), lexeme='DANCE', variant=1), "
+            "Step(op='adjoin', tree='aux-Imperfective-general', address=(), "
+            "lexeme='IMPF_KA', variant=0)), features=FS{asp:{imp}, cnd:{-}, "
+            "lan:{GF}, pas:{-}, prx:{-}, psp:{-}})")
+        dog, = generate(grammar, SemSpec(args=(NPSpec("DOG", spe=True),),
+                                         lan=frozenset({"MQ"})))
+        assert [repr(step) for step in dog.trace] == [
+            "Step(op='instantiate', tree='alpha-NP-full', address=(), "
+            "lexeme=None, variant=None)",
+            "Step(op='substitute', tree='alpha-N', address=(0,), "
+            "lexeme='DOG', variant=0)",
+            "Step(op='adjoin', tree='aux-Spec-Art', address=(0,), "
+            "lexeme='ART', variant=7)"]
+        assert repr(engine.finalize(grammar, engine.replay(
+            grammar, dog.trace))) == (
+            "FinalizeResult(frontier=('chyen', 'an'), features=FS{dem:{-}, "
+            "lan:{GF,HT,MQ}, nbr:{sg}, spe:{+}}, lexical=(('chyen', 'DOG', 0), "
+            "('an', 'ART', 7)))")
 
 
 class TestPredicateRealization:
