@@ -18,11 +18,12 @@ import json
 import os
 import sys
 from dataclasses import replace
+from itertools import zip_longest
 
 from .creole import ENV_GRAMMAR, shipped_grammar
 from .dsl import load_grammar, serialize
-from .errors import (CreoleTagError, GrammarSyntaxError, InvalidSpec,
-                     MissingCell, NoAnalysis, NoRealization,
+from .errors import (CreoleTagError, DivergentGrammar, GrammarSyntaxError,
+                     InvalidSpec, MissingCell, NoAnalysis, NoRealization,
                      UndeclaredAttribute, ValidationError)
 from .generate import check_lan, format_table, generate, semspec_from_json, \
     table_np, table_tma
@@ -109,25 +110,17 @@ def cmd_tables(args):
 
 
 def _report_diff(text, golden):
-    ours = text.splitlines()
-    theirs = golden.splitlines()
-    header = theirs[0].split("\t") if theirs else []
-    for i in range(max(len(ours), len(theirs))):
-        a = ours[i] if i < len(ours) else ""
-        b = theirs[i] if i < len(theirs) else ""
-        if a == b:
-            continue
-        cells_a = a.split("\t")
-        cells_b = b.split("\t")
-        row = cells_b[0] if len(cells_b) > 0 and cells_b[0] else \
-            (cells_a[0] if cells_a else "?")
-        for j in range(max(len(cells_a), len(cells_b))):
-            va = cells_a[j] if j < len(cells_a) else ""
-            vb = cells_b[j] if j < len(cells_b) else ""
+    header = golden.splitlines()[0].split("\t") if golden else []
+    for a, b in zip_longest(text.splitlines(), golden.splitlines(),
+                            fillvalue=""):
+        cells_a, cells_b = a.split("\t"), b.split("\t")
+        for j, (va, vb) in enumerate(zip_longest(cells_a, cells_b,
+                                                 fillvalue="")):
             if va != vb:
                 dialect = header[j] if j < len(header) else "col%d" % j
                 print("mismatch at (%s, %s): got %r, want %r"
-                      % (row, dialect, va, vb), file=sys.stderr)
+                      % (cells_b[0] or cells_a[0], dialect, va, vb),
+                      file=sys.stderr)
 
 
 def cmd_specialize(args):
@@ -229,8 +222,8 @@ def main(argv=None):
         return exc.code and EXIT_BAD_INPUT
     try:
         return args.func(args)
-    except (InvalidSpec, UndeclaredAttribute, GrammarSyntaxError,
-            _FileError) as exc:
+    except (InvalidSpec, DivergentGrammar, UndeclaredAttribute,
+            GrammarSyntaxError, _FileError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_BAD_INPUT
     except ValidationError as exc:

@@ -74,13 +74,13 @@ copies none of it.  Nothing else is kept between calls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from itertools import combinations
 from typing import NamedTuple, Optional
 
-from .errors import (AnchorUnificationFailure, CollapseFailure, LabelMismatch,
-                     NotAnAdjunctionSite, NotASubstitutionSite, PendingSite,
-                     UnificationFailure)
+from .errors import (AnchorUnificationFailure, CollapseFailure,
+                     DivergentGrammar, LabelMismatch, NotAnAdjunctionSite,
+                     NotASubstitutionSite, PendingSite, UnificationFailure)
 from .featstruct import EMPTY, UNBOUND, Bindings, FeatureStruct, Var, unify
 from .featstruct import disjoint as _disjoint
 from .grammar import Grammar
@@ -464,16 +464,19 @@ def _coded(grammar, tree, lexeme_id, variant_index):
     return memo[key]
 
 
-def _menu(grammar, klass, label, lexemes, vocabulary):
+def _menu(grammar, klass, label, lexemes, vocabulary, content=()):
     """The instances of (klass, label) a search may use: the anchoring
     index filtered by `lexemes` and by `vocabulary` (a zero form always
-    passes), each made by :func:`instance`, an auxiliary by :func:`_coded`."""
+    passes), each made by :func:`instance`, an auxiliary by :func:`_coded`,
+    and paired with whether it progresses: spells a token where there is
+    a `vocabulary`, else anchors one of `content`."""
     make = instance if klass == INITIAL else _coded
-    found = [make(grammar, tree, lexeme, variant) for tree, lexeme, variant,
-             surface in _anchorings(grammar, klass, label)
-             if (lexemes is None or lexeme is None or lexeme in lexemes)
-             and (vocabulary is None or not surface or surface in vocabulary)]
-    return [inst for inst in found if inst is not None]
+    return [(inst, bool(surface) if vocabulary is not None else
+             lexeme in content) for tree, lexeme, variant, surface
+            in _anchorings(grammar, klass, label)
+            if (lexemes is None or lexeme is None or lexeme in lexemes)
+            and (vocabulary is None or not surface or surface in vocabulary)
+            and (inst := make(grammar, tree, lexeme, variant)) is not None]
 
 
 def _collapsed(nodes, env, part):
@@ -500,17 +503,19 @@ def _constant(grammar, node, env):
     return memo.setdefault(new, new)
 
 
-def _parts(grammar, label, share, particles, max_steps):
-    """(part, root code, final) of each finished part of `label` within
-    `max_steps` that anchors the content lexemes `share` exactly and
-    otherwise only `particles`: a search under the empty goal, kept on
-    the grammar.  Both planes of a part's root are its collapsed root."""
+def _parts(grammar, label, share, particles):
+    """(part, root code, final) of each finished part of `label` that
+    anchors the content lexemes `share` exactly and otherwise only
+    `particles`: a search under the empty goal, kept on the grammar.
+    Both planes of a part's root are its collapsed root."""
     memo = grammar._parts  # noqa: SLF001 - same-package friend
-    key = (label, share, memo.setdefault(particles, particles), max_steps)
-    if key not in memo:
-        memo[key] = None  # in the making: a site of it inside fills in place
-        entries = []  # stored whole: a search in another thread reads it
-        for derived, env in _derive(grammar, label, EMPTY, max_steps,
+    key = (label, share, memo.setdefault(particles, particles))
+    if key in memo:
+        return memo[key]
+    memo[key] = None  # in the making: a site of it inside fills in place
+    entries = []  # stored whole: a search in another thread reads it
+    try:
+        for derived, env in _derive(grammar, label, EMPTY,
                                     particles.union(share), None, share):
             root, final = derived.root, _final(derived, env)
             children = tuple(_constant(grammar, child, env)
@@ -530,12 +535,13 @@ def _parts(grammar, label, share, particles, max_steps):
             entries.append((DerivedTree(root, derived.klass, env,
                                         derived.history),
                             grammar.schema.code(fs, env), final))
-        memo[key] = entries
-    return memo[key]
+    finally:  # a search that raises leaves no table in the making
+        del memo[key]
+    memo[key] = entries
+    return entries
 
 
-def _derive(grammar, goal_label, goal_fs, max_steps, lexemes, targets,
-            content):
+def _derive(grammar, goal_label, goal_fs, lexemes, targets, content):
     """Yield each complete derivation with the bindings that collapse
     every node of it, for :func:`_final` to read."""
     vocabulary = None if targets is None else targets.tokens
@@ -547,7 +553,7 @@ def _derive(grammar, goal_label, goal_fs, max_steps, lexemes, targets,
 
     @cache
     def instances(klass, label):  # this search's menu, made on first reach
-        return _menu(grammar, klass, label, lexemes, vocabulary)
+        return _menu(grammar, klass, label, lexemes, vocabulary, content)
 
     def unanchored(nodes):  # None where one is anchored too often
         left = sorted(content)
@@ -558,26 +564,39 @@ def _derive(grammar, goal_label, goal_fs, max_steps, lexemes, targets,
                 left.remove(node.lexeme)
         return tuple(left)
 
-    def explore(derived, cost, part):
+    def passing(passed, address, label, codes, tree):
+        # `passed` and a step of `tree` from a state: (address, label,
+        # codes, tree, passed), where `codes()` makes the state's codes,
+        # called only where a label and an address match
+        chain = passed
+        while chain is not None:
+            at, seen, seen_codes, first, chain = chain
+            if seen == label and address[:len(at)] == at and \
+                    seen_codes() == codes():
+                raise DivergentGrammar(first, label)
+        return address, label, codes, tree, passed
+
+    def explore(derived, part, passed):  # passed: see passing
         nodes = derived.nodes
         left = unanchored(nodes) if content else ()
         if left is None:
             return
-        own = bound = max_steps
-        if targets is not None:
-            own, bound = targets.bounds(*_layout(nodes, part, splittable))
-        env, sites, deeper = derived.env, [], cost < min(bound, max_steps)
+        exact, embeds = (True, True) if targets is None else \
+            targets.bounds(*_layout(nodes, part, splittable))
+        if not embeds:
+            return
+        env, sites = derived.env, []
         for address, node in nodes:
             if node.kind == SUBST:
                 sites.append((address, node))
-            if not deeper or part is None or node.kind != INTERNAL or \
+            if part is None or node.kind != INTERNAL or \
                     node.label not in splittable or node.was_foot or \
                     address[:len(part)] != part:
                 continue
             candidates = instances(AUXILIARY, node.label)
             if candidates:  # each plane encoded once per state
                 top, bottom = code(node.top, env), code(node.bottom, env)
-            for aux, aux_top, foot_bottom in candidates:
+            for (aux, aux_top, foot_bottom), progress in candidates:
                 if _clash(schema, top, aux_top) or \
                         _clash(schema, bottom, foot_bottom):
                     continue
@@ -585,8 +604,10 @@ def _derive(grammar, goal_label, goal_fs, max_steps, lexemes, targets,
                     nxt = adjoin(grammar, derived, address, aux)
                 except UnificationFailure:
                     continue
-                yield from explore(nxt, cost + 1, part)
-        if not (deeper if sites else cost <= min(own, max_steps) and not left):
+                yield from explore(nxt, part, None if progress else passing(
+                    passed, address, node.label,
+                    lambda codes=(top, bottom): codes, aux.history[0].tree))
+        if not sites and (left or not exact):
             return
         # collapse the finished part (one from a table is collapsed
         # already, and the site's top holds its root)
@@ -599,28 +620,33 @@ def _derive(grammar, goal_label, goal_fs, max_steps, lexemes, targets,
         host = DerivedTree(derived.root, derived.klass, env, derived.history)
         # no adjunction follows a finished part: the last one anchors all
         tables = None if targets is not None else [
-            _parts(grammar, site.label, share, particles, max_steps)
+            _parts(grammar, site.label, share, particles)
             for share in sorted({left} if len(sites) == 1 else {
                 share for k in range(len(left) + 1)
                 for share in combinations(left, k)})
             if grammar.reach.get(site.label, frozenset()).issuperset(share)]
-        if tables is None or None in tables:  # recognition, or a table in
-            fillers = [(filler, 1, address)  # the making: fill in place
-                       for filler in instances(INITIAL, site.label)]
+        # recognition, or a table in the making, fills in place; a
+        # finished part adds no state, and none follows one with content
+        if tables is None or None in tables:
+            fillers = [(filler, progress, address)
+                       for filler, progress in instances(INITIAL, site.label)]
         else:
             top = code(site.top, env)
-            fillers = [(filler, len(filler.history), None) for table in tables
-                       for filler, root, _ in table if not _clash(schema, top, root)]
-        for filler, steps, opened in fillers:
-            if cost + steps > max_steps:
-                continue
+            fillers = [(filler, False, None) for table in tables
+                       for filler, root, _ in table
+                       if not _clash(schema, top, root)]
+        for filler, progress, opened in fillers:
             try:
                 nxt = substitute(grammar, host, address, filler)
             except UnificationFailure:
                 continue
-            yield from explore(nxt, cost + steps, opened)
+            yield from explore(nxt, opened, None if progress else passed
+                               if opened is None else passing(
+                                   passed, address, site.label,
+                                   partial(code, site.top, env),
+                                   filler.history[0].tree))
 
-    for base in instances(INITIAL, goal_label):
+    for base, _ in instances(INITIAL, goal_label):
         # the goal enters at the root's top, which an adjunction at the
         # root keeps, and is checked when the root collapses
         unified = unify(base.root.top, goal_fs, base.env)
@@ -633,18 +659,18 @@ def _derive(grammar, goal_label, goal_fs, max_steps, lexemes, targets,
                                     root.children, root.surface, root.lexeme,
                                     root.variant, root.was_foot),
                                base.klass, env, base.history)
-        yield from explore(base, 0, ())
+        yield from explore(base, (), None)
     # explore refers to itself, so this frame's closures outlive the call
     # until the cycle collector runs; empty what they hold now
     instances.cache_clear()
 
 
 def enumerate_derivations(grammar: Grammar, goal_label: str,
-                          goal_fs: FeatureStruct, max_steps: int,
-                          lexemes=None, targets=None, content=()):
-    """Every complete derivation within the step bound whose nodes all
-    collapse, the goal unified into its root's top, as (derived, final)
-    pairs, each final read by :func:`_final`.
+                          goal_fs: FeatureStruct, lexemes=None, targets=None,
+                          content=()):
+    """Every complete derivation whose nodes all collapse, the goal
+    unified into its root's top, as (derived, final) pairs, each final
+    read by :func:`_final`.
 
     Derivation is top-down (see the module docstring): each step adjoins
     into the part substituted last or fills the first pending site, in
@@ -652,25 +678,31 @@ def enumerate_derivations(grammar: Grammar, goal_label: str,
     collapsed once, when the search leaves it for the next site or for
     good, and a part that does not collapse cuts the state.  Generation
     fills a site with finished parts (:func:`_parts`), recognition
-    (`targets` given) with instances.  The bound counts substitutions
-    plus adjunctions, a finished part's own included.
+    (`targets` given) with instances.
     `lexemes` optionally restricts which lexemes may anchor trees.
     `content` lists lexeme ids every result anchors exactly as often as
     listed; a partial derivation that anchors one more often is cut.
     `targets` bounds the search by frontier: anchors spell only
     `targets.tokens` (zero forms always pass), and
     `targets.bounds(frontier, gaps)`, with the gaps :func:`_layout`
-    reads, gives (own, reach), own <= reach, each capped by `max_steps`:
-    a derivation is returned within own steps and explored further
-    within reach (-1: never).  What :func:`_clash` shows must fail is
-    not tried.  Results are deduplicated by (frontier, features) keeping
-    the least trace, and returned sorted by trace.  The goal is checked
-    against the grammar's schema here, where it enters.
+    reads, tells whether a derivation is exact, so returned, and whether
+    it embeds, so explored further.  What :func:`_clash` shows must fail
+    is not tried.  Nothing else bounds the search: a state met again at
+    or below where a step left it, with no progress since (a token
+    spelled with `targets`, else a `content` lexeme), repeats the steps
+    since without end, and DivergentGrammar names the first one's tree.
+    The states, finitely many (Vijay-Shanker, PhD thesis, 1987), are
+    (label, top code, bottom code) before an adjunction and (label, top
+    code) of a site filled in place.
+
+    Results are deduplicated by (frontier, features) keeping the least
+    trace, and returned sorted by trace.  The goal is checked against
+    the grammar's schema here, where it enters.
     """
     grammar.schema.check(goal_fs)
     results = {}
-    for derived, env in _derive(grammar, goal_label, goal_fs, max_steps,
-                                lexemes, targets, tuple(content)):
+    for derived, env in _derive(grammar, goal_label, goal_fs, lexemes,
+                                targets, tuple(content)):
         final = _final(derived, env)
         key = (final.frontier, final.features)
         prior = results.get(key)

@@ -42,6 +42,16 @@ class EmptyGrammar(CreoleTagError):
     """Specialization left no usable trees behind."""
 
 
+class DivergentGrammar(CreoleTagError):
+    """A search met a state again: the grammar derives without end."""
+
+    def __init__(self, tree, label):
+        self.tree, self.label = tree, label
+        super().__init__("the grammar derives without end: tree %r leads "
+                         "back to the %s state it was applied at, anchoring "
+                         "no content lexeme or token between" % (tree, label))
+
+
 # --- derivation operations -------------------------------------------------
 
 class UnificationFailure(CreoleTagError):

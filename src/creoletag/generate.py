@@ -198,10 +198,6 @@ def fuse_with_sources(entries, lan_set, rules):
 # the categories of the lexemes a SemSpec names; a lexeme of any other
 # category is a particle the search may add wherever the grammar allows
 _CONTENT_CATEGORIES = frozenset(("N", "Nprop", "V"))
-# substitutions plus adjunctions per search, one bound for every category:
-# the shipped grammar's longest sentence takes 9 (a noun phrase 5, a
-# predicate 4)
-_MAX_STEPS = 9
 
 
 def _particles(grammar):
@@ -338,7 +334,7 @@ def generate(grammar: Grammar, spec: SemSpec):
     category, goal = _goal_for(grammar, spec)
     content = _content(grammar, spec)
     searched = engine.enumerate_derivations(
-        grammar, category, goal, _MAX_STEPS,
+        grammar, category, goal,
         lexemes=_particles(grammar).union(content), content=content)
     out = realizations_from_finals(
         grammar, [(final, derived.history) for derived, final in searched], goal)
@@ -390,7 +386,7 @@ def _row(grammar, spec: SemSpec):
     content = _content(grammar, spec)
     parts = engine._parts(  # noqa: SLF001 - same-package friend
         grammar, category, tuple(sorted(content)),
-        _particles(grammar).difference(content), _MAX_STEPS)
+        _particles(grammar).difference(content))
     schema = grammar.schema
     for dialect in schema.domain("lan").values:
         cell = FeatureStruct(dict(goal.items()), lan=(dialect,))

@@ -2,12 +2,12 @@
 
 Fusion is undone on a lattice whose paths spell the decompositions of
 the input (tap -> te ap), and one derivation search serves every path.
-A partial derivation goes on only while its frontier embeds in a path
-with other tokens only where a later step can put them (see
+A partial derivation goes on while its frontier embeds in a path with
+other tokens only where a later step can put them (see
 :func:`creoletag.engine._layout`), so stacked adjunctions cost work
-linear in their number, not a state per subsequence of the input.
-Each hit is fused once, carrying the (lexeme, variant) sources of every
-token, and is kept when its fused frontier equals the input.
+linear in their number; it is a hit where its frontier is a path, so
+the input bounds the search.  Each hit is fused once, carrying every
+token's (lexeme, variant) sources, and kept when it fuses to the input.
 
 The hits become analyses in one place, with the language set consistent
 with the whole string and with each word.  When no language-consistent
@@ -33,9 +33,6 @@ from .grammar import Grammar
 from .specialize import project_language
 
 GOALS = ("NP", "S", "Pred", "N")
-# steps a derivation may take beyond one per token of a lattice path:
-# substituted trees no token anchors (an NP under S) and zero forms
-_EXTRA_STEPS = 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,50 +78,34 @@ class FusionLattice:
         self._bounds = {}
 
     def bounds(self, frontier, gaps=-1):
-        """(own, reach): the step bound of `frontier` as a whole path and
-        that of the longest path it embeds in, -1 for none.  A path token
-        outside the frontier may come before frontier token i only where
-        bit i of `gaps` is set, and after the last only where bit
-        len(frontier) is; the default sets every bit."""
-        bounds = self._bounds.get((frontier, gaps))
-        if bounds is None:
-            width = len(frontier)
+        """(exact, embeds): whether `frontier` spells a whole path, and
+        whether it embeds in one.  A path token outside the frontier may
+        come before frontier token i only where bit i of `gaps` is set,
+        and after the last only where bit len(frontier) is; the default
+        sets every bit.  Embedded with no gap, a frontier is the path."""
+        return self._embeds(frontier, 0), self._embeds(frontier, gaps)
+
+    def _embeds(self, frontier, gaps):
+        if (frontier, gaps) not in self._bounds:
             spelled = {}  # token -> bit m where frontier[m] is the token
             for m, token in enumerate(frontier):
                 spelled[token] = spelled.get(token, 0) | 1 << m
-            # per position: frontier tokens matched on a path there ->
-            # (fewest, most) tokens such a path reads
-            reached = [{0: (0, 0)}] + [{} for _ in self._edges]
+            # per position: bit m where a path there matched m frontier
+            # tokens, all of them advanced at once along an edge
+            reached = [1] + [0] * len(self._edges)
             for edges, here in zip(self._edges, reached):
-                for matched, (fewest, most) in here.items():
-                    for label, end in edges:
-                        states = 1 << matched  # bit m: m tokens matched
-                        for token in label:
-                            # the next frontier token, or one in the gap;
-                            # when gap m + 1 is open too, matching loses
-                            # nothing, so a match leaves gap m
-                            hit = states & spelled.get(token, 0)
-                            states = hit << 1 | states & gaps & ~(
-                                hit & gaps >> 1)
-                        short, long = fewest + len(label), most + len(label)
-                        while states:
-                            after = states.bit_length() - 1
-                            states ^= 1 << after
-                            low, high = reached[end].get(after, (short, long))
-                            reached[end][after] = (
-                                low if low < short else short,
-                                high if high > long else long)
-            whole = reached[-1].get(width)
-            bounds = (-1, -1) if whole is None else (
-                width + _EXTRA_STEPS if whole[0] == width else -1,
-                whole[1] + _EXTRA_STEPS)
-            self._bounds[frontier, gaps] = bounds
-        return bounds
-
-
-def _variant_lan(grammar, lexeme_id, index):
-    cell = grammar.lexeme(lexeme_id).variants[index].features.get("lan")
-    return cell if isinstance(cell, frozenset) else frozenset()
+                for label, end in edges:
+                    states = here
+                    for token in label:
+                        # the next frontier token, or one in the gap; when
+                        # gap m + 1 is open too, matching loses nothing, so
+                        # a match leaves gap m
+                        hit = states & spelled.get(token, 0)
+                        states = hit << 1 | states & gaps & ~(hit & gaps >> 1)
+                    reached[end] |= states
+            self._bounds[frontier, gaps] = bool(
+                reached[-1] >> len(frontier) & 1)
+        return self._bounds[frontier, gaps]
 
 
 def _meet_all(sets):
@@ -133,7 +114,10 @@ def _meet_all(sets):
 
 def _sources_lan(grammar, sources):
     """The language set every (lexeme, variant index) under a token shares."""
-    return _meet_all([_variant_lan(grammar, lex, var) for lex, var in sources])
+    cells = [grammar.lexeme(lexeme).variants[variant].features.get("lan")
+             for lexeme, variant in sources]
+    return _meet_all([cell if isinstance(cell, frozenset) else frozenset()
+                      for cell in cells])
 
 
 def _candidate_sets(grammar, token, sources):
@@ -142,14 +126,10 @@ def _candidate_sets(grammar, token, sources):
     token's lexeme spelled as the token."""
     if len(sources) > 1:
         return [_sources_lan(grammar, sources)]
-    seen = []
-    for variant in grammar.lexeme(sources[0][0]).variants:
-        if variant.surface != token:
-            continue
-        cell = variant.features.get("lan")
-        if isinstance(cell, frozenset) and cell not in seen:
-            seen.append(cell)
-    return seen
+    variants = grammar.lexeme(sources[0][0]).variants
+    cells = [v.features.get("lan") for v in variants if v.surface == token]
+    return list(dict.fromkeys(cell for cell in cells
+                              if isinstance(cell, frozenset)))
 
 
 def _choose_candidates(per_token_candidates):
@@ -177,8 +157,8 @@ def _search(grammar, tokens, targets, goal):
     """(derived, final, lan, merged), in trace order, for every derivation
     in `grammar` along a path of `targets` that fuses to `tokens`; `merged`
     pairs each input token with its (lexeme, variant index) sources."""
-    derivations = engine.enumerate_derivations(
-        grammar, goal, EMPTY, targets.bounds(())[1], targets=targets)
+    derivations = engine.enumerate_derivations(grammar, goal, EMPTY,
+                                               targets=targets)
     full = grammar.schema.full("lan") if "lan" in grammar.schema else None
     hits = []
     for derived, final in derivations:
@@ -240,33 +220,25 @@ def recognize(grammar: Grammar, tokens, goal: str = "NP"):
                                  lan_set=lan_set, per_token_lan=per_token,
                                  trace=derived.history,
                                  mixed=has_lan and not lan_set))
-    return _sorted_analyses(analyses)
-
-
-def _sorted_analyses(analyses):
-    def key(a):
-        return (tuple(sorted(a.lan_set)),
-                tuple(tuple(sorted(s)) for s in a.per_token_lan),
-                tuple(step.key() for step in a.trace))
-    return sorted(analyses, key=key)
+    return sorted(analyses, key=lambda a: (
+        tuple(sorted(a.lan_set)),
+        tuple(tuple(sorted(s)) for s in a.per_token_lan),
+        tuple(step.key() for step in a.trace)))
 
 
 def _mixedness(analysis):
-    union = frozenset().union(*analysis.per_token_lan) \
-        if analysis.per_token_lan else frozenset()
-    if not union:
-        return len(analysis.tokens)
-    best = max(sum(1 for s in analysis.per_token_lan if d in s) for d in union)
-    return len(analysis.tokens) - best
+    per_token = analysis.per_token_lan
+    return len(analysis.tokens) - max(
+        (sum(d in s for s in per_token)
+         for d in frozenset().union(*per_token)), default=0)
 
 
 def identify_dialect(grammar: Grammar, tokens):
     """The language sets consistent with a string, or a mixed report.
 
     Unmixed analyses win: their language sets are unioned (empty for a
-    grammar without `lan`).  Otherwise
-    the fewest-mixed analysis (ties toward maximal dialect sharing) is
-    reported token by token.
+    grammar without `lan`).  Otherwise the fewest-mixed analysis (ties
+    toward maximal dialect sharing) is reported token by token.
     """
     tokens = _as_tokens(tokens)
     collected = []
@@ -277,12 +249,9 @@ def identify_dialect(grammar: Grammar, tokens):
             continue
     if not collected:
         raise NoAnalysis("no derivation covers %r" % " ".join(tokens))
-    unmixed = [a for a in collected if not a.mixed]
+    unmixed = [a.lan_set for a in collected if not a.mixed]
     if unmixed:
-        out = frozenset()
-        for analysis in unmixed:
-            out |= analysis.lan_set
-        return out
+        return frozenset().union(*unmixed)
     best = min(collected, key=lambda a: (
         _mixedness(a),
         -sum(len(s) for s in a.per_token_lan),

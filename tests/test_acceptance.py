@@ -193,7 +193,7 @@ def test_criterion_7_oracle_equivalence(grammar, particle_lexemes):
                 if arg.complement:
                     lexemes.add(arg.complement)
             derivations = engine.enumerate_derivations(
-                grammar, category, FeatureStruct(), 5, lexemes=lexemes)
+                grammar, category, FeatureStruct(), lexemes=lexemes)
             finals = [(final, derived.history)
                       for derived, final in derivations]
             oracle = realizations_from_finals(grammar, finals, goal_fs)

@@ -232,6 +232,26 @@ class TestGrammarOverride:
         assert "is not declared" in err
 
 
+    @pytest.mark.parametrize("mutant, command, tree", [
+        ("PLURAL_STACKS", ["generate", "--sem", "{sem}"], "aux-Plur-gpmq"),
+        ("N_LOOP", ["recognize", "--goal", "NP", "moun la"], "alpha-N-loop"),
+    ], ids=["generate-plural-stacks", "recognize-unary-loop"])
+    def test_divergent_grammar_is_bad_input(self, tmp_path, sem_file, capsys,
+                                            mutant, command, tree):
+        import test_reference
+        grammar = tmp_path / "divergent.fstag"
+        grammar.write_text(getattr(test_reference, mutant), encoding="utf-8")
+        sem = sem_file({"args": [{"lexeme": "PERSON", "nbr": "pl",
+                                  "dem": True}]})
+        argv = [arg.format(sem=sem) for arg in command]
+        with test_reference._time_limit(1):
+            status = main(argv[:1] + ["--grammar", str(grammar)] + argv[1:])
+        assert status == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and repr(tree) in err
+
+
 class TestFileErrors:
     """A file that cannot be read or written is bad input (exit 3) with a
     one-line message, never a traceback."""

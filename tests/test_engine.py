@@ -21,6 +21,7 @@ from creoletag.grammar import Grammar
 from creoletag.recognize import FusionLattice, recognize
 from creoletag.specialize import project_language, specialize
 from creoletag.trees import ANCHOR, AUXILIARY, FOOT, INITIAL, SUBST, Node
+from test_reference import _canonical
 
 TOY = """
 (grammar toy (version 1))
@@ -157,7 +158,7 @@ class TestToyOperations:
         narrow = Grammar([AttributeDomain("nbr", ("sg",)),
                           toy.schema.domain("mark")], toy.trees, toy.lexicon)
         with pytest.raises(UndeclaredAttribute, match="'pl'.*'nbr'"):
-            engine.enumerate_derivations(narrow, "X", EMPTY, 1)
+            engine.enumerate_derivations(narrow, "X", EMPTY)
 
 
 class TestVariableScope:
@@ -433,22 +434,16 @@ class TestEnumeration:
                               "spe": frozenset("+"),
                               "dem": frozenset("+")})
         derivations = engine.enumerate_derivations(
-            grammar, "NP", goal, 4, lexemes=particle_lexemes | {"PERSON"})
+            grammar, "NP", goal, lexemes=particle_lexemes | {"PERSON"})
         frontiers = [final.frontier for _, final in derivations]
         assert frontiers == [("sa", "moun", "yan")]
-
-    def test_zero_steps_empty(self, grammar, particle_lexemes):
-        goal = FeatureStruct({"lan": frozenset(["HT"])})
-        assert engine.enumerate_derivations(
-            grammar, "NP", goal, 0,
-            lexemes=particle_lexemes | {"PERSON"}) == []
 
     def test_enumeration_order_deterministic(self, grammar, particle_lexemes):
         goal = FeatureStruct({"spe": frozenset("+")})
         lexemes = particle_lexemes | {"DOG"}
-        first = engine.enumerate_derivations(grammar, "NP", goal, 3,
+        first = engine.enumerate_derivations(grammar, "NP", goal,
                                              lexemes=lexemes)
-        second = engine.enumerate_derivations(grammar, "NP", goal, 3,
+        second = engine.enumerate_derivations(grammar, "NP", goal,
                                               lexemes=lexemes)
         assert [d.history for d, _ in first] == \
             [d.history for d, _ in second]
@@ -456,10 +451,10 @@ class TestEnumeration:
         assert keys == sorted(keys)
 
     def test_table_noun_frontier_census(self, grammar, particle_lexemes):
-        """Frozen regression: every noun-phrase form of 'tab' within four
-        derivation steps, across all dialects and determinations."""
+        """Frozen regression: every noun-phrase form of 'tab', across all
+        dialects and determinations."""
         derivations = engine.enumerate_derivations(
-            grammar, "NP", FeatureStruct(), 4,
+            grammar, "NP", FeatureStruct(),
             lexemes=particle_lexemes | {"TABLE"})
         frontiers = sorted({" ".join(final.frontier)
                             for _, final in derivations})
@@ -476,7 +471,7 @@ class TestEnumeration:
     def test_monotonicity_of_language_sets(self, grammar, particle_lexemes):
         """The collapsed root's lan is within every used variant's lan."""
         derivations = engine.enumerate_derivations(
-            grammar, "NP", FeatureStruct(), 3,
+            grammar, "NP", FeatureStruct(),
             lexemes=particle_lexemes | {"DOG"})
         assert derivations
         for _, final in derivations:
@@ -490,18 +485,20 @@ class TestEnumeration:
 
 def _saturate_then_adjoin(grammar, goal_label, goal_fs, max_steps,
                           lexemes=None, targets=None, content=()):
-    """The (frontier, features) pairs of a second search, the oracle of
-    the top-down one: every site is filled first, recursively, with no
-    adjunction, and adjunction then goes anywhere in the tree, so
-    adjunctions in different parts are tried in every interleaving.  It
-    tries every operation, with no clash pretest."""
+    """(frontier, features) -> the fewest steps it takes, by a second
+    search, the oracle of the top-down one: every site is filled first,
+    recursively, with no adjunction, and adjunction then goes anywhere
+    in the tree, so adjunctions in different parts are tried in every
+    interleaving.  It tries every operation, with no clash pretest, and
+    stops at `max_steps` substitutions plus adjunctions."""
     vocabulary = None if targets is None else targets.tokens
     trees = {}
 
     def instances(klass, label):
         # the search's own menu of instances, codes dropped
         if (klass, label) not in trees:
-            menu = engine._menu(grammar, klass, label, lexemes, vocabulary)
+            menu = [inst for inst, _ in
+                    engine._menu(grammar, klass, label, lexemes, vocabulary)]
             trees[klass, label] = menu if klass == INITIAL else [
                 aux for aux, _, _ in menu]
         return trees[klass, label]
@@ -534,32 +531,34 @@ def _saturate_then_adjoin(grammar, goal_label, goal_fs, max_steps,
                        for full, more in fill(host, budget - 1 - cost))
         return out
 
-    results = set()
+    results, seen = {}, {}
 
     def explore(derived, cost):
+        state = _canonical(derived)
+        if seen.get(state, cost + 1) <= cost:
+            return  # reached within fewer steps: nothing new follows
+        seen[state] = cost
         anchored = [node.lexeme for _, node in derived.root.walk()
                     if node.kind == ANCHOR]
         if any(anchored.count(l) > content.count(l) for l in content):
             return
         frontier = tuple(node.surface for _, node in derived.root.walk()
                          if node.kind == ANCHOR and node.surface)
-        if targets is None:
-            bound = own_bound = max_steps
-        else:
-            own_bound, bound = (min(b, max_steps)
-                                for b in targets.bounds(frontier))
-        if cost > bound:
+        exact, embeds = (True, True) if targets is None else \
+            targets.bounds(frontier)
+        if not embeds:
             return
-        if cost <= own_bound and all(anchored.count(l) == content.count(l)
-                                     for l in content):
+        if exact and all(anchored.count(l) == content.count(l)
+                         for l in content):
             try:
                 final = engine.finalize(grammar, derived)
             except CollapseFailure:
                 final = None
             if final is not None and \
                     unify(final.features, goal_fs) is not None:
-                results.add((final.frontier, final.features))
-        if cost == bound:
+                key = (final.frontier, final.features)
+                results[key] = min(results.get(key, cost), cost)
+        if cost == max_steps:
             return
         for address, node in derived.root.walk():
             if node.kind in (ANCHOR, SUBST, FOOT) or node.was_foot:
@@ -571,7 +570,8 @@ def _saturate_then_adjoin(grammar, goal_label, goal_fs, max_steps,
                     continue
                 explore(nxt, cost + 1)
 
-    for base, cost in complete(goal_label, max_steps):
+    for base, cost in sorted(complete(goal_label, max_steps),
+                             key=lambda pair: pair[1]):
         explore(base, cost)
     return results
 
@@ -579,38 +579,41 @@ def _saturate_then_adjoin(grammar, goal_label, goal_fs, max_steps,
 class TestTopDownSearch:
     """Filling sites in pre-order and adjoining only into the part
     substituted last reaches what filling every site first and adjoining
-    anywhere reaches."""
+    anywhere reaches.  The search has no step bound; the oracle's bound
+    is shown to be past its fixpoint: one step more finds nothing new."""
 
     @staticmethod
-    def _both(grammar, label, max_steps, **kwargs):
-        pairs = engine.enumerate_derivations(grammar, label, EMPTY,
-                                             max_steps, **kwargs)
-        return ({(final.frontier, final.features) for _, final in pairs},
-                _saturate_then_adjoin(grammar, label, EMPTY, max_steps,
-                                      **kwargs))
+    def _oracle(grammar, label, bound, **kwargs):
+        """The oracle's (frontier, features) pairs within `bound` steps,
+        when one step more finds nothing new."""
+        fewest = _saturate_then_adjoin(grammar, label, EMPTY, bound + 1,
+                                       **kwargs)
+        assert fewest and max(fewest.values()) <= bound
+        return set(fewest)
+
+    @staticmethod
+    def _search(grammar, label, **kwargs):
+        return {(final.frontier, final.features) for _, final in
+                engine.enumerate_derivations(grammar, label, EMPTY, **kwargs)}
 
     def test_generation_searches(self, particle_lexemes):
         # each content is searched twice on one grammar: the second search
         # reads the finished parts the first one left on it
         grammar = load_grammar(grammar_text())
-        contents = [("Pred", ("DANCE",), 5)] + [
+        contents = [("Pred", ("DANCE",), 4)] + [
             ("NP", (noun,) + ((complement,) if complement else ()), 5)
             for noun, complement in itertools.product(
                 ("PERSON", "TABLE", "DOG", "BIRD"),
                 (None, "SAINT-THOMAS", "SAINT-LAURENT"))] + [
-            ("S", ("BIRD", "DANCE"), 7),
-            ("S", ("PERSON", "SAINT-THOMAS", "DANCE"), 7)]
+            ("S", ("BIRD", "DANCE"), 8),
+            ("S", ("PERSON", "SAINT-THOMAS", "DANCE"), 9)]
         for label, content, bound in contents:
             kwargs = {"lexemes": particle_lexemes | set(content),
                       "content": content}
-            oracle = _saturate_then_adjoin(grammar, label, EMPTY, bound,
-                                           **kwargs)
+            oracle = self._oracle(grammar, label, bound, **kwargs)
             for _ in range(2):
-                pairs = engine.enumerate_derivations(grammar, label, EMPTY,
-                                                     bound, **kwargs)
-                assert oracle and oracle == {
-                    (final.frontier, final.features) for _, final in pairs
-                }, content
+                assert self._search(grammar, label, **kwargs) == oracle, \
+                    content
 
     def test_part_keeps_a_variable_linking_two_cells(self):
         """A finished part whose root links two attributes through one
@@ -627,7 +630,7 @@ class TestTopDownSearch:
                 (children (node W (kind anchor)))))
             (lex WORD (cat W) (variant "w"))""")
         goal = FeatureStruct({"a": frozenset("+")})
-        pairs = engine.enumerate_derivations(grammar, "T", goal, 2)
+        pairs = engine.enumerate_derivations(grammar, "T", goal)
         assert [final.features for _, final in pairs] == [
             FeatureStruct({"a": frozenset("+"), "b": frozenset("+")})]
 
@@ -648,10 +651,12 @@ class TestTopDownSearch:
         for text, goal in sorted(inputs):
             targets = FusionLattice(tuple(text.split()),
                                     grammar.fusion_rules)
-            top_down, oracle = self._both(grammar, goal,
-                                          targets.bounds(())[1],
-                                          targets=targets)
-            assert top_down and top_down == oracle, text
+            # a path is at most twice as long as the input, and a
+            # derivation takes a step per path token and two more
+            oracle = self._oracle(grammar, goal, 2 * len(text.split()) + 2,
+                                  targets=targets)
+            assert self._search(grammar, goal, targets=targets) == oracle, \
+                text
 
 
 class TestLayout:
@@ -832,9 +837,11 @@ class TestAnchoringIndex:
                             for variant in lexeme.variants if variant.surface})
         lexemes = data.draw(st.none() | st.sets(st.sampled_from(ids)))
         vocabulary = data.draw(st.none() | st.sets(st.sampled_from(spellings)))
+        content = tuple(data.draw(st.sets(st.sampled_from(ids))))
         for klass, label in sorted({(tree.klass, tree.root.label)
                                     for tree in grammar.trees}):
-            menu = engine._menu(grammar, klass, label, lexemes, vocabulary)
+            menu = engine._menu(grammar, klass, label, lexemes, vocabulary,
+                                content)
             want = [(inst.history, inst.root, inst.env._map) if klass == INITIAL
                     else (inst.history, inst.root, inst.env._map,
                           code(inst.root.top, inst.env),
@@ -844,8 +851,16 @@ class TestAnchoringIndex:
                                               vocabulary)]
             got = [(inst.history, inst.root, inst.env._map) if klass == INITIAL
                    else (inst[0].history, inst[0].root, inst[0].env._map)
-                   + inst[1:] for inst in menu]
+                   + inst[1:] for inst, _ in menu]
             assert got == want, (klass, label)
+            # each progresses where it spells a token of the vocabulary,
+            # or, with none, where it anchors content
+            steps = [inst.history[0] for inst in _instantiable(
+                grammar, klass, label, lexemes, vocabulary)]
+            assert [progress for _, progress in menu] == [
+                bool(step.lexeme and grammar.lexeme(step.lexeme).variants[
+                    step.variant].surface) if vocabulary is not None
+                else step.lexeme in content for step in steps], (klass, label)
 
     @pytest.mark.parametrize("text, goal, scans, codes", [
         ("tap tap tap danse", "Pred", 0, 26),

@@ -14,9 +14,9 @@ from creoletag.creole import DIALECTS, golden_path, grammar_text
 from creoletag.dsl import load_grammar
 from creoletag.errors import InvalidSpec, NoRealization, UndeclaredAttribute
 from creoletag.featstruct import FeatureStruct, Var
-from creoletag.generate import (_MAX_STEPS, ASPECTS, NUMBERS, NPSpec, SemSpec,
-                                TMA, _content, _goal_for, _particles,
-                                _row, apply_fusion, format_table, generate,
+from creoletag.generate import (ASPECTS, NUMBERS, TMA, NPSpec, SemSpec,
+                                _content, _goal_for, _particles, _row,
+                                apply_fusion, format_table, generate,
                                 golden_corpus, semspec_from_json, table_np,
                                 table_tma)
 from creoletag.grammar import FusionRule, Grammar
@@ -399,7 +399,7 @@ class TestTableLookup:
                 kept = {}
                 for part, _, final in engine._parts(
                         grammar, category, tuple(sorted(content)),
-                        _particles(grammar).difference(content), _MAX_STEPS):
+                        _particles(grammar).difference(content)):
                     assert engine.finalize(grammar, part) == final
                     key = final.frontier, final.features
                     if key not in kept or \
@@ -409,7 +409,7 @@ class TestTableLookup:
                                 for final, part in kept.values()),
                                key=lambda item: [s.key() for s in item[1]])
                 oracle = engine.enumerate_derivations(
-                    grammar, category, FeatureStruct(), _MAX_STEPS,
+                    grammar, category, FeatureStruct(),
                     lexemes=_particles(grammar).union(content),
                     content=content)
                 assert found == [(final, derived.history)
@@ -460,7 +460,7 @@ def unpruned():
     """outcome() with the search's variable-free clash test turned off,
     on a grammar of its own, so no instance the pruned searches built
     serves it.  Each unpruned search runs once per (label, goal, content
-    lexemes): generate searches with a constant bound and particle set."""
+    lexemes): generate searches with a constant particle set."""
     own = load_grammar(grammar_text())
     searches = {}
     search = engine.enumerate_derivations
@@ -695,7 +695,7 @@ class TestEntryChecks:
     def test_undeclared_attribute(self, grammar):
         goal = FeatureStruct({"gen": frozenset(["m"])})
         with pytest.raises(UndeclaredAttribute):
-            engine.enumerate_derivations(grammar, "NP", goal, 2)
+            engine.enumerate_derivations(grammar, "NP", goal)
 
     @pytest.mark.parametrize("spec", [
         SemSpec(args=(NPSpec("DOG"),)),

@@ -203,28 +203,26 @@ def _embeds(short, long, gaps=-1):
 
 
 class _Targets:
-    """Target frontiers mapped to their own step bounds; a frontier
-    reaches the largest bound of a target it embeds in."""
+    """Target frontiers, listed: a frontier is exact where it is one, and
+    embeds where it embeds in one."""
 
-    def __init__(self, own):
-        self._own = own
-        self.tokens = frozenset().union(*own)
+    def __init__(self, targets):
+        self._targets = frozenset(targets)
+        self.tokens = frozenset().union(*targets)
 
     def bounds(self, frontier, gaps=-1):
-        return (self._own.get(frontier, -1),
-                max((bound for target, bound in self._own.items()
-                     if _embeds(frontier, target, gaps)), default=-1))
+        return (frontier in self._targets,
+                any(_embeds(frontier, target, gaps)
+                    for target in self._targets))
 
 
 class TestFusionLattice:
-    """The lattice bounds a frontier, with or without gaps, as the list
-    of every decomposition does."""
+    """The lattice answers for a frontier, with or without gaps, as the
+    list of every decomposition does."""
 
     @staticmethod
     def _listed(tokens, rules):
-        extra = recognize_module._EXTRA_STEPS
-        return _Targets({decomp: len(decomp) + extra
-                         for decomp in _decompositions(tokens, rules)})
+        return _Targets(_decompositions(tokens, rules))
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(data=st.data())
@@ -258,7 +256,7 @@ class TestFusionLattice:
                 exact |= 1 << matched
         assert lattice.bounds(frontiers[2], exact) == \
             listed.bounds(frontiers[2], exact)
-        assert lattice.bounds(frontiers[2], exact)[1] >= 0
+        assert lattice.bounds(frontiers[2], exact)[1]
 
     def test_whole_path_inside_a_longer_one(self):
         # the path "danse" is a subsequence of the path "te danse"
@@ -268,11 +266,11 @@ class TestFusionLattice:
         for frontier in (("danse",), ("te",), ("te", "danse"),
                          ("danse", "te")):
             assert lattice.bounds(frontier) == listed.bounds(frontier)
-        own, reach = lattice.bounds(("danse",))
-        assert own < reach
+        assert lattice.bounds(("danse",)) == (True, True)
+        assert lattice.bounds(("te",)) == (False, True)
 
 
-def _per_decomposition_search(grammar, tokens, targets, goal, max_extra=2):
+def _per_decomposition_search(grammar, tokens, targets, goal):
     """One blind search per decomposition, kept apart by lexemes only;
     the lattice `targets` is not read."""
     hits = []
@@ -282,8 +280,7 @@ def _per_decomposition_search(grammar, tokens, targets, goal, max_extra=2):
                    if any(not v.surface or v.surface in decomp
                           for v in lexeme.variants)}
         for derived, final in engine.enumerate_derivations(
-                grammar, goal, EMPTY, len(decomp) + max_extra,
-                lexemes=lexemes):
+                grammar, goal, EMPTY, lexemes=lexemes):
             if final.frontier != decomp:
                 continue
             lan = final.features.get("lan", full) if full else frozenset()
@@ -311,15 +308,13 @@ def _short_golden_strings():
 def test_one_search_matches_per_decomposition_oracle(grammar, monkeypatch):
     """One search over every decomposition finds what a search per
     decomposition finds."""
-    # a target keeps its own step bound: with the looser bound of a longer
-    # target, zero forms (danse + a zero aspect) add analyses
-    targets = {("danse",): 0, ("te", "danse"): 2}
-    together = engine.enumerate_derivations(grammar, "Pred", EMPTY, 2,
+    # zero forms (danse + a zero aspect) are found with either target
+    targets = [("danse",), ("te", "danse")]
+    together = engine.enumerate_derivations(grammar, "Pred", EMPTY,
                                             targets=_Targets(targets))
-    apart = [pair for target, bound in targets.items()
+    apart = [pair for target in targets
              for pair in engine.enumerate_derivations(
-                 grammar, "Pred", EMPTY, bound,
-                 targets=_Targets({target: bound}))]
+                 grammar, "Pred", EMPTY, targets=_Targets([target]))]
     assert sorted(d.trace_key() for d, _ in together) == \
         sorted(d.trace_key() for d, _ in apart)
 

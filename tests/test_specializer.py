@@ -1,6 +1,8 @@
 """Dialect specialization: projection, erasure, equivalence."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from creoletag.dsl import _tokenize, serialize
 from creoletag.errors import InvalidSpec
@@ -8,6 +10,8 @@ from creoletag.generate import NPSpec, SemSpec, TMA
 from creoletag.grammar import validate
 from creoletag.specialize import (equivalence_check, project_language,
                                   specialize, specialize_with_report)
+from dialect_claim import (SPACE, generated, goal_of, perturbed,
+                           recognition_mismatches)
 
 DIALECTS = ("HT", "GP", "MQ", "GF")
 
@@ -116,3 +120,27 @@ class TestProjection:
         assert sum(len(l.variants) for l in relaxed.lexicon) == \
             sum(len(l.variants) for l in grammar.lexicon)
         assert "lan" not in relaxed.schema
+
+
+class TestDialectClaim:
+    """The paper's claim both ways, on a sample of the whole spec space
+    (`tests/dialect_claim.py` sweeps all of it): fixing `lan` to a
+    dialect generates what the dialect's specialized grammar generates,
+    and a generated string or one near it has an analysis in the dialect
+    exactly where the specialized grammar has one."""
+
+    @pytest.fixture(scope="class")
+    def specialized(self, grammar):
+        return {dialect: specialize(grammar, dialect) for dialect in DIALECTS}
+
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(specs=st.lists(st.sampled_from(SPACE), min_size=1, max_size=6))
+    def test_generation_and_recognition_agree(self, grammar, specialized,
+                                              specs):
+        for dialect in DIALECTS:
+            assert equivalence_check(grammar, dialect, specs).ok
+        for spec in specs:
+            for tokens in generated(grammar, spec):
+                for variant in perturbed(tokens):
+                    assert recognition_mismatches(
+                        grammar, specialized, variant, goal_of(spec)) == []
