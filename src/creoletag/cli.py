@@ -69,7 +69,7 @@ def cmd_generate(args):
         given = spec.lan or frozenset()
         check_lan(grammar, requested | given)
         if given and not given & requested:
-            key = grammar.schema.sort_key("lan")
+            key = grammar.dialects.index
             raise InvalidSpec("--lan %s shares no dialect with the input's "
                               "lan %s" % (",".join(sorted(requested, key=key)),
                                           ",".join(sorted(given, key=key))))
@@ -79,9 +79,8 @@ def cmd_generate(args):
     except NoRealization as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_NO_RESULT
-    key = grammar.schema.sort_key("lan") if "lan" in grammar.schema else None
-    for real in realizations:
-        lan = ",".join(sorted(real.lan_set, key=key)) if key else "-"
+    for real in realizations:  # a grammar without lan has empty sets
+        lan = ",".join(sorted(real.lan_set, key=grammar.dialects.index)) or "-"
         line = "%s\t%s" % (" ".join(real.tokens), lan)
         if real.alternatives:
             line += "\t" + " / ".join(" ".join(alt)

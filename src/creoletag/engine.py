@@ -48,10 +48,10 @@ length, so an instance spliced twice never shares a variable with
 itself.  Goals are checked against the schema where they enter, as
 grammar material is at load; unification checks nothing.
 
-A search skips what a pretest, :func:`_clash`, shows must fail, on
-codes (:meth:`Schema.clash`): an anchoring once per grammar; an
-adjunction on its auxiliary instance's codes, made once per grammar,
-and its node's, made once per state; a finished part on its root's.
+A search skips what a pretest on codes, :meth:`Schema.clash`, shows
+must fail: an anchoring once per grammar; an adjunction on its
+auxiliary instance's codes, made once per grammar, and its node's, made
+once per state; a finished part on its root's.
 A derived tree is walked once, into :attr:`DerivedTree.nodes`.
 
 Derived trees are immutable; every operation returns a new tree and
@@ -393,12 +393,6 @@ def replay(grammar: Grammar, history) -> DerivedTree:
 
 # --- enumeration -------------------------------------------------------------
 
-def _clash(schema, a, b) -> bool:
-    """Whether unifying structures of the codes `a` and `b` must fail:
-    every pretest of a search, in the one place a test can turn off."""
-    return schema.clash(a, b)
-
-
 def _layout(nodes, part, splittable):
     """The frontier of a tree's pre-order `nodes`, and its gaps: an int
     whose bit i is set where a later step may bring tokens in before
@@ -431,8 +425,8 @@ def _layout(nodes, part, splittable):
 def _anchorings(grammar, klass, label):
     """The grammar's anchoring index, built on first use: each (tree,
     lexeme id, variant index, surface) of (klass, label) whose anchor
-    :func:`_clash` does not refute, in grammar order; a bare tree as
-    (tree, None, None, None)."""
+    :meth:`Schema.clash` does not refute, in grammar order; a bare tree
+    as (tree, None, None, None)."""
     index = grammar._anchorings  # noqa: SLF001 - same-package friend
     if (klass, label) not in index:
         entries = []  # stored whole: a search in another thread reads it
@@ -446,8 +440,8 @@ def _anchorings(grammar, klass, label):
                 (tree, lexeme.id, i, variant.surface)
                 for lexeme in grammar.lexicon if lexeme.category == anchor.label
                 for i, variant in enumerate(lexeme.variants)
-                if not _clash(grammar.schema, bottom,
-                              grammar.schema.code(variant.features, UNBOUND))))
+                if not grammar.schema.clash(
+                    bottom, grammar.schema.code(variant.features, UNBOUND))))
         index[klass, label] = entries
     return index[klass, label]
 
@@ -597,8 +591,8 @@ def _derive(grammar, goal_label, goal_fs, lexemes, targets, content):
             if candidates:  # each plane encoded once per state
                 top, bottom = code(node.top, env), code(node.bottom, env)
             for (aux, aux_top, foot_bottom), progress in candidates:
-                if _clash(schema, top, aux_top) or \
-                        _clash(schema, bottom, foot_bottom):
+                if schema.clash(top, aux_top) or \
+                        schema.clash(bottom, foot_bottom):
                     continue
                 try:
                     nxt = adjoin(grammar, derived, address, aux)
@@ -634,7 +628,7 @@ def _derive(grammar, goal_label, goal_fs, lexemes, targets, content):
             top = code(site.top, env)
             fillers = [(filler, False, None) for table in tables
                        for filler, root, _ in table
-                       if not _clash(schema, top, root)]
+                       if not schema.clash(top, root)]
         for filler, progress, opened in fillers:
             try:
                 nxt = substitute(grammar, host, address, filler)
@@ -686,11 +680,12 @@ def enumerate_derivations(grammar: Grammar, goal_label: str,
     `targets.tokens` (zero forms always pass), and
     `targets.bounds(frontier, gaps)`, with the gaps :func:`_layout`
     reads, tells whether a derivation is exact, so returned, and whether
-    it embeds, so explored further.  What :func:`_clash` shows must fail
-    is not tried.  Nothing else bounds the search: a state met again at
-    or below where a step left it, with no progress since (a token
-    spelled with `targets`, else a `content` lexeme), repeats the steps
-    since without end, and DivergentGrammar names the first one's tree.
+    it embeds, so explored further.  What :meth:`Schema.clash` shows
+    must fail is not tried.  Nothing else bounds the search: a state met
+    again at or below where a step left it, with no progress since (a
+    token spelled with `targets`, else a `content` lexeme), repeats the
+    steps since without end, and DivergentGrammar names the first one's
+    tree.
     The states, finitely many (Vijay-Shanker, PhD thesis, 1987), are
     (label, top code, bottom code) before an adjunction and (label, top
     code) of a site filled in place.

@@ -240,9 +240,9 @@ def _tma_values(tma: TMA):
 def check_lan(grammar, lan):
     """Raise InvalidSpec unless every code in `lan` is one of the
     grammar's dialects."""
-    if "lan" not in grammar.schema:
+    if not grammar.dialects:
         raise InvalidSpec("this grammar has no language attribute left")
-    unknown = lan - grammar.schema.full("lan")
+    unknown = lan.difference(grammar.dialects)
     if unknown:
         raise InvalidSpec("unknown language codes: %s"
                           % ",".join(sorted(unknown)))
@@ -273,21 +273,21 @@ def _goal_for(grammar, spec: SemSpec):
 def realizations_from_finals(grammar, finals, goal):
     """Keep the finalized derivations that fit the goal, fuse, merge and
     fold.  A realization's language set is its derivation's, narrowed
-    by the goal's.
+    by the goal's; a grammar without `lan`, one unnamed dialect, gives
+    every realization the empty set.  A realization whose set is
+    contained in another's is folded into it, so a grammar specialized
+    to a dialect lists what the whole grammar lists under that dialect.
 
     `finals` is an iterable of (FinalizeResult, trace) pairs, from a
     search's results or a part table's entries.
     """
-    lan_full = grammar.schema.full("lan") if "lan" in grammar.schema else None
-    goal_lan = goal.get("lan", lan_full)
+    dialects = frozenset(grammar.dialects)
+    goal_lan = goal.get("lan", dialects)
     hits = []
     for final, trace in finals:
         if disjoint(final.features, UNBOUND, goal, UNBOUND) is not None:
             continue  # variable-free: disjoint exactly when unify fails
-        if lan_full is not None:
-            lan = final.features.get("lan", lan_full) & goal_lan
-        else:
-            lan = frozenset()
+        lan = final.features.get("lan", dialects) & goal_lan
         tokens = tuple(apply_fusion(list(final.frontier), lan,
                                     grammar.fusion_rules))
         hits.append((tokens, lan, final.features, trace))
@@ -302,7 +302,7 @@ def realizations_from_finals(grammar, finals, goal):
 
     realizations = []
     for tokens, (lan, features, trace) in merged.items():
-        if lan and "lan" in features:  # the items stay sorted
+        if "lan" in features:  # the items stay sorted
             features = FeatureStruct._of(tuple(
                 (attr, lan if attr == "lan" else cell)
                 for attr, cell in features.items()))
@@ -312,18 +312,15 @@ def realizations_from_finals(grammar, finals, goal):
     realizations.sort(key=lambda r: (-len(r.lan_set), -len(r.tokens), r.tokens))
     kept = []
     for real in realizations:
-        host = None
-        for candidate in kept:
-            if real.lan_set and real.lan_set <= candidate.lan_set:
-                host = candidate
+        for i, host in enumerate(kept):
+            if real.lan_set <= host.lan_set:
+                kept[i] = host._replace(
+                    alternatives=host.alternatives + (real.tokens,))
                 break
-        if host is None:
-            kept.append(real)
         else:
-            kept[kept.index(host)] = host._replace(
-                alternatives=host.alternatives + (real.tokens,))
+            kept.append(real)
 
-    rank = grammar.schema.sort_key("lan") if lan_full else None
+    rank = grammar.dialects.index
     kept.sort(key=lambda real: (sorted(map(rank, real.lan_set)), real.tokens))
     return kept
 
@@ -388,7 +385,7 @@ def _row(grammar, spec: SemSpec):
         grammar, category, tuple(sorted(content)),
         _particles(grammar).difference(content))
     schema = grammar.schema
-    for dialect in schema.domain("lan").values:
+    for dialect in grammar.dialects:
         cell = FeatureStruct(dict(goal.items()), lan=(dialect,))
         code = schema.code(cell, UNBOUND)
         yield dialect, realizations_from_finals(grammar, [
@@ -398,7 +395,9 @@ def _row(grammar, spec: SemSpec):
 
 def _table(grammar, rows):
     """A grid of (row name, SemSpec) rows that leave lan open, one
-    dialect per column: the one realization :func:`_row` finds."""
+    dialect per column: the one realization :func:`_row` finds.  A
+    grammar without `lan` has no columns, so no table."""
+    check_lan(grammar, frozenset(grammar.dialects))
     table = []
     for row, spec in rows:
         cells = []
@@ -432,8 +431,7 @@ def golden_corpus():
 
 
 def format_table(grammar: Grammar, rows) -> str:
-    dialects = grammar.schema.domain("lan").values
-    lines = ["row\t" + "\t".join(dialects)]
+    lines = ["row\t" + "\t".join(grammar.dialects)]
     for row_name, cells in rows:
         lines.append(row_name + "\t" + "\t".join(cells))
     return "\n".join(lines) + "\n"

@@ -54,6 +54,11 @@ class Metadata(NamedTuple):
 class Grammar:
     """Immutable after construction; safe to share between tasks.
 
+    `dialects` are the values of the `lan` domain in declaration order,
+    and the one place that domain is read.  A grammar without `lan` has
+    none: it is one unnamed dialect, and every language set it yields
+    is empty.
+
     Its memos are filled on first use and collected with it: `_relaxed`,
     the projection onto every dialect that the recognizer falls back
     to, `reach`, and the engine's `_instances` (elementary instances),
@@ -72,6 +77,8 @@ class Grammar:
             fusion_rules, key=lambda r: (-len(r.pattern), r.pattern)))
         self.metadata = metadata or Metadata()
         self.schema = Schema(self.domains)
+        self.dialects = next((d.values for d in self.domains
+                              if d.name == "lan"), ())
         # the labels an adjunction may split: auxiliary roots
         self.splittable = frozenset(t.root.label for t in self.trees
                                     if t.klass == AUXILIARY)
@@ -161,10 +168,9 @@ def validate(grammar: Grammar) -> list[str]:
         for i, variant in enumerate(lexeme.variants):
             where = "lexeme %s variant %d (%r)" % (lexeme.id, i, variant.surface)
             findings.extend(_check_fs(grammar, variant.features, where))
-            if "lan" in grammar.schema:
-                cell = variant.features.get("lan")
-                if not isinstance(cell, frozenset):
-                    findings.append("%s does not bind lan" % where)
+            if grammar.dialects and not isinstance(
+                    variant.features.get("lan"), frozenset):
+                findings.append("%s does not bind lan" % where)
 
     initial_roots = {t.root.label for t in grammar.initial_trees()}
     lexeme_categories = {l.category for l in grammar.lexicon}
@@ -177,13 +183,10 @@ def validate(grammar: Grammar) -> list[str]:
                 findings.append("no lexeme of category %r fills the anchor of tree %r"
                                 % (node.label, tree.name))
 
-    if "lan" in grammar.schema:
-        lan_domain = grammar.schema.full("lan")
-        for rule in grammar.fusion_rules:
-            if rule.lan is not None and not rule.lan <= lan_domain:
-                findings.append("fusion rule %r uses unknown language codes"
-                                % (" ".join(rule.pattern),))
     for rule in grammar.fusion_rules:
+        if rule.lan is not None and not rule.lan.issubset(grammar.dialects):
+            findings.append("fusion rule %r uses unknown language codes"
+                            % (" ".join(rule.pattern),))
         if not rule.pattern or not rule.replacement:
             findings.append("fusion rule with empty pattern or replacement")
 

@@ -159,10 +159,10 @@ def _search(grammar, tokens, targets, goal):
     pairs each input token with its (lexeme, variant index) sources."""
     derivations = engine.enumerate_derivations(grammar, goal, EMPTY,
                                                targets=targets)
-    full = grammar.schema.full("lan") if "lan" in grammar.schema else None
+    dialects = frozenset(grammar.dialects)
     hits = []
     for derived, final in derivations:
-        lan = final.features.get("lan", full) if full else frozenset()
+        lan = final.features.get("lan", dialects)
         merged = fuse_with_sources(
             [(token, ((lexeme, variant),))
              for token, lexeme, variant in final.lexical],
@@ -194,7 +194,7 @@ def recognize(grammar: Grammar, tokens, goal: str = "NP"):
     if goal not in GOALS:
         raise InvalidSpec("goal must be one of %s" % (GOALS,))
 
-    has_lan = "lan" in grammar.schema
+    has_lan = bool(grammar.dialects)
     # the relaxed projection keeps every fusion rule: one lattice serves both
     targets = FusionLattice(tokens, grammar.fusion_rules)
     hits = _search(grammar, tokens, targets, goal)

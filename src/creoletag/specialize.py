@@ -98,9 +98,9 @@ def specialize(grammar: Grammar, dialect: str) -> Grammar:
 
 def specialize_with_report(grammar: Grammar, dialect: str):
     """Single-dialect projection plus an audit of everything dropped."""
-    if "lan" not in grammar.schema:
+    if not grammar.dialects:
         return grammar, SpecializationReport(dialect)
-    if dialect not in grammar.schema.full("lan"):
+    if dialect not in grammar.dialects:
         raise InvalidSpec("unknown dialect %r" % dialect)
 
     report = SpecializationReport(dialect)
@@ -118,9 +118,9 @@ def project_language(grammar: Grammar) -> Grammar:
     The result accepts any structurally well-formed string regardless of
     dialect mixing.  Used by the recognizer's mixed-input path.
     """
-    if "lan" not in grammar.schema:
+    if not grammar.dialects:
         return grammar
-    return _project(grammar, grammar.schema.full("lan"), "anylan",
+    return _project(grammar, frozenset(grammar.dialects), "anylan",
                     SpecializationReport("anylan"))
 
 
@@ -136,24 +136,23 @@ class EquivalenceReport:
 
 def equivalence_check(grammar: Grammar, dialect: str, corpus) -> EquivalenceReport:
     """Generate each corpus item through the full grammar restricted to the
-    dialect and through the specialized grammar; report token-set diffs."""
+    dialect and through the specialized grammar, and report each item
+    whose ordered (tokens, alternatives) lists differ: the specialized
+    grammar, one unnamed dialect, folds alternatives as the whole grammar
+    does under that dialect."""
     specialized = specialize(grammar, dialect)
     report = EquivalenceReport(dialect)
 
-    def token_sets(g, spec):
+    def realized(g, spec):
         try:
-            reals = generate(g, spec)
+            return [(real.tokens, real.alternatives)
+                    for real in generate(g, spec)]
         except NoRealization:
-            return frozenset()
-        out = set()
-        for real in reals:
-            out.add(real.tokens)
-            out.update(real.alternatives)
-        return frozenset(out)
+            return []
 
     for spec in corpus:
-        base = token_sets(grammar, dc_replace(spec, lan=frozenset([dialect])))
-        mono = token_sets(specialized, dc_replace(spec, lan=None))
+        base = realized(grammar, dc_replace(spec, lan=frozenset([dialect])))
+        mono = realized(specialized, dc_replace(spec, lan=None))
         if base != mono:
-            report.mismatches.append((spec, sorted(base), sorted(mono)))
+            report.mismatches.append((spec, base, mono))
     return report

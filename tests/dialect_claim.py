@@ -1,8 +1,10 @@
 """The paper's claim, both ways, over the whole semantic-spec space: the
 grammar with `lan` fixed to a dialect generates and recognizes what the
 grammar specialized to that dialect does.  Generation is compared by
-`equivalence_check`, as token sets: a grammar without `lan` keeps no
-dialect set under which one form becomes another's alternative.
+`equivalence_check`, on ordered (tokens, alternatives) lists: the
+specialized grammar, one unnamed dialect, folds a doublet into one
+realization with an alternative, as the whole grammar does under `lan`
+fixed to the dialect.
 
     PYTHONPATH=src python tests/dialect_claim.py
 
@@ -72,7 +74,7 @@ def dialects(grammar, tokens, goal):
         analyses = recognize(grammar, tokens, goal)
     except NoAnalysis:
         return frozenset()
-    if "lan" not in grammar.schema:
+    if not grammar.dialects:
         return frozenset(DIALECTS)
     return frozenset().union(*(analysis.lan_set for analysis in analyses))
 

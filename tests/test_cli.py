@@ -218,6 +218,26 @@ class TestGrammarOverride:
         assert main(["generate", "--sem", path]) == 0
         assert capsys.readouterr().out == "ka dansé\t-\n"
 
+    def test_specialized_grammar_prints_what_lan_prints(self, tmp_path,
+                                                        sem_file, capsys):
+        # the doublet folds as under --lan GF; the language column is -
+        grammar = str(tmp_path / "gf.fstag")
+        assert main(["specialize", "--lan", "GF", "-o", grammar]) == 0
+        path = sem_file({"pred": "DANCE", "tma": {"asp": "imp"}})
+        assert main(["generate", "--sem", path, "--lan", "GF"]) == 0
+        assert capsys.readouterr().out == "ka dansé\tGF\tdansé\n"
+        assert main(["generate", "--sem", path, "--grammar", grammar]) == 0
+        assert capsys.readouterr().out == "ka dansé\t-\tdansé\n"
+
+    def test_tables_of_a_grammar_without_lan_are_bad_input(self, tmp_path,
+                                                           capsys):
+        grammar = str(tmp_path / "gf.fstag")
+        assert main(["specialize", "--lan", "GF", "-o", grammar]) == 0
+        assert main(["tables", "tma", "--grammar", grammar]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "this grammar has no language attribute left\n"
+
     def test_goal_outside_the_grammar_schema(self, tmp_path, sem_file,
                                              capsys, monkeypatch):
         # the grammar declares no spe or dem, which the NP goal names

@@ -225,6 +225,23 @@ class TestValidationFindings:
             load_grammar(text)
         assert any("does not bind lan" in f for f in err.value.findings)
 
+    @pytest.mark.parametrize("domain, lan", [
+        ("(domain lan (HT GP))", "(lan HT)"), ("", "")],
+        ids=["undeclared-code", "no-lan"])
+    def test_fusion_guard_names_a_dialect(self, domain, lan):
+        # a grammar without lan has no dialect a guard could name
+        text = domain + """
+        (tree t (class initial)
+          (node N (kind internal)
+            (children (node N (kind anchor)))))
+        (lex X (cat N) (variant "x" %s))
+        (fuse (lan MQ) ("x" "x") ("xx"))
+        """ % lan
+        with pytest.raises(ValidationError) as err:
+            load_grammar(text)
+        assert err.value.findings == [
+            "fusion rule 'x x' uses unknown language codes"]
+
 
 SHIPPED_TEXT = grammar_text()
 # one edit: a character inserted, deleted or replaced at a position

@@ -455,11 +455,17 @@ class TestTableLookup:
                         for lexeme in share} <= anchors[label], (label, share)
 
 
+def without_pretest(patch, grammar):
+    """Turn off, on `grammar` alone, the clash test on codes that every
+    pretest of a search and of a table row reads."""
+    patch.setattr(grammar.schema, "clash", lambda a, b: False)
+
+
 @pytest.fixture(scope="module")
 def unpruned():
-    """outcome() with the search's variable-free clash test turned off,
-    on a grammar of its own, so no instance the pruned searches built
-    serves it.  Each unpruned search runs once per (label, goal, content
+    """call(grammar, *args) with the clash pretest turned off, on a
+    grammar of its own, so no instance the pruned searches built serves
+    it.  Each unpruned search runs once per (label, goal, content
     lexemes): generate searches with a constant particle set."""
     own = load_grammar(grammar_text())
     searches = {}
@@ -471,11 +477,11 @@ def unpruned():
             searches[key] = search(grammar, label, goal, *args, **kwargs)
         return searches[key]
 
-    def run(spec):
+    def run(call, *args):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(engine, "_clash", lambda *args: False)
+            without_pretest(patch, own)
             patch.setattr(engine, "enumerate_derivations", cached)
-            return outcome(own, spec)
+            return call(own, *args)
     return run
 
 
@@ -483,21 +489,38 @@ class TestPruningSoundness:
     """The search skips anchorings, adjunctions and parts that the clash test
     shows must fail; skipping them may not change what generate gives."""
 
+    def test_the_pretest_is_off(self, engine_calls, monkeypatch):
+        # without it, a search tries the adjunctions the pretest skips
+        pruned, bare = (load_grammar(grammar_text()) for _ in range(2))
+        without_pretest(monkeypatch, bare)
+        tried = []
+        for own in (pruned, bare):
+            engine_calls["adjoin"] = 0
+            generate(own, SemSpec(pred="DANCE", tma=TMA(pas=True, asp="imp")))
+            tried.append(engine_calls["adjoin"])
+        assert tried[0] < tried[1]
+
+    @pytest.mark.parametrize("name, table", [("np", table_np),
+                                             ("tma", table_tma)])
+    def test_tables(self, unpruned, name, table):
+        text = unpruned(lambda own: format_table(own, table(own)))
+        assert text == golden_path(name).read_text(encoding="utf-8")
+
     def test_golden_corpus(self, grammar, unpruned):
         for spec in golden_corpus():
-            assert outcome(grammar, spec) == unpruned(spec), spec
+            assert outcome(grammar, spec) == unpruned(outcome, spec), spec
 
     def test_every_noun_and_complement_at_pl_dem(self, grammar, unpruned):
         for noun, complement in itertools.product(NOUNS, COMPLEMENTS):
             spec = SemSpec(args=(NPSpec(noun, nbr="pl", dem=True,
                                         complement=complement),))
-            assert outcome(grammar, spec) == unpruned(spec), spec
+            assert outcome(grammar, spec) == unpruned(outcome, spec), spec
 
     def test_every_tma_bundle(self, grammar, unpruned):
         assert len(BUNDLES) == 28
         for tma in BUNDLES:
             spec = SemSpec(pred="DANCE", tma=tma)
-            assert outcome(grammar, spec) == unpruned(spec), spec
+            assert outcome(grammar, spec) == unpruned(outcome, spec), spec
 
     @settings(max_examples=40, deadline=None)
     @given(noun=st.sampled_from(NOUNS), nbr=st.sampled_from(NUMBERS),
@@ -512,7 +535,7 @@ class TestPruningSoundness:
         spe, dem = determination
         spec = SemSpec(pred=pred, tma=tma, lan=lan, args=(
             NPSpec(noun, nbr=nbr, spe=spe, dem=dem, complement=complement),))
-        assert outcome(grammar, spec) == unpruned(spec)
+        assert outcome(grammar, spec) == unpruned(outcome, spec)
 
 
 def token_set(grammar, spec):

@@ -274,7 +274,7 @@ def _per_decomposition_search(grammar, tokens, targets, goal):
     """One blind search per decomposition, kept apart by lexemes only;
     the lattice `targets` is not read."""
     hits = []
-    full = grammar.schema.full("lan") if "lan" in grammar.schema else None
+    dialects = frozenset(grammar.dialects)
     for decomp in _decompositions(tokens, grammar.fusion_rules):
         lexemes = {lexeme.id for lexeme in grammar.lexicon
                    if any(not v.surface or v.surface in decomp
@@ -283,7 +283,7 @@ def _per_decomposition_search(grammar, tokens, targets, goal):
                 grammar, goal, EMPTY, lexemes=lexemes):
             if final.frontier != decomp:
                 continue
-            lan = final.features.get("lan", full) if full else frozenset()
+            lan = final.features.get("lan", dialects)
             merged = fuse_with_sources(
                 [(token, ((lexeme, variant),))
                  for token, lexeme, variant in final.lexical],

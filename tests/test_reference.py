@@ -7,7 +7,10 @@ own, and it deduplicates states with their variables renamed by first
 occurrence.  It is checked at its bound and one step past it, so a
 result that needs more steps cannot hide, and it judges the search's
 divergence check on mutated grammars: where the search calls a grammar
-divergent, more steps must give the oracle more results.
+divergent, more steps must give the oracle more results.  Its finals
+also judge `generate`, which fills sites from part tables, through
+`realizations_from_finals`, and `recognize`, which must read each of
+them back once fused.
 """
 
 import contextlib
@@ -20,16 +23,19 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from creoletag import engine
-from creoletag.creole import grammar_text
+from creoletag.creole import DIALECTS, grammar_text
 from creoletag.dsl import load_grammar
 from creoletag.errors import (AnchorUnificationFailure, CollapseFailure,
                               DivergentGrammar, NotAnAdjunctionSite,
-                              PendingSite, UnificationFailure)
-from creoletag.featstruct import EMPTY, FeatureStruct, Var
-from creoletag.generate import NPSpec, SemSpec, generate
+                              NoRealization, PendingSite, UnificationFailure)
+from creoletag.featstruct import EMPTY, FeatureStruct, Var, unify
+from creoletag.generate import (NPSpec, SemSpec, _content, _goal_for,
+                                _particles, apply_fusion, generate,
+                                realizations_from_finals)
 from creoletag.grammar import Grammar, Lexeme, validate
 from creoletag.recognize import recognize
 from creoletag.trees import AUXILIARY, INITIAL, INTERNAL, SUBST
+from dialect_claim import SPACE, goal_of
 
 
 def _canonical(derived):
@@ -113,11 +119,6 @@ def reference(grammar, label, lexemes, content):
         level = following
 
 
-def _particles(grammar):
-    return frozenset(lexeme.id for lexeme in grammar.lexicon
-                     if lexeme.category not in ("N", "Nprop", "V"))
-
-
 def searched(grammar, label, content):
     """(frontier, features) of every derivation the search finds; raises
     DivergentGrammar where the search reports the grammar divergent."""
@@ -137,12 +138,61 @@ def pairs(derivations):
     return {(frontier, features) for frontier, features, _ in derivations}
 
 
+# lan open and fixed to each dialect
+LANS = [None, *(frozenset({dialect}) for dialect in DIALECTS)]
+
+
+def requests(grammar, label, content, lans):
+    """Every request of the semantic-spec space that `searched(grammar,
+    label, content)` serves, under each of `lans`."""
+    return [replace(spec, lan=lan) for spec in SPACE
+            if goal_of(spec) == label and _content(grammar, spec) == content
+            for lan in lans]
+
+
+def listed(realizations):
+    return [(real.tokens, real.lan_set, real.alternatives)
+            for real in realizations]
+
+
+def realized(grammar, spec):
+    """What generate gives, compared; [] where nothing derives."""
+    try:
+        return listed(generate(grammar, spec))
+    except NoRealization:
+        return []
+
+
+def realized_from(grammar, found, spec):
+    """What realizations_from_finals makes of the oracle's finals `found`
+    under the request's goal."""
+    _, goal = _goal_for(grammar, spec)
+    return listed(realizations_from_finals(grammar, [
+        (engine.FinalizeResult(frontier, features, ()), ())
+        for frontier, features in found], goal))
+
+
 _SHIPPED = load_grammar(grammar_text())
+
+
+@functools.cache
+def shipped_levels(label, content, bound):
+    """The oracle's (frontier, features) pairs on the shipped grammar at
+    `bound` steps and at one more."""
+    levels = oracle(_SHIPPED, label, content)
+    *_, found, further = (pairs(next(levels)) for _ in range(bound + 1))
+    return found, further
+
+
+_KEYS = [("NP", ("PERSON",)), ("NP", ("PERSON", "SAINT-THOMAS")),
+         ("Pred", ("DANCE",))]
 
 
 class TestShippedGrammar:
     """The unbounded search finds what the oracle finds at a bound past
-    its fixpoint: one step more adds nothing."""
+    its fixpoint: one step more adds nothing.  At that bound the oracle's
+    finals give each request what `generate` gives, and `recognize`
+    reads each of them back once fused."""
 
     @pytest.mark.parametrize("label, content, bound, count", [
         ("NP", ("PERSON",), 5, 21),
@@ -151,11 +201,39 @@ class TestShippedGrammar:
         ("S", ("BIRD", "DANCE"), 9, None),
     ], ids=["NP", "NP-complement", "Pred", "S"])
     def test_search_equals_oracle(self, label, content, bound, count):
-        levels = oracle(_SHIPPED, label, content)
-        *_, found, further = (pairs(next(levels)) for _ in range(bound + 1))
+        found, further = shipped_levels(label, content, bound)
         assert further == found
         assert searched(_SHIPPED, label, content) == found
         assert count is None or len(found) == count
+
+    @pytest.mark.parametrize("label, content", _KEYS,
+                             ids=["NP", "NP-complement", "Pred"])
+    def test_generate_equals_realizations_of_oracle(self, label, content):
+        found, further = shipped_levels(label, content, 5)
+        assert further == found
+        for spec in requests(_SHIPPED, label, content, LANS):
+            assert realized(_SHIPPED, spec) == \
+                realized_from(_SHIPPED, found, spec), spec
+
+    @pytest.mark.parametrize("label, content", _KEYS,
+                             ids=["NP", "NP-complement", "Pred"])
+    def test_recognize_reads_every_oracle_final(self, label, content):
+        # each final, fused under each dialect of its set, has a reading
+        # under its label whose features unify with the final's
+        found, further = shipped_levels(label, content, 5)
+        assert further == found
+        finals = {}  # fused tokens -> the features of the finals fused so
+        for frontier, features in found:
+            for dialect in features.get("lan", frozenset(DIALECTS)):
+                finals.setdefault(tuple(apply_fusion(
+                    frontier, {dialect}, _SHIPPED.fusion_rules)),
+                    []).append(features)
+        for tokens, wanted in finals.items():
+            readings = [analysis.features
+                        for analysis in recognize(_SHIPPED, tokens, label)]
+            for features in wanted:
+                assert any(unify(features, reading) is not None
+                           for reading in readings), (tokens, features)
 
 
 def _mutations(grammar):
@@ -210,8 +288,9 @@ def _mutations(grammar):
 class TestMutatedGrammars:
     """On a grammar edited so that its search may go wrong or derive
     without end, the search finds what the oracle finds at a bound past
-    its fixpoint, or it reports divergence and two steps more give the
-    oracle more derivations."""
+    its fixpoint, and generate gives every request of the search key
+    what the oracle's finals give it under one lan; or the search reports
+    divergence and two steps more give the oracle more derivations."""
 
     BOUND = 5
 
@@ -219,8 +298,9 @@ class TestMutatedGrammars:
               suppress_health_check=[HealthCheck.filter_too_much])
     @given(mutation=_mutations(_SHIPPED),
            key=st.sampled_from([("NP", ("PERSON",)), ("NP", ("TABLE",)),
-                                ("Pred", ("DANCE",))]))
-    def test_search_or_divergence_matches_oracle(self, mutation, key):
+                                ("Pred", ("DANCE",))]),
+           lan=st.sampled_from(LANS))
+    def test_search_or_divergence_matches_oracle(self, mutation, key, lan):
         name, grammar = mutation
         assume(not validate(grammar))
         label, content = key
@@ -236,6 +316,9 @@ class TestMutatedGrammars:
             assert len(within) < self.BOUND + 5, name
             within.append(next(levels))
         assert found == pairs(within[-1]), name
+        for spec in requests(grammar, label, content, [lan]):
+            assert realized(grammar, spec) == \
+                realized_from(grammar, found, spec), (name, spec)
 
 
 _PLURAL_ROOT = "(bottom (bar 2) (nbr pl) (spe +) (dem $D) (lan $L))\n" \

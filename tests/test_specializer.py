@@ -1,12 +1,15 @@
 """Dialect specialization: projection, erasure, equivalence."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from creoletag.dsl import _tokenize, serialize
 from creoletag.errors import InvalidSpec
-from creoletag.generate import NPSpec, SemSpec, TMA
+from creoletag.generate import (NPSpec, SemSpec, TMA, generate, table_np,
+                                table_tma)
 from creoletag.grammar import validate
 from creoletag.specialize import (equivalence_check, project_language,
                                   specialize, specialize_with_report)
@@ -111,6 +114,29 @@ class TestEquivalence:
 
     def test_empty_corpus(self, grammar):
         assert equivalence_check(grammar, "HT", []).ok
+
+    @pytest.mark.parametrize("tma", [TMA(asp="imp"), TMA(prx=True)],
+                             ids=["imp", "prx"])
+    def test_specialized_grammar_folds_as_lan_does(self, grammar, tma):
+        # one unnamed dialect lists ka dansé / dansé and k'alé / kay
+        # dansé as one realization with an alternative, as lan={GF} does
+        spec = SemSpec(pred="DANCE", tma=tma)
+
+        def listed(g, s):
+            return [(real.tokens, real.alternatives) for real in generate(g, s)]
+
+        folded = listed(grammar, replace(spec, lan=frozenset({"GF"})))
+        assert len(folded) == 1 and folded[0][1]
+        assert listed(specialize(grammar, "GF"), spec) == folded
+
+    @pytest.mark.parametrize("table", [table_np, table_tma])
+    def test_tables_need_dialects(self, fresh_grammar, engine_calls, table):
+        # a table has a column per dialect: none is bad input, found
+        # before any row is searched
+        specialized = specialize(fresh_grammar, "GF")
+        with pytest.raises(InvalidSpec, match="no language attribute"):
+            table(specialized)
+        assert engine_calls["_derive"] == engine_calls["instantiate"] == 0
 
 
 class TestProjection:
