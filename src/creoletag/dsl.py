@@ -24,6 +24,7 @@ Loading what serialize produced yields a structurally equal grammar.
 
 from __future__ import annotations
 
+import re
 import unicodedata
 import weakref
 from typing import NamedTuple
@@ -39,6 +40,10 @@ _KIND_WORDS = {"internal": INTERNAL, "anchor": ANCHOR,
                "subst": SUBST, "foot": FOOT}
 _CLASS_WORDS = {"initial": INITIAL, "aux": AUXILIARY}
 _PARSED = weakref.WeakValueDictionary()  # equal parsed values: one object
+# a string ends on its line; a backslash takes the next character as it is
+_STRING = re.compile(r'"([^"\\\n]*(?:\\.[^"\\\n]*)*)"')
+_WORD = re.compile(r'[^ \t\r\n();"]+')
+_ESCAPE = re.compile(r"\\(.)")
 
 
 class Atom(NamedTuple):
@@ -54,85 +59,52 @@ class SList(NamedTuple):
     col: int
 
 
-def _tokenize(text):
-    line, col = 1, 1
+def parse_forms(text):
+    """Parse source text into a list of SList/Atom forms, in one scan.
+    A form's column counts characters from the start of its line."""
+    forms = items = []
+    stack = []  # per open list: (enclosing items, line, column)
+    line, line_start = 1, 0
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
+        col = i - line_start + 1
+        i += 1
         if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in "()":
-            yield (ch, line, col)
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            start_line, start_col = line, col
-            i += 1
-            col += 1
-            buf = []
-            while i < n and text[i] != '"':
-                if text[i] == "\\" and i + 1 < n:
-                    i += 1
-                    col += 1
-                if text[i] == "\n":
-                    raise GrammarSyntaxError("unterminated string",
-                                             start_line, start_col)
-                buf.append(text[i])
-                i += 1
-                col += 1
-            if i >= n:
-                raise GrammarSyntaxError("unterminated string",
-                                         start_line, start_col)
-            i += 1
-            col += 1
-            atom = Atom("".join(buf), start_line, start_col, quoted=True)
-            if not unicodedata.is_normalized("NFC", atom.text):
-                raise GrammarSyntaxError("string is not NFC-normalized",
-                                         start_line, start_col)
-            yield (atom, start_line, start_col)
-            continue
-        start_line, start_col = line, col
-        buf = []
-        while i < n and text[i] not in ' \t\r\n();"':
-            buf.append(text[i])
-            i += 1
-            col += 1
-        yield (Atom("".join(buf), start_line, start_col), start_line, start_col)
-
-
-def parse_forms(text):
-    """Parse source text into a list of SList/Atom forms."""
-    stack = []
-    forms = []
-    for token, line, col in _tokenize(text):
-        if isinstance(token, Atom):
-            if not stack:
-                raise GrammarSyntaxError("top-level atom %r" % token.text,
-                                         line, col)
-            stack[-1][0].append(token)
-        elif token == "(":
-            stack.append(([], line, col))
-        else:
+            line, line_start = line + 1, i
+        elif ch == ";":
+            i = text.find("\n", i)
+            if i < 0:
+                break
+        elif ch == "(":
+            stack.append((items, line, col))
+            items = []
+        elif ch == ")":
             if not stack:
                 raise GrammarSyntaxError("unbalanced ')'", line, col)
-            items, l0, c0 = stack.pop()
-            form = SList(tuple(items), l0, c0)
-            if stack:
-                stack[-1][0].append(form)
+            outer, l0, c0 = stack.pop()
+            outer.append(SList(tuple(items), l0, c0))
+            items = outer
+        elif ch not in " \t\r":
+            if ch == '"':
+                match = _STRING.match(text, i - 1)
+                if match is None:
+                    raise GrammarSyntaxError("unterminated string", line, col)
+                body = match.group(1)
+                if "\\" in body:
+                    body = _ESCAPE.sub(r"\1", body)
+                if not unicodedata.is_normalized("NFC", body):
+                    raise GrammarSyntaxError("string is not NFC-normalized",
+                                             line, col)
+                atom = Atom(body, line, col, True)
             else:
-                forms.append(form)
+                match = _WORD.match(text, i - 1)
+                atom = Atom(match.group(), line, col)
+            if not stack:
+                raise GrammarSyntaxError("top-level atom %r" % atom.text,
+                                         line, col)
+            items.append(atom)
+            i = match.end()
     if stack:
         raise GrammarSyntaxError("unbalanced '('", stack[-1][1], stack[-1][2])
     return forms
@@ -140,8 +112,7 @@ def parse_forms(text):
 
 def _want_atom(form, what):
     if not isinstance(form, Atom):
-        where = form if isinstance(form, SList) else SList((), 0, 0)
-        raise GrammarSyntaxError("expected %s" % what, where.line, where.col)
+        raise GrammarSyntaxError("expected %s" % what, form.line, form.col)
     return form
 
 
@@ -155,19 +126,17 @@ def _nth_atom(form, index, what):
 
 def _head(form):
     if not isinstance(form, SList) or not form.items:
-        line = form.line if isinstance(form, (SList, Atom)) else 0
-        col = form.col if isinstance(form, (SList, Atom)) else 0
-        raise GrammarSyntaxError("expected a non-empty list", line, col)
+        raise GrammarSyntaxError("expected a non-empty list",
+                                 form.line, form.col)
     return _want_atom(form.items[0], "a keyword").text
 
 
 def _parse_feature_clauses(forms, where):
     bindings = {}
     for clause in forms:
-        if not isinstance(clause, SList) or len(clause.items) < 1:
+        if not isinstance(clause, SList) or not clause.items:
             raise GrammarSyntaxError("expected (attr value...) in %s" % where,
-                                     getattr(clause, "line", 0),
-                                     getattr(clause, "col", 0))
+                                     clause.line, clause.col)
         attr = _want_atom(clause.items[0], "attribute name").text
         values = clause.items[1:]
         if not values:

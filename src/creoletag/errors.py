@@ -106,13 +106,10 @@ class NoAnalysis(CreoleTagError):
 class MissingCell(CreoleTagError):
     """A paradigm table cell could not be generated."""
 
-    def __init__(self, row, dialect, detail=""):
+    def __init__(self, row, dialect):
         self.row = row
         self.dialect = dialect
-        msg = "no form for table cell (%s, %s)" % (row, dialect)
-        if detail:
-            msg += ": " + detail
-        super().__init__(msg)
+        super().__init__("no form for table cell (%s, %s)" % (row, dialect))
 
 
 def _fmt_address(address):

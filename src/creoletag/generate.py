@@ -395,16 +395,16 @@ def _row(grammar, spec: SemSpec):
 
 def _table(grammar, rows):
     """A grid of (row name, SemSpec) rows that leave lan open, one
-    dialect per column: the one realization :func:`_row` finds.  A
-    grammar without `lan` has no columns, so no table."""
+    dialect per column: the one realization :func:`_row` finds (a
+    cell's realizations all have its dialect's set, so they fold into
+    one).  A grammar without `lan` has no columns, so no table."""
     check_lan(grammar, frozenset(grammar.dialects))
     table = []
     for row, spec in rows:
         cells = []
         for dialect, reals in _row(grammar, spec):
-            if len(reals) != 1:
-                raise MissingCell(row, dialect, "ambiguous: " + " | ".join(
-                    " ".join(r.tokens) for r in reals) if reals else "")
+            if not reals:
+                raise MissingCell(row, dialect)
             cells.append(" / ".join(map(" ".join, (reals[0].tokens,)
                                         + reals[0].alternatives)))
         table.append((row, cells))

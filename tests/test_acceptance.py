@@ -11,7 +11,7 @@ import pytest
 
 from creoletag import engine
 from creoletag.creole import golden_path
-from creoletag.dsl import _tokenize, serialize
+from creoletag.dsl import serialize
 from creoletag.errors import UnificationFailure
 from creoletag.featstruct import FeatureStruct
 from creoletag.generate import (apply_fusion, format_table, generate,
@@ -19,6 +19,7 @@ from creoletag.generate import (apply_fusion, format_table, generate,
                                 table_np, table_tma, _goal_for)
 from creoletag.recognize import MixedReport, identify_dialect, recognize
 from creoletag.specialize import equivalence_check, specialize
+from test_specializer import unquoted_atoms
 
 DIALECTS = ("HT", "GP", "MQ", "GF")
 
@@ -113,8 +114,7 @@ def test_criterion_5_specialization_equivalence(grammar):
             report = equivalence_check(grammar, dialect, corpus)
             assert report.ok, report.mismatches
             text = serialize(specialize(grammar, dialect))
-            atoms = [tok.text for tok, _, _ in _tokenize(text)
-                     if not isinstance(tok, str) and not tok.quoted]
+            atoms = unquoted_atoms(text)
             assert "lan" not in atoms
 
 

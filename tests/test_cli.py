@@ -11,8 +11,19 @@ from hypothesis import strategies as st
 
 import creoletag
 from creoletag.cli import main
-from creoletag.creole import golden_path
-from creoletag.dsl import load_grammar
+from creoletag.creole import golden_path, shipped_grammar
+from creoletag.dsl import load_grammar, serialize
+from creoletag.grammar import Grammar
+
+
+FINDINGS = """
+(domain lan (HT GP))
+(tree t (class initial)
+  (node N (kind internal)
+    (bottom (gen m))
+    (children (node N (kind anchor)))))
+(lex X (cat N) (variant "x" (lan HT)))
+"""
 
 
 @pytest.fixture
@@ -118,6 +129,24 @@ class TestTables:
         assert main(["tables", "tma", "--golden",
                      str(golden_path("tma"))]) == 0
 
+    def test_np_without_golden(self, capsys):
+        assert main(["tables", "np"]) == 0
+        assert capsys.readouterr().out == \
+            golden_path("np").read_text(encoding="utf-8")
+
+    def test_missing_cell_is_no_result(self, tmp_path, capsys):
+        shipped = shipped_grammar()
+        grammar = tmp_path / "no-past.fstag"
+        grammar.write_text(serialize(Grammar(
+            shipped.domains, [t for t in shipped.trees
+                              if t.name != "aux-Past"],
+            shipped.lexicon, shipped.fusion_rules, shipped.metadata)),
+            encoding="utf-8")
+        assert main(["tables", "tma", "--grammar", str(grammar)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "no form for table cell (accomplished-past, HT)\n"
+
     def test_unknown_table(self, capsys):
         assert main(["tables", "xx"]) == 3
 
@@ -136,6 +165,12 @@ class TestSpecializeAndCheck:
         out = tmp_path / "ht.fstag"
         assert main(["specialize", "--lan", "HT", "-o", str(out)]) == 0
         assert main(["check", str(out)]) == 0
+
+    def test_specialize_to_stdout(self, capsys):
+        from creoletag.specialize import specialize
+        assert main(["specialize", "--lan", "HT"]) == 0
+        assert capsys.readouterr().out == \
+            serialize(specialize(shipped_grammar(), "HT"))
 
     def test_specialized_output_loads(self, tmp_path):
         out = tmp_path / "mq.fstag"
@@ -166,14 +201,7 @@ class TestSpecializeAndCheck:
 
     def test_check_findings(self, tmp_path, capsys):
         bad = tmp_path / "findings.fstag"
-        bad.write_text("""
-(domain lan (HT GP))
-(tree t (class initial)
-  (node N (kind internal)
-    (bottom (gen m))
-    (children (node N (kind anchor)))))
-(lex X (cat N) (variant "x" (lan HT)))
-""", encoding="utf-8")
+        bad.write_text(FINDINGS, encoding="utf-8")
         assert main(["check", str(bad)]) == 2
         assert "gen" in capsys.readouterr().out
 
@@ -237,6 +265,17 @@ class TestGrammarOverride:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "this grammar has no language attribute left\n"
+
+    def test_grammar_with_findings(self, tmp_path, sem_file, capsys):
+        grammar = tmp_path / "findings.fstag"
+        grammar.write_text(FINDINGS, encoding="utf-8")
+        path = sem_file({"args": [{"lexeme": "X"}]})
+        assert main(["generate", "--sem", path, "--grammar",
+                     str(grammar)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "tree 't' node ('root',) uses undeclared attribute " \
+            "'gen'\n"
 
     def test_goal_outside_the_grammar_schema(self, tmp_path, sem_file,
                                              capsys, monkeypatch):

@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from creoletag.creole import golden_path, grammar_text
-from creoletag.dsl import load_grammar, parse_forms, serialize
+from creoletag.dsl import Atom, SList, load_grammar, parse_forms, serialize
 from creoletag.errors import GrammarSyntaxError, ValidationError
-from creoletag.grammar import validate
+from creoletag.grammar import FusionRule, Grammar, validate
 from creoletag.trees import ANCHOR, INITIAL, ElementaryTree, Node
 
 
@@ -136,6 +136,59 @@ class TestSyntaxErrors:
         assert (raised.value.line, raised.value.column) == \
             (line, at - text.rfind("\n", 0, at))
 
+    @pytest.mark.parametrize("text,message,line,column", [
+        ('(lex X (cat N)\n  (variant "mo\nun"))',
+         "unterminated string", 2, 12),
+        ('(lex X (cat N)\n  (variant "moun', "unterminated string", 2, 12),
+        ('(lex X (cat N)\n  (variant "mo\\\nun"))',
+         "unterminated string", 2, 12),
+        ('(lex X (cat N)\n  (variant "moun\\', "unterminated string", 2, 12),
+        ('(lex X (cat N)\n  (variant "\\"q\\\\" (lan HT)) oops)',
+         "expected a non-empty list", 2, 30),
+        ("(grammar g)\n(lex (X) (cat N))", "expected lexeme id", 2, 6),
+        ("(tree t (class initial)\n  (node N (bottom lan)))",
+         "expected (attr value...) in bottom", 2, 19),
+        ('(lex X (cat N)\n  (variant "x" (lan HT GP HT)))',
+         "attribute 'lan' repeats a value", 2, 16),
+        ("(tree t (class initial)\n  (node N (children\n    (leaf N))))",
+         "expected (node ...)", 3, 5),
+        ("(tree t (class initial)\n  (node N (kind branch)))",
+         "unknown node kind 'branch'", 2, 11),
+        ("(tree t (class initial)\n  (root N))",
+         "unknown tree clause 'root'", 2, 3),
+        ("(domain lan (HT))\n  (tree t (class initial))",
+         "tree 't' lacks a class or a root", 2, 3),
+        ('(lex X (cat N)\n  (form "x"))',
+         "unknown lexeme clause 'form'", 2, 3),
+        ('(domain lan (HT))\n  (lex X (variant "x" (lan HT)))',
+         "lexeme 'X' lacks a category", 2, 3),
+        ('(fuse (lan HT) ("a" "b") ("ab"))\n(fuse (lan) ("a") ("b"))',
+         "fusion rule with empty language guard", 2, 7),
+        ('(domain lan (HT))\n  (fuse (lan HT) ("a" "b"))',
+         "fusion rule needs a pattern and a replacement", 2, 3),
+        ('(fuse (lan HT)\n  ("a" b) ("ab"))',
+         "pattern tokens must be quoted", 2, 8),
+        ('(fuse (lan HT)\n  ("a") ())', "empty replacement", 2, 9),
+        ('(domain lan (HT))\n  (fuse (lan HT) a ("b"))',
+         "expected pattern tokens", 2, 3),
+        ("(domain lan (HT))\n(domain cns + -)",
+         "domain 'cns' needs one value list", 2, 1),
+    ], ids=["string-at-newline", "string-at-end", "escaped-newline",
+            "escape-at-end", "after-escapes", "atom-wanted", "clause-wanted",
+            "repeated-value", "node-wanted", "node-kind", "tree-clause",
+            "tree-root", "lexeme-clause", "lexeme-category", "fusion-guard",
+            "fusion-parts", "fusion-unquoted", "fusion-empty", "fusion-bare",
+            "domain-values"])
+    def test_message_and_position(self, text, message, line, column):
+        with pytest.raises(GrammarSyntaxError) as err:
+            load_grammar(text)
+        assert (str(err.value), err.value.line, err.value.column) == (
+            "line %d, column %d: %s" % (line, column, message), line, column)
+
+    def test_escaped_characters_are_taken_as_they_are(self):
+        assert parse_forms('(v "\\"q\\\\n")') == [SList(
+            (Atom("v", 1, 2), Atom('"q\\n', 1, 4, True)), 1, 1)]
+
     def test_unquoted_surface_rejected(self):
         with pytest.raises(GrammarSyntaxError):
             load_grammar("(lex X (cat N) (variant moun (lan HT)))")
@@ -241,6 +294,47 @@ class TestValidationFindings:
             load_grammar(text)
         assert err.value.findings == [
             "fusion rule 'x x' uses unknown language codes"]
+
+    @pytest.mark.parametrize("extra,finding", [
+        ("(tree t (class initial)\n"
+         "  (node N (kind internal) (children (node N (kind anchor)))))",
+         "duplicate tree name 't'"),
+        ('(lex X (cat N) (variant "y" (lan GP)))', "duplicate lexeme id 'X'"),
+        ("(tree u (class initial) (node N (kind internal)\n"
+         "  (children (node N (kind foot)) (node N (kind anchor)))))",
+         "initial tree 'u' has a foot node"),
+        ("(tree u (class aux)\n"
+         "  (node N (kind internal) (children (node N (kind anchor)))))",
+         "auxiliary tree 'u' has 0 foot nodes"),
+        ("(tree u (class aux) (node N (kind internal)\n"
+         "  (children (node N (kind foot)) (node N (kind anchor))\n"
+         "            (node N (kind foot)))))",
+         "auxiliary tree 'u' has 2 foot nodes"),
+        ("(tree u (class initial) (node N (kind internal)\n"
+         "  (children (node N (kind anchor)) (node N (kind anchor)))))",
+         "tree 'u' has more than one anchor"),
+    ], ids=["duplicate-tree", "duplicate-lexeme", "initial-foot",
+            "aux-no-foot", "aux-two-feet", "two-anchors"])
+    def test_tree_and_lexeme_findings(self, extra, finding):
+        text = """
+        (domain lan (HT GP))
+        (tree t (class initial)
+          (node N (kind internal)
+            (children (node N (kind anchor)))))
+        (lex X (cat N) (variant "x" (lan HT)))
+        """ + extra
+        with pytest.raises(ValidationError) as err:
+            load_grammar(text)
+        assert err.value.findings == [finding]
+
+    @pytest.mark.parametrize("pattern,replacement", [
+        ((), ("tap",)), (("te", "ap"), ())], ids=["pattern", "replacement"])
+    def test_empty_fusion_part(self, grammar, pattern, replacement):
+        # the loader rejects an empty token list, so build the grammar
+        rule = FusionRule(pattern=pattern, replacement=replacement)
+        assert validate(Grammar(grammar.domains, grammar.trees,
+                                grammar.lexicon, [rule], grammar.metadata)) \
+            == ["fusion rule with empty pattern or replacement"]
 
 
 SHIPPED_TEXT = grammar_text()

@@ -356,6 +356,15 @@ class TestIdentifyDialect:
                                         frozenset({"HT"}),
                                         frozenset({"GP", "MQ"}))
 
+    def test_mixed_fused_token(self, grammar):
+        # tap fuses te + ap: a fused token takes its sources' shared set
+        haitian, others = frozenset({"HT"}), frozenset({"GP", "MQ", "GF"})
+        analyses = recognize(grammar, "tap dansé", "Pred")
+        assert analyses and all(a.mixed and not a.lan_set for a in analyses)
+        assert {a.per_token_lan for a in analyses} == {(haitian, others)}
+        assert identify_dialect(grammar, "tap dansé") == \
+            MixedReport(("tap", "dansé"), (haitian, others))
+
     def test_conditional_se_is_martinican(self, grammar):
         assert identify_dialect(grammar, "sé dansé") == frozenset({"MQ"})
 

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from creoletag.dsl import _tokenize, serialize
+from creoletag import specialize as specialize_module
+from creoletag.dsl import Atom, parse_forms, serialize
 from creoletag.errors import InvalidSpec
 from creoletag.generate import (NPSpec, SemSpec, TMA, generate, table_np,
                                 table_tma)
-from creoletag.grammar import validate
+from creoletag.grammar import Grammar, validate
 from creoletag.specialize import (equivalence_check, project_language,
                                   specialize, specialize_with_report)
 from dialect_claim import (SPACE, generated, goal_of, perturbed,
@@ -19,9 +20,17 @@ from dialect_claim import (SPACE, generated, goal_of, perturbed,
 DIALECTS = ("HT", "GP", "MQ", "GF")
 
 
+def atoms_of(forms):
+    for form in forms:
+        if isinstance(form, Atom):
+            yield form
+        else:
+            yield from atoms_of(form.items)
+
+
 def unquoted_atoms(text):
-    return [tok.text for tok, _, _ in _tokenize(text)
-            if not isinstance(tok, str) and not tok.quoted]
+    return [tok.text for tok in atoms_of(parse_forms(text))
+            if not tok.quoted]
 
 
 class TestSpecialize:
@@ -114,6 +123,23 @@ class TestEquivalence:
 
     def test_empty_corpus(self, grammar):
         assert equivalence_check(grammar, "HT", []).ok
+
+    def test_mismatch_listed(self, grammar, monkeypatch):
+        # a specialized grammar that lost aux-Past realizes no past tense
+        real = specialize_module.specialize
+
+        def without_past(g, dialect):
+            s = real(g, dialect)
+            return Grammar(s.domains, [t for t in s.trees
+                                       if t.name != "aux-Past"],
+                           s.lexicon, s.fusion_rules, s.metadata)
+
+        monkeypatch.setattr(specialize_module, "specialize", without_past)
+        present = SemSpec(pred="DANCE", tma=TMA())
+        past = SemSpec(pred="DANCE", tma=TMA(pas=True))
+        report = equivalence_check(grammar, "HT", [present, past])
+        assert not report.ok
+        assert report.mismatches == [(past, [(("te", "danse"), ())], [])]
 
     @pytest.mark.parametrize("tma", [TMA(asp="imp"), TMA(prx=True)],
                              ids=["imp", "prx"])
