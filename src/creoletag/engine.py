@@ -49,9 +49,15 @@ itself.  Goals are checked against the schema where they enter, as
 grammar material is at load; unification checks nothing.
 
 A search skips what a pretest on codes, :meth:`Schema.clash`, shows
-must fail: an anchoring once per grammar; an adjunction on its
-auxiliary instance's codes, made once per grammar, and its node's, made
-once per state; a finished part on its root's.
+must fail: an anchoring once per grammar; a finished part on its
+root's; an adjunction on its node's codes, made once per state, and its
+auxiliary instance's, made once per grammar, where the bottoms clash or
+the tops met clash with every root bottom a stack begun by it can end
+in (an auxiliary of the search's menu stacks on a bottom its foot's
+does not clash with).  That is exact: the node collapses when the
+search leaves the part, its top the host's met with the tops stacked
+there, its bottom the last auxiliary root's; a code reads an unbound
+variable as the full field, and bindings only narrow.
 A derived tree is walked once, into :attr:`DerivedTree.nodes`.
 
 Derived trees are immutable; every operation returns a new tree and
@@ -447,14 +453,15 @@ def _anchorings(grammar, klass, label):
 
 
 def _coded(grammar, tree, lexeme_id, variant_index):
-    """instance() of an auxiliary tree, or None, with its root top's and
-    foot bottom's codes, made once per grammar and kept on it."""
+    """instance() of an auxiliary tree, or None, with its root top's, foot
+    bottom's and root bottom's codes, made once per grammar, kept on it."""
     key, code = (tree.name, lexeme_id, variant_index), grammar.schema.code
     memo = grammar._codes  # noqa: SLF001 - same-package friend
     if key not in memo:
         aux = instance(grammar, tree, lexeme_id, variant_index)
         memo[key] = aux and (aux, code(aux.root.top, aux.env),
-                             code(aux.node_at(aux.foot_address).bottom, aux.env))
+                             code(aux.node_at(aux.foot_address).bottom, aux.env),
+                             code(aux.root.bottom, aux.env))
     return memo[key]
 
 
@@ -549,6 +556,16 @@ def _derive(grammar, goal_label, goal_fs, lexemes, targets, content):
     def instances(klass, label):  # this search's menu, made on first reach
         return _menu(grammar, klass, label, lexemes, vocabulary, content)
 
+    @cache
+    def ends(label):  # root bottom -> the root bottoms a stack on it ends in
+        menu = [coded for coded, _ in instances(AUXILIARY, label)]
+        reach = {bottom: [bottom] for *_, bottom in menu}
+        for seen in reach.values():
+            for below in seen:  # grows as it is read
+                seen += {bottom for *_, foot, bottom in menu
+                         if not schema.clash(below, foot)}.difference(seen)
+        return reach
+
     def unanchored(nodes):  # None where one is anchored too often
         left = sorted(content)
         for _, node in nodes:
@@ -590,9 +607,11 @@ def _derive(grammar, goal_label, goal_fs, lexemes, targets, content):
             candidates = instances(AUXILIARY, node.label)
             if candidates:  # each plane encoded once per state
                 top, bottom = code(node.top, env), code(node.bottom, env)
-            for (aux, aux_top, foot_bottom), progress in candidates:
-                if schema.clash(top, aux_top) or \
-                        schema.clash(bottom, foot_bottom):
+                stacks = ends(node.label)
+            for (aux, aux_top, foot_bottom, aux_bottom), progress in candidates:
+                if schema.clash(bottom, foot_bottom) or all(
+                        schema.clash(top & aux_top, end)
+                        for end in stacks[aux_bottom]):
                     continue
                 try:
                     nxt = adjoin(grammar, derived, address, aux)
@@ -657,6 +676,7 @@ def _derive(grammar, goal_label, goal_fs, lexemes, targets, content):
     # explore refers to itself, so this frame's closures outlive the call
     # until the cycle collector runs; empty what they hold now
     instances.cache_clear()
+    ends.cache_clear()
 
 
 def enumerate_derivations(grammar: Grammar, goal_label: str,

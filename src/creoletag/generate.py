@@ -378,15 +378,20 @@ TMA_ROWS = (
 
 def _row(grammar, spec: SemSpec):
     """(dialect, realizations) per dialect of a request, read from its
-    part table, each part pretested on its root's code."""
+    part table, each part pretested on its root's code: once under the
+    goal without lan, then per dialect cell on the survivors."""
     category, goal = _goal_for(grammar, spec)
     content = _content(grammar, spec)
     parts = engine._parts(  # noqa: SLF001 - same-package friend
         grammar, category, tuple(sorted(content)),
         _particles(grammar).difference(content))
-    schema = grammar.schema
+    schema, items = grammar.schema, tuple(
+        item for item in goal.items() if item[0] != "lan")
+    row = schema.code(FeatureStruct._of(items), UNBOUND)
+    parts = [entry for entry in parts if not schema.clash(row, entry[1])]
     for dialect in grammar.dialects:
-        cell = FeatureStruct(dict(goal.items()), lan=(dialect,))
+        cell = FeatureStruct._of(tuple(sorted(
+            items + (("lan", frozenset((dialect,))),))))
         code = schema.code(cell, UNBOUND)
         yield dialect, realizations_from_finals(grammar, [
             (final, part.history) for part, root, final in parts

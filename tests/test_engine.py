@@ -500,7 +500,7 @@ def _saturate_then_adjoin(grammar, goal_label, goal_fs, max_steps,
             menu = [inst for inst, _ in
                     engine._menu(grammar, klass, label, lexemes, vocabulary)]
             trees[klass, label] = menu if klass == INITIAL else [
-                aux for aux, _, _ in menu]
+                aux for aux, *_ in menu]
         return trees[klass, label]
 
     saturated = {}
@@ -846,7 +846,8 @@ class TestAnchoringIndex:
                     else (inst.history, inst.root, inst.env._map,
                           code(inst.root.top, inst.env),
                           code(inst.node_at(inst.foot_address).bottom,
-                               inst.env))
+                               inst.env),
+                          code(inst.root.bottom, inst.env))
                     for inst in _instantiable(grammar, klass, label, lexemes,
                                               vocabulary)]
             got = [(inst.history, inst.root, inst.env._map) if klass == INITIAL

@@ -114,7 +114,7 @@ class TestRecognize:
             tracemalloc.stop()
         assert peak < 1 << 20
         assert engine_calls["instantiate"] == 16
-        assert engine_calls["adjoin"] == 33
+        assert engine_calls["adjoin"] == 27
 
     @pytest.mark.parametrize("k", [1, 2, 5, 12, 30])
     @pytest.mark.parametrize("goal, tail, per_pair, base", [
