@@ -51,12 +51,15 @@ grammar material is at load; unification checks nothing.
 A search skips what a pretest on codes, :meth:`Schema.clash`, shows
 must fail: an anchoring once per grammar; a finished part on its
 root's; an adjunction on its node's codes, made once per state, and its
-auxiliary instance's, made once per grammar, where the bottoms clash or
-the tops met clash with every root bottom a stack begun by it can end
-in (an auxiliary of the search's menu stacks on a bottom its foot's
-does not clash with).  That is exact: the node collapses when the
-search leaves the part, its top the host's met with the tops stacked
-there, its bottom the last auxiliary root's; a code reads an unbound
+auxiliary instance's, made once per grammar (:func:`_coded`), where the
+bottoms clash or the tops met, with those stacked above, clash with
+every root bottom a stack begun by it can end in.  An auxiliary of the
+menu stacks on a bottom its foot's does not clash with, and leaves its
+root's bottom, the bottom below in the fields it threads from foot to
+root.  That is exact: the node collapses when the search leaves the
+part, its top the host's met with the tops stacked there, its bottom
+the last auxiliary root's, whose threaded fields meet the bottom of a
+lower node that never changes again; a code reads any other unbound
 variable as the full field, and bindings only narrow.
 A derived tree is walked once, into :attr:`DerivedTree.nodes`.
 
@@ -74,13 +77,14 @@ may use.  Each instance keeps its copies tagged per frame
 (:func:`_splice_in`).  A finished part is kept with its root's code
 and its final reading, constant below its root and hash-consed
 (:func:`_constant`), and unless its root links two cells, a splice
-copies none of it.  Nothing else is kept between calls.
+copies none of it.  Without tokens a search's menus and stack closures
+read no input, and are kept too.  Nothing else is kept between calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cached_property, partial
 from itertools import combinations
 from typing import NamedTuple, Optional
 
@@ -454,14 +458,24 @@ def _anchorings(grammar, klass, label):
 
 def _coded(grammar, tree, lexeme_id, variant_index):
     """instance() of an auxiliary tree, or None, with its root top's, foot
-    bottom's and root bottom's codes, made once per grammar, kept on it."""
+    bottom's and root bottom's codes and `thru`, the bits of the fields
+    it threads: one unbound variable in its root's and its foot's bottom.
+    Made once per grammar, kept on it."""
     key, code = (tree.name, lexeme_id, variant_index), grammar.schema.code
     memo = grammar._codes  # noqa: SLF001 - same-package friend
     if key not in memo:
         aux = instance(grammar, tree, lexeme_id, variant_index)
-        memo[key] = aux and (aux, code(aux.root.top, aux.env),
-                             code(aux.node_at(aux.foot_address).bottom, aux.env),
-                             code(aux.root.bottom, aux.env))
+        if aux is not None:
+            env, foot = aux.env, aux.node_at(aux.foot_address).bottom
+            cut = FeatureStruct._of(tuple(  # the threaded fields, emptied
+                (attr, frozenset()) for attr, cell in aux.root.bottom.items()
+                if isinstance(cell, Var) and env.value(cell) is None
+                and isinstance(low := foot.get(attr), Var)
+                and env.root(low.name) == env.root(cell.name)))
+            aux = (aux, code(aux.root.top, env), code(foot, env),
+                   code(aux.root.bottom, env),
+                   code(EMPTY, env) ^ code(cut, env))
+        memo[key] = aux
     return memo[key]
 
 
@@ -546,25 +560,32 @@ def _derive(grammar, goal_label, goal_fs, lexemes, targets, content):
     """Yield each complete derivation with the bindings that collapse
     every node of it, for :func:`_final` to read."""
     vocabulary = None if targets is None else targets.tokens
+    lexemes = None if lexemes is None else frozenset(lexemes)  # a memo key
     splittable = grammar.splittable
     schema, code = grammar.schema, grammar.schema.code
     if targets is None:  # the lexemes a part may anchor besides its share
         particles = frozenset(lexemes if lexemes is not None else (
             lexeme.id for lexeme in grammar.lexicon)).difference(content)
+    menus, closures = ({}, {}) if targets is not None else (
+        grammar._menus, grammar._ends)  # noqa: SLF001 - they read no input
 
-    @cache
-    def instances(klass, label):  # this search's menu, made on first reach
-        return _menu(grammar, klass, label, lexemes, vocabulary, content)
+    def instances(klass, label):  # the search's menu, made on first reach
+        key = (klass, label, lexemes, vocabulary, content)
+        if key not in menus:
+            menus[key] = _menu(grammar, *key)
+        return menus[key]
 
-    @cache
-    def ends(label):  # root bottom -> the root bottoms a stack on it ends in
-        menu = [coded for coded, _ in instances(AUXILIARY, label)]
-        reach = {bottom: [bottom] for *_, bottom in menu}
-        for seen in reach.values():
-            for below in seen:  # grows as it is read
-                seen += {bottom for *_, foot, bottom in menu
-                         if not schema.clash(below, foot)}.difference(seen)
-        return reach
+    def ends(label, start):  # (root bottom, tops met) of each stack on it
+        key = (label, lexemes, start)
+        if key not in closures:
+            menu = [coded for coded, _ in instances(AUXILIARY, label)]
+            reach = [(start, -1)]  # no top met yet; stored whole, as shared
+            for below, met in reach:  # grows as it is read
+                reach += {(bottom & (below | ~thru), met & top)
+                          for _, top, foot, bottom, thru in menu
+                          if not schema.clash(below, foot)}.difference(reach)
+            closures[key] = reach
+        return closures[key]
 
     def unanchored(nodes):  # None where one is anchored too often
         left = sorted(content)
@@ -607,11 +628,12 @@ def _derive(grammar, goal_label, goal_fs, lexemes, targets, content):
             candidates = instances(AUXILIARY, node.label)
             if candidates:  # each plane encoded once per state
                 top, bottom = code(node.top, env), code(node.bottom, env)
-                stacks = ends(node.label)
-            for (aux, aux_top, foot_bottom, aux_bottom), progress in candidates:
-                if schema.clash(bottom, foot_bottom) or all(
-                        schema.clash(top & aux_top, end)
-                        for end in stacks[aux_bottom]):
+            for (aux, aux_top, foot, aux_bottom, thru), progress in candidates:
+                # the root bottom it leaves, and the tops met at the node
+                start, met = aux_bottom & (bottom | ~thru), top & aux_top
+                if schema.clash(bottom, foot) or schema.clash(met, start) \
+                        and all(schema.clash(met & tops, end)
+                                for end, tops in ends(node.label, start)):
                     continue
                 try:
                     nxt = adjoin(grammar, derived, address, aux)
@@ -675,8 +697,9 @@ def _derive(grammar, goal_label, goal_fs, lexemes, targets, content):
         yield from explore(base, (), None)
     # explore refers to itself, so this frame's closures outlive the call
     # until the cycle collector runs; empty what they hold now
-    instances.cache_clear()
-    ends.cache_clear()
+    if targets is not None:
+        menus.clear()
+        closures.clear()
 
 
 def enumerate_derivations(grammar: Grammar, goal_label: str,

@@ -92,6 +92,8 @@ class SemSpec:
         if self.pred is None and len(self.args) != 1:
             raise InvalidSpec("without a predicate, exactly one noun phrase "
                               "must be requested")
+        if self.pred is None and self.tma != TMA():
+            raise InvalidSpec("a tma needs a pred to mark")
         if len(self.args) > 1:
             raise InvalidSpec("the shipped fragment covers at most one argument")
 
@@ -200,9 +202,12 @@ def fuse_with_sources(entries, lan_set, rules):
 _CONTENT_CATEGORIES = frozenset(("N", "Nprop", "V"))
 
 
-def _particles(grammar):
-    return frozenset(lexeme.id for lexeme in grammar.lexicon
-                     if lexeme.category not in _CONTENT_CATEGORIES)
+def _particles(grammar):  # found once, kept on the grammar
+    if grammar._particles is None:  # noqa: SLF001 - same-package friend
+        grammar._particles = frozenset(  # noqa: SLF001
+            lexeme.id for lexeme in grammar.lexicon
+            if lexeme.category not in _CONTENT_CATEGORIES)
+    return grammar._particles  # noqa: SLF001
 
 
 def _content(grammar, spec: SemSpec):

@@ -500,7 +500,7 @@ def _saturate_then_adjoin(grammar, goal_label, goal_fs, max_steps,
             menu = [inst for inst, _ in
                     engine._menu(grammar, klass, label, lexemes, vocabulary)]
             trees[klass, label] = menu if klass == INITIAL else [
-                aux for aux, *_ in menu]
+                aux for aux, _top, _foot, _bottom, _thru in menu]
         return trees[klass, label]
 
     saturated = {}
@@ -819,6 +819,18 @@ def grammars():
             "HT": specialize(shipped, "HT")}
 
 
+def _thru(grammar, aux):
+    """The bits of each field whose cells in the auxiliary's root bottom
+    and foot bottom are one unbound variable."""
+    schema, env = grammar.schema, aux.env
+    foot = aux.node_at(aux.foot_address).bottom
+    return sum(sum(map(schema.sort_key(attr), schema.domain(attr).values))
+               for attr, cell in aux.root.bottom.items()
+               if isinstance(cell, Var) and env.value(cell) is None
+               and isinstance(foot.get(attr), Var)
+               and env.root(foot.get(attr).name) == env.root(cell.name))
+
+
 class TestAnchoringIndex:
     """A search's menu, read from the grammar's anchoring index, holds
     what instantiating every anchoring of the class and root label
@@ -847,7 +859,8 @@ class TestAnchoringIndex:
                           code(inst.root.top, inst.env),
                           code(inst.node_at(inst.foot_address).bottom,
                                inst.env),
-                          code(inst.root.bottom, inst.env))
+                          code(inst.root.bottom, inst.env),
+                          _thru(grammar, inst))
                     for inst in _instantiable(grammar, klass, label, lexemes,
                                               vocabulary)]
             got = [(inst.history, inst.root, inst.env._map) if klass == INITIAL
@@ -892,3 +905,68 @@ class TestAnchoringIndex:
         monkeypatch.setattr(Schema, "code", counted("codes", Schema.code))
         work()
         assert calls["scans"] <= scans and calls["codes"] <= codes
+
+
+THREAD = """
+(grammar thread (version 1))
+(domain d (+ -))
+(domain t (x y))
+(domain u (x y))
+(tree alpha-x (class initial)
+  (node P (kind internal) (bottom (d -) (t x))
+    (children (node W (kind anchor)))))
+(tree alpha-y (class initial)
+  (node P (kind internal) (bottom (d -) (t y))
+    (children (node W (kind anchor)))))
+(tree aux-m (class aux)
+  (node P (kind internal) (bottom (d +) (t $X))
+    (children
+      (node M (kind anchor) %s)
+      (node P (kind foot) %s))))
+(lex WORD (cat W) (variant "w"))
+(lex MARK (cat M) (variant "m" %s))
+"""
+
+
+class TestThreadedFields:
+    """A field an auxiliary threads from its foot's bottom to its root's
+    is the host's, so the adjunction pretest reads the host's value
+    there; any other variable it reads as the full field.  Over goal
+    t=y, the search finds what it finds with no pretest at all."""
+
+    @pytest.mark.parametrize("anchor, foot, variant, threaded, tried", [
+        # aliased to the foot's variable where the variant is anchored:
+        # over alpha-x the root's t is x, so only alpha-y takes aux-m
+        ("(bottom (t $X) (u $Y))", "(bottom (d -) (t $Y))", "(t $Z) (u $Z)",
+         True, 1),
+        # bound by the variant: read as its value, y, under either host
+        ("(bottom (t $X))", "(bottom (d -) (t $X))", "(t y)", False, 1),
+        # shared with the foot's top, which the host's bottom does not meet
+        ("", "(top (t $X)) (bottom (d -))", "", False, 2),
+    ], ids=["aliased", "bound", "foot-top"])
+    def test_threaded_fields(self, monkeypatch, anchor, foot, variant,
+                             threaded, tried):
+        text = THREAD % (anchor, foot, variant)
+        grammar, bare = load_grammar(text), load_grammar(text)
+        monkeypatch.setattr(bare.schema, "clash", lambda a, b: False)
+        *_, thru = engine._coded(grammar, grammar.tree("aux-m"), "MARK", 0)
+        t = grammar.schema.sort_key("t")
+        assert thru == (t("x") + t("y") if threaded else 0)
+        calls, adjoin = [0], engine.adjoin
+
+        def counted(*args):
+            calls[0] += 1
+            return adjoin(*args)
+
+        monkeypatch.setattr(engine, "adjoin", counted)
+        goal = FeatureStruct({"t": ["y"]})
+
+        def search(own):  # (frontier, features) pairs, adjunctions tried
+            calls[0] = 0
+            return {(final.frontier, final.features) for _, final in
+                    engine.enumerate_derivations(own, "P", goal)}, calls[0]
+
+        (found, made), (want, bare_made) = search(grammar), search(bare)
+        assert found == want
+        assert {frontier for frontier, _ in found} == {("w",), ("m", "w")}
+        assert made == tried < bare_made

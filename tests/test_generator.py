@@ -504,15 +504,44 @@ class TestPruningSoundness:
                                                      engine_calls):
         # a Pred request's TMA values meet its particle stack's last root
         # bottom only when the root collapses; trying every stack costs
-        # each request 37 adjunctions, 1 036 over the 28 bundles
-        for tma, most in ((TMA(), 0), (TMA(psp=True), 8)):
+        # each request 37 adjunctions, 1 036 over the 28 bundles, and
+        # reading the fields a particle threads from foot to root as
+        # full costs TMA(psp=True) 8, and 239 over the bundles
+        for tma, most in ((TMA(), 0), (TMA(psp=True), 2)):
             engine_calls["adjoin"] = 0
             generate(fresh_grammar, SemSpec(pred="DANCE", tma=tma))
             assert engine_calls["adjoin"] <= most, tma
         engine_calls["adjoin"] = 0
         for tma in BUNDLES:
             realizations(fresh_grammar, SemSpec(pred="DANCE", tma=tma))
-        assert engine_calls["adjoin"] <= 239
+        assert engine_calls["adjoin"] <= 73
+
+    def test_every_pred_adjunction_lies_on_a_derivation(self, monkeypatch):
+        # reading the threaded fields as full, 166 of the 239 adjunctions
+        # over the bundles with lan open lay on none
+        tried, traces = [], []
+        adjoin, search = engine.adjoin, engine.enumerate_derivations
+
+        def recorded_adjoin(grammar, host, address, aux):
+            tried.append(host.history + engine._steps(
+                "adjoin", tuple(address), aux))
+            return adjoin(grammar, host, address, aux)
+
+        def recorded_search(*args, **kwargs):
+            pairs = search(*args, **kwargs)
+            traces.extend(derived.history for derived, _ in pairs)
+            return pairs
+
+        monkeypatch.setattr(engine, "adjoin", recorded_adjoin)
+        monkeypatch.setattr(engine, "enumerate_derivations", recorded_search)
+        grammar = load_grammar(grammar_text())
+        for lan, tma in itertools.product((None,) + DIALECTS, BUNDLES):
+            del tried[:], traces[:]
+            realizations(grammar, SemSpec(pred="DANCE", tma=tma,
+                                          lan=lan and {lan}))
+            for prefix in tried:
+                assert any(trace[:len(prefix)] == prefix
+                           for trace in traces), (lan, tma, prefix)
 
     @pytest.mark.parametrize("name, table", [("np", table_np),
                                              ("tma", table_tma)])
@@ -547,7 +576,7 @@ class TestPruningSoundness:
     def test_property(self, grammar, unpruned, noun, nbr, determination,
                       complement, tma, pred, lan):
         spe, dem = determination
-        spec = SemSpec(pred=pred, tma=tma, lan=lan, args=(
+        spec = SemSpec(pred=pred, tma=tma if pred else TMA(), lan=lan, args=(
             NPSpec(noun, nbr=nbr, spe=spe, dem=dem, complement=complement),))
         assert outcome(grammar, spec) == unpruned(outcome, spec)
 
@@ -638,6 +667,12 @@ class TestSpecValidation:
     def test_cnd_excludes_explicit_past(self):
         with pytest.raises(InvalidSpec):
             TMA(cnd=True, pas=True)
+
+    def test_tma_without_a_predicate_is_rejected(self):
+        # it was dropped: the request generated a bare noun phrase
+        with pytest.raises(InvalidSpec, match="a tma needs a pred"):
+            SemSpec(args=(NPSpec("PERSON"),), tma=TMA(pas=True))
+        assert SemSpec(args=(NPSpec("PERSON"),), tma=TMA()).pred is None
 
     def test_dem_normalizes_spe(self):
         assert NPSpec("PERSON", dem=True).spe is True

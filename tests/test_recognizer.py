@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import random
 import tracemalloc
 import unicodedata
 import weakref
@@ -20,8 +21,8 @@ from creoletag.generate import (ASPECTS, NUMBERS, TMA, NPSpec, SemSpec,
                                 _goal_for, apply_fusion, fuse_with_sources,
                                 generate)
 from creoletag.grammar import FusionRule
-from creoletag.recognize import (FusionLattice, MixedReport, identify_dialect,
-                                 recognize)
+from creoletag.recognize import (GOALS, FusionLattice, MixedReport,
+                                 identify_dialect, recognize)
 from creoletag.specialize import specialize
 
 
@@ -146,6 +147,27 @@ class TestRecognize:
         assert recognize(fresh_grammar, text, "S")
         assert engine_calls["enumerate_derivations"] == 1
         assert engine_calls["adjoin"] <= adjunctions
+
+    def test_no_memo_is_keyed_by_input(self, fresh_grammar):
+        # a search's menu and stack closures read the input's tokens, so
+        # recognition keeps its own; the grammar's grow with it alone
+        def entries():
+            return sum(len(own._menus) + len(own._ends) for own in (
+                fresh_grammar, fresh_grammar._relaxed) if own is not None)
+
+        spellings = sorted({variant.surface for lexeme in fresh_grammar.lexicon
+                            for variant in lexeme.variants if variant.surface})
+        pairs = random.Random(0).sample(
+            list(itertools.product(spellings, repeat=2)), 1000)
+        generate(fresh_grammar, SemSpec(pred="DANCE", tma=TMA(pas=True)))
+        for i, pair in enumerate(pairs):
+            try:
+                recognize(fresh_grammar, pair, GOALS[i % len(GOALS)])
+            except NoAnalysis:
+                pass
+            if i == 0:
+                first = entries()
+        assert first > 0 and entries() == first
 
     def test_relaxed_grammar_built_once_per_grammar(self, monkeypatch):
         project_language = recognize_module.project_language
