@@ -51,7 +51,7 @@ grammar material is at load; unification checks nothing.
 A search skips what a pretest on codes, :meth:`Schema.clash`, shows
 must fail: an anchoring once per grammar; a finished part on its
 root's; an adjunction on its node's codes, made once per state, and its
-auxiliary instance's, made once per grammar (:func:`_coded`), where the
+auxiliary instance's, made once per grammar (:func:`_instance`), where the
 bottoms clash or the tops met, with those stacked above, clash with
 every root bottom a stack begun by it can end in.  An auxiliary of the
 menu stacks on a bottom its foot's does not clash with, and leaves its
@@ -67,18 +67,19 @@ Derived trees are immutable; every operation returns a new tree and
 either succeeds or raises without touching its inputs.  A new tree
 shares the nodes it leaves unchanged: instantiation copies only the
 path from the elementary root to the anchor, a splice only the path to
-its site and the material it tags.  So :func:`instance` builds each
+its site and the material it tags.  So :func:`_instance` builds each
 elementary instance (tree, lexeme, variant) once per grammar and keeps
 it on the grammar object, a failure as None, an auxiliary one with its
-codes (:func:`_coded`).  A search's menu (:func:`_menu`) filters the
-grammar's anchoring index (:func:`_anchorings`: what the pretest admits
-per class and root label, uninstantiated) by the lexemes and tokens it
-may use.  Each instance keeps its copies tagged per frame
-(:func:`_splice_in`).  A finished part is kept with its root's code
-and its final reading, constant below its root and hash-consed
-(:func:`_constant`), and unless its root links two cells, a splice
-copies none of it.  Without tokens a search's menus and stack closures
-read no input, and are kept too.  Nothing else is kept between calls.
+codes.  A search's menu (:func:`_menu`) filters the grammar's anchoring
+index (:func:`_anchorings`: what the pretest admits per class and root
+label, uninstantiated) by the lexemes and tokens it may use.  Each
+instance or part keeps its copies tagged per frame, and nothing else
+keeps a tagged structure (:func:`_splice_in`).  A finished part is
+kept with its root's code and its final reading, constant below its
+root and hash-consed (:func:`_constant`), and unless its root links two
+cells, a splice copies none of it.  Without tokens a search's menus
+and stack closures read no input, and are kept too.  Nothing else is
+kept between calls.
 """
 
 from __future__ import annotations
@@ -163,22 +164,20 @@ class FinalizeResult(NamedTuple):
 
 # --- helpers ---------------------------------------------------------------
 
-def _splice_in(host: DerivedTree, part: DerivedTree, interned=None):
+def _splice_in(host: DerivedTree, part: DerivedTree):
     """`part`'s root and the host's bindings extended with part's, every
     variable of `part` tagged with the splice's frame, distinct within a
     derivation.  ';' ends a grammar atom, so no grammar variable looks
     tagged.  Cells and subtrees without variables are shared, not copied,
     and the tagged copy is made once per (part, frame), kept in
-    `part.frames`, its structures interned in the grammar's `_tagged`."""
+    `part.frames`."""
     tag = "%d;" % len(host.history)
-    interned = {} if interned is None else interned
 
     def tagged(fs):
-        items = tuple((item[0], interned.setdefault(
-            (tag, item[1]), Var(tag + item[1].name)))
-            if isinstance(item[1], Var) else item for item in fs.items())
-        return fs if items == fs.items() else \
-            interned.setdefault((tag, fs), FeatureStruct._of(items))
+        items = tuple((item[0], Var(tag + item[1].name))
+                      if isinstance(item[1], Var) else item
+                      for item in fs.items())
+        return fs if items == fs.items() else FeatureStruct._of(items)
 
     def node(n):
         copy = Node(n.label, n.kind, tagged(n.top), tagged(n.bottom),
@@ -261,21 +260,6 @@ def instantiate(grammar: Grammar, tree, lexeme_id: Optional[str] = None,
                        history=(step,))
 
 
-def instance(grammar: Grammar, tree, lexeme_id: Optional[str] = None,
-             variant_index: Optional[int] = None) -> Optional[DerivedTree]:
-    """instantiate() of one of the grammar's own trees, or None where it
-    fails, built once per grammar and kept on it (see the module
-    docstring)."""
-    key = (tree.name, lexeme_id, variant_index)
-    memo = grammar._instances  # noqa: SLF001 - same-package friend
-    if key not in memo:
-        try:
-            memo[key] = instantiate(grammar, tree, lexeme_id, variant_index)
-        except AnchorUnificationFailure:
-            memo[key] = None
-    return memo[key]
-
-
 def substitute(grammar: Grammar, host: DerivedTree, address,
                filler: DerivedTree) -> DerivedTree:
     """Fill a pending substitution site with an initial-derived tree.
@@ -294,7 +278,7 @@ def substitute(grammar: Grammar, host: DerivedTree, address,
         raise NotASubstitutionSite("site %s cannot take a %s filler"
                                    % (site.label, filler.root.label))
 
-    filler_root, env = _splice_in(host, filler, grammar._tagged)  # noqa: SLF001
+    filler_root, env = _splice_in(host, filler)
     unified = unify(site.top, filler_root.top, env)
     if unified is None:
         raise UnificationFailure("substitution at %r: top features clash" % (address,))
@@ -331,7 +315,7 @@ def adjoin(grammar: Grammar, host: DerivedTree, address,
     foot_addr = aux.foot_address
     if foot_addr is None:
         raise NotAnAdjunctionSite("auxiliary tree lost its foot")
-    aux_root, env = _splice_in(host, aux, grammar._tagged)  # noqa: SLF001
+    aux_root, env = _splice_in(host, aux)
     foot = aux_root.node_at(foot_addr)
 
     unified = unify(node.top, aux_root.top, env)
@@ -456,42 +440,47 @@ def _anchorings(grammar, klass, label):
     return index[klass, label]
 
 
-def _coded(grammar, tree, lexeme_id, variant_index):
-    """instance() of an auxiliary tree, or None, with its root top's, foot
-    bottom's and root bottom's codes and `thru`, the bits of the fields
-    it threads: one unbound variable in its root's and its foot's bottom.
-    Made once per grammar, kept on it."""
-    key, code = (tree.name, lexeme_id, variant_index), grammar.schema.code
-    memo = grammar._codes  # noqa: SLF001 - same-package friend
+def _instance(grammar, tree, lexeme_id, variant_index):
+    """instantiate() of one of the grammar's own trees, or None where it
+    fails; an auxiliary one with its root top's, foot bottom's and root
+    bottom's codes and `thru`, the bits of the fields it threads: one
+    unbound variable in its root's and its foot's bottom.  Made once per
+    grammar, kept on it."""
+    key = (tree.name, lexeme_id, variant_index)
+    memo = grammar._instances  # noqa: SLF001 - same-package friend
     if key not in memo:
-        aux = instance(grammar, tree, lexeme_id, variant_index)
-        if aux is not None:
-            env, foot = aux.env, aux.node_at(aux.foot_address).bottom
+        try:
+            inst = instantiate(grammar, tree, lexeme_id, variant_index)
+        except AnchorUnificationFailure:
+            inst = None
+        if inst is not None and tree.klass == AUXILIARY:
+            code, env = grammar.schema.code, inst.env
+            foot = inst.node_at(inst.foot_address).bottom
             cut = FeatureStruct._of(tuple(  # the threaded fields, emptied
-                (attr, frozenset()) for attr, cell in aux.root.bottom.items()
+                (attr, frozenset()) for attr, cell in inst.root.bottom.items()
                 if isinstance(cell, Var) and env.value(cell) is None
                 and isinstance(low := foot.get(attr), Var)
                 and env.root(low.name) == env.root(cell.name)))
-            aux = (aux, code(aux.root.top, env), code(foot, env),
-                   code(aux.root.bottom, env),
-                   code(EMPTY, env) ^ code(cut, env))
-        memo[key] = aux
+            inst = (inst, code(inst.root.top, env), code(foot, env),
+                    code(inst.root.bottom, env),
+                    code(EMPTY, env) ^ code(cut, env))
+        memo[key] = inst
     return memo[key]
 
 
 def _menu(grammar, klass, label, lexemes, vocabulary, content=()):
     """The instances of (klass, label) a search may use: the anchoring
     index filtered by `lexemes` and by `vocabulary` (a zero form always
-    passes), each made by :func:`instance`, an auxiliary by :func:`_coded`,
-    and paired with whether it progresses: spells a token where there is
-    a `vocabulary`, else anchors one of `content`."""
-    make = instance if klass == INITIAL else _coded
+    passes), each made by :func:`_instance`, and paired with whether it
+    progresses: spells a token where there is a `vocabulary`, else
+    anchors one of `content`."""
     return [(inst, bool(surface) if vocabulary is not None else
              lexeme in content) for tree, lexeme, variant, surface
             in _anchorings(grammar, klass, label)
             if (lexemes is None or lexeme is None or lexeme in lexemes)
             and (vocabulary is None or not surface or surface in vocabulary)
-            and (inst := make(grammar, tree, lexeme, variant)) is not None]
+            and (inst := _instance(grammar, tree, lexeme, variant))
+            is not None]
 
 
 def _collapsed(nodes, env, part):
@@ -527,7 +516,8 @@ def _parts(grammar, label, share, particles):
     key = (label, share, memo.setdefault(particles, particles))
     if key in memo:
         return memo[key]
-    memo[key] = None  # in the making: a site of it inside fills in place
+    memo[key] = None  # in the making: a site of it inside, or a search
+    # in another thread, fills in place
     entries = []  # stored whole: a search in another thread reads it
     try:
         for derived, env in _derive(grammar, label, EMPTY,
@@ -550,9 +540,10 @@ def _parts(grammar, label, share, particles):
             entries.append((DerivedTree(root, derived.klass, env,
                                         derived.history),
                             grammar.schema.code(fs, env), final))
-    finally:  # a search that raises leaves no table in the making
-        del memo[key]
-    memo[key] = entries
+    except BaseException:  # leave no table in the making; another
+        memo.pop(key, None)  # thread's build may have removed the marker
+        raise
+    memo[key] = entries  # over the marker, which another thread may remove
     return entries
 
 
@@ -629,6 +620,8 @@ def _derive(grammar, goal_label, goal_fs, lexemes, targets, content):
             if candidates:  # each plane encoded once per state
                 top, bottom = code(node.top, env), code(node.bottom, env)
             for (aux, aux_top, foot, aux_bottom, thru), progress in candidates:
+                if content and progress and aux.history[0].lexeme not in left:
+                    continue  # anchors a content lexeme used up
                 # the root bottom it leaves, and the tops met at the node
                 start, met = aux_bottom & (bottom | ~thru), top & aux_top
                 if schema.clash(bottom, foot) or schema.clash(met, start) \
@@ -718,7 +711,8 @@ def enumerate_derivations(grammar: Grammar, goal_label: str,
     (`targets` given) with instances.
     `lexemes` optionally restricts which lexemes may anchor trees.
     `content` lists lexeme ids every result anchors exactly as often as
-    listed; a partial derivation that anchors one more often is cut.
+    listed; a partial derivation that anchors one more often is cut, and
+    an adjunction that would is not tried.
     `targets` bounds the search by frontier: anchors spell only
     `targets.tokens` (zero forms always pass), and
     `targets.bounds(frontier, gaps)`, with the gaps :func:`_layout`

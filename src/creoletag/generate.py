@@ -28,6 +28,7 @@ optional Guianese imperfective particle and the k'alé/kay doublet).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -387,9 +388,12 @@ def _row(grammar, spec: SemSpec):
     goal without lan, then per dialect cell on the survivors."""
     category, goal = _goal_for(grammar, spec)
     content = _content(grammar, spec)
-    parts = engine._parts(  # noqa: SLF001 - same-package friend
-        grammar, category, tuple(sorted(content)),
-        _particles(grammar).difference(content))
+    # None while another thread builds the table; a row holds no table
+    # in the making, so the wait ends
+    while (parts := engine._parts(  # noqa: SLF001 - same-package friend
+            grammar, category, tuple(sorted(content)),
+            _particles(grammar).difference(content))) is None:
+        time.sleep(0)
     schema, items = grammar.schema, tuple(
         item for item in goal.items() if item[0] != "lan")
     row = schema.code(FeatureStruct._of(items), UNBOUND)

@@ -62,10 +62,10 @@ class Grammar:
     Its memos are filled on first use and collected with it: `_relaxed`,
     the projection onto every dialect that the recognizer falls back
     to, `reach`, `_particles`, and the engine's `_instances` (elementary
-    instances), `_anchorings` (the anchoring index), `_codes` (auxiliary
-    codes), `_menus` and `_ends` (menus and stack closures of searches
-    without tokens), `_parts` (finished parts), `_constants` (their
-    hash-consed nodes) and `_tagged` (tagged variables and structures).
+    instances, an auxiliary one with its codes), `_anchorings` (the
+    anchoring index), `_menus` and `_ends` (menus and stack closures of
+    searches without tokens), `_parts` (finished parts) and `_constants`
+    (their hash-consed nodes).
     """
 
     def __init__(self, domains, trees, lexicon, fusion_rules=(), metadata=None):
@@ -86,9 +86,8 @@ class Grammar:
         self._trees_by_name = {t.name: t for t in self.trees}
         self._lexemes_by_id = {l.id: l for l in self.lexicon}
         self._relaxed = self._particles = None
-        self._instances, self._anchorings, self._codes = {}, {}, {}
-        self._parts, self._constants, self._tagged = {}, {}, {}
-        self._menus, self._ends = {}, {}
+        self._instances, self._anchorings, self._parts = {}, {}, {}
+        self._constants, self._menus, self._ends = {}, {}, {}
 
     def tree(self, name: str) -> ElementaryTree:
         return self._trees_by_name[name]

@@ -876,13 +876,13 @@ class TestAnchoringIndex:
                     step.variant].surface) if vocabulary is not None
                 else step.lexeme in content for step in steps], (klass, label)
 
-    @pytest.mark.parametrize("text, goal, scans, codes", [
-        ("tap tap tap danse", "Pred", 0, 26),
-        ("zwazo yo ta vap danse", "S", 56, 48),
+    @pytest.mark.parametrize("text, goal, codes", [
+        ("tap tap tap danse", "Pred", 26),
+        ("zwazo yo ta vap danse", "S", 48),
     ], ids=["Pred", "S"])
-    def test_warm_search_set_up(self, monkeypatch, text, goal, scans, codes):
-        # encoding each search's auxiliaries and pretesting its anchorings
-        # cost 18 and 68 scans, 50 and 64 codes
+    def test_warm_search_set_up(self, monkeypatch, text, goal, codes):
+        # a cold search makes 38 and 51 anchoring pretests, clash calls;
+        # encoding each search's auxiliaries again costs 50 and 64 codes
         grammar = load_grammar(grammar_text())
 
         def work():
@@ -892,7 +892,8 @@ class TestAnchoringIndex:
                 pass
 
         work()
-        calls = {"scans": 0, "codes": 0}
+        calls = {"pretests": 0, "codes": 0}
+        inside, anchorings, clash = [False], engine._anchorings, Schema.clash
 
         def counted(key, real):
             def call(*args):
@@ -900,11 +901,22 @@ class TestAnchoringIndex:
                 return real(*args)
             return call
 
-        monkeypatch.setattr(engine, "_disjoint",
-                            counted("scans", engine._disjoint))
+        def indexed(*args):  # clash calls in here pretest anchorings
+            inside[0] = True
+            try:
+                return anchorings(*args)
+            finally:
+                inside[0] = False
+
+        def pretest(schema, a, b):
+            calls["pretests"] += inside[0]
+            return clash(schema, a, b)
+
+        monkeypatch.setattr(engine, "_anchorings", indexed)
+        monkeypatch.setattr(Schema, "clash", pretest)
         monkeypatch.setattr(Schema, "code", counted("codes", Schema.code))
         work()
-        assert calls["scans"] <= scans and calls["codes"] <= codes
+        assert calls["pretests"] == 0 and calls["codes"] <= codes
 
 
 THREAD = """
@@ -949,7 +961,7 @@ class TestThreadedFields:
         text = THREAD % (anchor, foot, variant)
         grammar, bare = load_grammar(text), load_grammar(text)
         monkeypatch.setattr(bare.schema, "clash", lambda a, b: False)
-        *_, thru = engine._coded(grammar, grammar.tree("aux-m"), "MARK", 0)
+        *_, thru = engine._instance(grammar, grammar.tree("aux-m"), "MARK", 0)
         t = grammar.schema.sort_key("t")
         assert thru == (t("x") + t("y") if threaded else 0)
         calls, adjoin = [0], engine.adjoin

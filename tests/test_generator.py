@@ -2,8 +2,11 @@
 
 import gc
 import itertools
+import sys
+import threading
 import weakref
 from dataclasses import replace
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,7 +24,7 @@ from creoletag.generate import (ASPECTS, NUMBERS, TMA, NPSpec, SemSpec,
                                 table_tma)
 from creoletag.grammar import FusionRule, Grammar
 from creoletag.specialize import project_language, specialize
-from creoletag.trees import Node
+from creoletag.trees import ANCHOR, Node
 
 
 def tokens_of(reals):
@@ -281,19 +284,27 @@ class TestGrammarDriven:
         assert built > 0
         assert outcome(own, spec) == first
         assert engine_calls["instantiate"] == built
-        instance = next(i for i in own._instances.values() if i is not None)
-        # the anchoring index, the auxiliary codes, the part tables and
-        # the tagged variables go with the grammar
+        instance = next(i for i in own._instances.values()
+                        if isinstance(i, engine.DerivedTree))
+        # the anchoring index, the auxiliary instances with their codes,
+        # the part tables and the copies tagged per frame go with the
+        # grammar
         anchoring = next(iter(own._anchorings.values()))[0]
-        coded = next(c for c in own._codes.values() if c is not None)
-        part = next(entry for key, table in own._parts.items()
-                    if isinstance(key, tuple) and table for entry in table)
-        tagged = next(cell for fs in own._tagged.values()
-                      if isinstance(fs, FeatureStruct)
-                      for _, cell in fs.items() if isinstance(cell, Var))
+        coded = next(c for c in own._instances.values()
+                     if isinstance(c, tuple))
+        parts = [entry[0] for key, table in own._parts.items()
+                 if isinstance(key, tuple) and table for entry in table]
+        holders = [i[0] if isinstance(i, tuple) else i
+                   for i in own._instances.values() if i is not None] + parts
+        tagged = next(cell for tree in holders
+                      for root, _ in tree.frames.values()
+                      for _, node in root.walk()
+                      for plane in (node.top, node.bottom)
+                      for _, cell in plane.items()
+                      if isinstance(cell, Var) and ";" in cell.name)
         refs = [weakref.ref(kept) for kept in (own, instance, anchoring[0],
-                                               coded[0], part[0], tagged)]
-        del own, instance, anchoring, coded, part, tagged
+                                               coded[0], parts[0], tagged)]
+        del own, instance, anchoring, coded, parts, holders, tagged
         gc.collect()
         assert [ref() for ref in refs] == [None] * 6
 
@@ -543,6 +554,35 @@ class TestPruningSoundness:
                 assert any(trace[:len(prefix)] == prefix
                            for trace in traces), (lan, tma, prefix)
 
+    def test_no_adjunction_anchors_a_used_up_content_lexeme(self,
+                                                           monkeypatch):
+        # adjoining first and cutting the state after it cost 473
+        # adjunctions, 14 of them aux-N-Comp over a host that anchors
+        # its complement already
+        nps = [spec.args[0] for spec in SPACE if spec.args]
+        requests = [SemSpec(args=(np,)) for np in nps] + [
+            SemSpec(pred="DANCE", tma=tma, args=(np,))
+            for np in nps[:20] for tma in BUNDLES[:3]]
+        grammar = load_grammar(grammar_text())
+        adjoin, made, used_up, listed = engine.adjoin, [0], [], []
+
+        def checked(own, host, address, aux):
+            made[0] += 1
+            lexeme = aux.history[0].lexeme
+            anchored = [node.lexeme for _, node in host.nodes
+                        if node.kind == ANCHOR].count(lexeme)
+            if lexeme in listed and anchored >= listed.count(lexeme):
+                used_up.append((listed[:], aux.history[0].tree, lexeme))
+            return adjoin(own, host, address, aux)
+
+        monkeypatch.setattr(engine, "adjoin", checked)
+        assert len(requests) == 132
+        for spec in requests:
+            listed[:] = _content(grammar, spec)
+            realizations(grammar, spec)
+        assert used_up == []
+        assert made[0] <= 459
+
     @pytest.mark.parametrize("name, table", [("np", table_np),
                                              ("tma", table_tma)])
     def test_tables(self, unpruned, name, table):
@@ -579,6 +619,71 @@ class TestPruningSoundness:
         spec = SemSpec(pred=pred, tma=tma if pred else TMA(), lan=lan, args=(
             NPSpec(noun, nbr=nbr, spe=spe, dem=dem, complement=complement),))
         assert outcome(grammar, spec) == unpruned(outcome, spec)
+
+
+class TestSharedGrammar:
+    """One grammar may serve requests from several threads at once: its
+    memos are stored whole, so each thread gets what one thread alone
+    gets."""
+
+    @staticmethod
+    def work(grammar, reverse):
+        nps = [spec.args[0] for spec in SPACE if spec.args]
+        sentences = [SemSpec(pred="DANCE", tma=BUNDLES[2 * i],
+                             args=(nps[6 * i],)) for i in range(12)]
+        calls = [partial(realizations, grammar, spec)
+                 for spec in golden_corpus() + sentences] + [
+            partial(table_tma, grammar), partial(table_np, grammar)]
+        outputs = [call() for call in (calls[::-1] if reverse else calls)]
+        return outputs[::-1] if reverse else outputs
+
+    def test_four_threads_share_one_fresh_grammar(self):
+        # a table row read while another thread built its part table
+        # took the marker of a table in the making for the table
+        want = self.work(load_grammar(grammar_text()), False)
+        shared = load_grammar(grammar_text())
+        got = {}
+
+        def run(index):
+            try:
+                got[index] = self.work(shared, index % 2 == 1)
+            except Exception as error:  # noqa: BLE001 - compared below
+                got[index] = error
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as it can
+        try:
+            threads = [threading.Thread(target=run, args=(index,))
+                       for index in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == dict.fromkeys(range(4), want)
+
+    def test_a_table_removed_while_it_is_built(self, monkeypatch):
+        # two threads may build one part table at once: the first to
+        # finish takes the marker of a table in the making away while
+        # the other still searches, which then raised KeyError
+        spec = SemSpec(args=(NPSpec("PERSON", nbr="pl", spe=True),))
+        want = realizations(load_grammar(grammar_text()), spec)
+        grammar = load_grammar(grammar_text())
+        derive, removed = engine._derive, []
+
+        def derive_then_remove(own, label, goal, lexemes, targets, content):
+            yield from derive(own, label, goal, lexemes, targets, content)
+            making = [key for key, table in own._parts.items()
+                      if table is None and key[:2] == (label, content)]
+            if making and not removed:
+                removed.append(own._parts.pop(making[0]))
+
+        monkeypatch.setattr(engine, "_derive", derive_then_remove)
+        assert realizations(grammar, spec) == want
+        assert removed == [None]
+        assert None not in grammar._parts.values()
 
 
 def token_set(grammar, spec):
