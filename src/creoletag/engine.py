@@ -60,7 +60,10 @@ root.  That is exact: the node collapses when the search leaves the
 part, its top the host's met with the tops stacked there, its bottom
 the last auxiliary root's, whose threaded fields meet the bottom of a
 lower node that never changes again; a code reads any other unbound
-variable as the full field, and bindings only narrow.
+variable as the full field, and bindings only narrow.  Recognition
+looks ahead (Schabes & Joshi, ACL 1988): it adjoins only where the
+layout it would make (:func:`_adjoined`) embeds in a path, the new
+root's edges a gap only where the pretest admits an auxiliary there.
 A derived tree is walked once, into :attr:`DerivedTree.nodes`.
 
 Derived trees are immutable; every operation returns a new tree and
@@ -70,11 +73,11 @@ path from the elementary root to the anchor, a splice only the path to
 its site and the material it tags.  So :func:`_instance` builds each
 elementary instance (tree, lexeme, variant) once per grammar and keeps
 it on the grammar object, a failure as None, an auxiliary one with its
-codes.  A search's menu (:func:`_menu`) filters the grammar's anchoring
-index (:func:`_anchorings`: what the pretest admits per class and root
-label, uninstantiated) by the lexemes and tokens it may use.  Each
-instance or part keeps its copies tagged per frame, and nothing else
-keeps a tagged structure (:func:`_splice_in`).  A finished part is
+shape and codes.  A search's menu (:func:`_menu`) filters the grammar's
+anchoring index (:func:`_anchorings`: what the pretest admits per class
+and root label, uninstantiated) by the lexemes and tokens it may use.
+Each instance or part keeps its copies tagged per frame, and nothing
+else keeps a tagged structure (:func:`_splice_in`).  A finished part is
 kept with its root's code and its final reading, constant below its
 root and hash-consed (:func:`_constant`), and unless its root links two
 cells, a splice copies none of it.  Without tokens a search's menus
@@ -388,32 +391,54 @@ def replay(grammar: Grammar, history) -> DerivedTree:
 # --- enumeration -------------------------------------------------------------
 
 def _layout(nodes, part, splittable):
-    """The frontier of a tree's pre-order `nodes`, and its gaps: an int
-    whose bit i is set where a later step may bring tokens in before
-    frontier token i (bit len(frontier): after the last).  That is at a
-    pending site, or at either edge of the yield of a node an adjunction
-    may still split, one in the open `part` whose label is in
-    `splittable`.  Elsewhere tokens adjacent now stay adjacent: an
-    adjunction inserts material only around the yield of the node it
-    splits (Vijay-Shanker & Joshi, ACL 1985)."""
-    frontier, gaps, open_depths = [], 0, []
+    """The frontier of a tree's pre-order `nodes`; its gaps, an int whose
+    bit i is set where a later step may bring tokens in before frontier
+    token i (bit len(frontier): after the last), at a pending site or at
+    either edge of the yield of an open node, one in the open `part` whose
+    label is in `splittable`; each open node's yield, (start, end) by
+    address; and the sites' gaps.  Elsewhere tokens adjacent now stay
+    adjacent: an adjunction inserts material only around the yield of the
+    node it splits (Vijay-Shanker & Joshi, ACL 1985)."""
+    frontier, gaps, sites, spans, open_ = [], 0, 0, {}, []
     for address, node in nodes:
-        while open_depths and open_depths[-1] >= len(address):
-            open_depths.pop()  # the yield of a splittable node ends here
+        while open_ and len(open_[-1][0]) >= len(address):
+            at, start = open_.pop()  # the yield of an open node ends here
+            spans[at] = start, len(frontier)
             gaps |= 1 << len(frontier)
         if node.kind == INTERNAL:
             if not node.was_foot and node.label in splittable and \
                     address[:len(part)] == part:
                 gaps |= 1 << len(frontier)
-                open_depths.append(len(address))
+                open_.append((address, len(frontier)))
         elif node.kind == ANCHOR:
             if node.surface:
                 frontier.append(node.surface)
         elif node.kind == SUBST:
-            gaps |= 1 << len(frontier)
-    if open_depths:
+            sites |= 1 << len(frontier)
+    for at, start in open_:
+        spans[at] = start, len(frontier)
         gaps |= 1 << len(frontier)
-    return tuple(frontier), gaps
+    return tuple(frontier), gaps | sites, spans, sites
+
+
+def _adjoined(layout, address, shape):
+    """The frontier and gaps of `layout`'s tree once an auxiliary of
+    `shape` adjoins at its open node at `address`, but for the new root's
+    edges, and their bits.  The lower copy is closed: the node's edges
+    stay gaps where another source sets them, on both sides of the tokens."""
+    def spread(bits, at, width):  # `width` tokens come in before token `at`
+        return bits & ((2 << at) - 1) | bits >> at << (at + width)
+
+    (frontier, gaps, spans, others), (left, right, inner) = layout, shape
+    i, j = spans[address]
+    for at, (start, end) in spans.items():
+        if at != address:
+            others |= 1 << start | 1 << end
+    gaps &= ~((1 << i | 1 << j) & ~others)
+    gaps = spread(spread(gaps, j, len(right)), i, len(left)) | \
+        spread(inner, len(left), j - i) << i
+    return (frontier[:i] + left + frontier[i:j] + right + frontier[j:], gaps,
+            1 << i | 1 << (j + len(left) + len(right)))
 
 
 def _anchorings(grammar, klass, label):
@@ -442,10 +467,11 @@ def _anchorings(grammar, klass, label):
 
 def _instance(grammar, tree, lexeme_id, variant_index):
     """instantiate() of one of the grammar's own trees, or None where it
-    fails; an auxiliary one with its root top's, foot bottom's and root
-    bottom's codes and `thru`, the bits of the fields it threads: one
-    unbound variable in its root's and its foot's bottom.  Made once per
-    grammar, kept on it."""
+    fails; an auxiliary one with its shape, the tokens it spells left and
+    right of its foot and the gaps all but its root make, and its root
+    top's, foot bottom's and root bottom's codes and `thru`, the bits of
+    the fields it threads: one unbound variable in its root's and its
+    foot's bottom.  Made once per grammar, kept on it."""
     key = (tree.name, lexeme_id, variant_index)
     memo = grammar._instances  # noqa: SLF001 - same-package friend
     if key not in memo:
@@ -461,7 +487,12 @@ def _instance(grammar, tree, lexeme_id, variant_index):
                 if isinstance(cell, Var) and env.value(cell) is None
                 and isinstance(low := foot.get(attr), Var)
                 and env.root(low.name) == env.root(cell.name)))
-            inst = (inst, code(inst.root.top, env), code(foot, env),
+            frontier, gaps, *_ = _layout(inst.nodes[1:], (),  # but the root
+                                         grammar.splittable)
+            left = sum(at < inst.foot_address and bool(node.surface)
+                       for at, node in inst.nodes)  # pre-order
+            inst = (inst, (frontier[:left], frontier[left:], gaps),
+                    code(inst.root.top, env), code(foot, env),
                     code(inst.root.bottom, env),
                     code(EMPTY, env) ^ code(cut, env))
         memo[key] = inst
@@ -573,7 +604,7 @@ def _derive(grammar, goal_label, goal_fs, lexemes, targets, content):
             reach = [(start, -1)]  # no top met yet; stored whole, as shared
             for below, met in reach:  # grows as it is read
                 reach += {(bottom & (below | ~thru), met & top)
-                          for _, top, foot, bottom, thru in menu
+                          for _, _, top, foot, bottom, thru in menu
                           if not schema.clash(below, foot)}.difference(reach)
             closures[key] = reach
         return closures[key]
@@ -599,13 +630,16 @@ def _derive(grammar, goal_label, goal_fs, lexemes, targets, content):
                 raise DivergentGrammar(first, label)
         return address, label, codes, tree, passed
 
-    def explore(derived, part, passed):  # passed: see passing
+    def explore(derived, part, passed, gaps=-1):  # passed: see passing
         nodes = derived.nodes
         left = unanchored(nodes) if content else ()
         if left is None:
             return
+        if targets is not None:  # within the gaps the step here predicted
+            frontier, own, spans, pending = _layout(nodes, part, splittable)
+            layout = frontier, own & gaps, spans, pending
         exact, embeds = (True, True) if targets is None else \
-            targets.bounds(*_layout(nodes, part, splittable))
+            targets.bounds(*layout[:2])
         if not embeds:
             return
         env, sites = derived.env, []
@@ -619,7 +653,8 @@ def _derive(grammar, goal_label, goal_fs, lexemes, targets, content):
             candidates = instances(AUXILIARY, node.label)
             if candidates:  # each plane encoded once per state
                 top, bottom = code(node.top, env), code(node.bottom, env)
-            for (aux, aux_top, foot, aux_bottom, thru), progress in candidates:
+            for (aux, shape, aux_top, foot, aux_bottom, thru), progress in \
+                    candidates:
                 if content and progress and aux.history[0].lexeme not in left:
                     continue  # anchors a content lexeme used up
                 # the root bottom it leaves, and the tops met at the node
@@ -628,13 +663,23 @@ def _derive(grammar, goal_label, goal_fs, lexemes, targets, content):
                         and all(schema.clash(met & tops, end)
                                 for end, tops in ends(node.label, start)):
                     continue
+                if targets is not None:  # the layout it would make embeds
+                    frontier, after, edges = _adjoined(layout, address, shape)
+                    # the new root's edges, where a stack begun on it can
+                    # end: where the pretest admits an auxiliary there
+                    if any(not schema.clash(met & tops, end)
+                           for end, tops in ends(node.label, start)[1:]):
+                        after |= edges
+                    if not targets.bounds(frontier, after)[1]:
+                        continue
                 try:
                     nxt = adjoin(grammar, derived, address, aux)
                 except UnificationFailure:
                     continue
                 yield from explore(nxt, part, None if progress else passing(
                     passed, address, node.label,
-                    lambda codes=(top, bottom): codes, aux.history[0].tree))
+                    lambda codes=(top, bottom): codes, aux.history[0].tree),
+                    -1 if targets is None else after)
         if not sites and (left or not exact):
             return
         # collapse the finished part (one from a table is collapsed
@@ -717,12 +762,12 @@ def enumerate_derivations(grammar: Grammar, goal_label: str,
     `targets.tokens` (zero forms always pass), and
     `targets.bounds(frontier, gaps)`, with the gaps :func:`_layout`
     reads, tells whether a derivation is exact, so returned, and whether
-    it embeds, so explored further.  What :meth:`Schema.clash` shows
-    must fail is not tried.  Nothing else bounds the search: a state met
-    again at or below where a step left it, with no progress since (a
-    token spelled with `targets`, else a `content` lexeme), repeats the
-    steps since without end, and DivergentGrammar names the first one's
-    tree.
+    it embeds, so explored further, as of an adjunction's layout before
+    it is made.  What :meth:`Schema.clash` shows must fail is not tried.
+    Nothing else bounds the search: a state met again at or below where
+    a step left it, with no progress since (a token spelled with
+    `targets`, else a `content` lexeme), repeats the steps since without
+    end, and DivergentGrammar names the first one's tree.
     The states, finitely many (Vijay-Shanker, PhD thesis, 1987), are
     (label, top code, bottom code) before an adjunction and (label, top
     code) of a site filled in place.

@@ -34,7 +34,7 @@ from typing import NamedTuple, Optional
 
 from . import engine
 from .errors import InvalidSpec, MissingCell, NoRealization
-from .featstruct import EMPTY, UNBOUND, FeatureStruct, disjoint
+from .featstruct import EMPTY, UNBOUND, FeatureStruct
 from .grammar import Grammar
 
 ASPECTS = ("none", "imp", "frq", "prg")
@@ -277,22 +277,20 @@ def _goal_for(grammar, spec: SemSpec):
 # --- assembling realizations --------------------------------------------------
 
 def realizations_from_finals(grammar, finals, goal):
-    """Keep the finalized derivations that fit the goal, fuse, merge and
-    fold.  A realization's language set is its derivation's, narrowed
-    by the goal's; a grammar without `lan`, one unnamed dialect, gives
-    every realization the empty set.  A realization whose set is
-    contained in another's is folded into it, so a grammar specialized
-    to a dialect lists what the whole grammar lists under that dialect.
+    """Fuse, merge and fold finalized derivations that fit the goal.  A
+    realization's language set is its derivation's, narrowed by the
+    goal's; a grammar without `lan`, one unnamed dialect, gives every
+    realization the empty set.  A realization whose set is contained in
+    another's is folded into it, so a grammar specialized to a dialect
+    lists what the whole grammar lists under that dialect.
 
-    `finals` is an iterable of (FinalizeResult, trace) pairs, from a
-    search's results or a part table's entries.
+    `finals` is an iterable of (FinalizeResult, trace) pairs: a search's
+    results, or the part table entries a variable-free goal's code admits.
     """
     dialects = frozenset(grammar.dialects)
     goal_lan = goal.get("lan", dialects)
     hits = []
     for final, trace in finals:
-        if disjoint(final.features, UNBOUND, goal, UNBOUND) is not None:
-            continue  # variable-free: disjoint exactly when unify fails
         lan = final.features.get("lan", dialects) & goal_lan
         tokens = tuple(apply_fusion(list(final.frontier), lan,
                                     grammar.fusion_rules))

@@ -6,8 +6,11 @@ A partial derivation goes on while its frontier embeds in a path with
 other tokens only where a later step can put them (see
 :func:`creoletag.engine._layout`), so stacked adjunctions cost work
 linear in their number; it is a hit where its frontier is a path, so
-the input bounds the search.  Each hit is fused once, carrying every
-token's (lexeme, variant) sources, and kept when it fuses to the input.
+the input bounds the search.  An adjunction is made only where the
+layout it would make embeds too (:func:`creoletag.engine._adjoined`):
+a particle on the wrong side, or a zero form no path has room for,
+builds no tree.  Each hit is fused once, carrying every token's
+(lexeme, variant) sources, and kept when it fuses to the input.
 
 The hits become analyses in one place, with the language set consistent
 with the whole string and with each word.  When no language-consistent
@@ -83,7 +86,8 @@ class FusionLattice:
         come before frontier token i only where bit i of `gaps` is set,
         and after the last only where bit len(frontier) is; the default
         sets every bit.  Embedded with no gap, a frontier is the path."""
-        return self._embeds(frontier, 0), self._embeds(frontier, gaps)
+        embeds = self._embeds(frontier, gaps)
+        return embeds and self._embeds(frontier, 0), embeds
 
     def _embeds(self, frontier, gaps):
         if (frontier, gaps) not in self._bounds:

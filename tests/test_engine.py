@@ -500,7 +500,7 @@ def _saturate_then_adjoin(grammar, goal_label, goal_fs, max_steps,
             menu = [inst for inst, _ in
                     engine._menu(grammar, klass, label, lexemes, vocabulary)]
             trees[klass, label] = menu if klass == INITIAL else [
-                aux for aux, _top, _foot, _bottom, _thru in menu]
+                aux for aux, *_ in menu]
         return trees[klass, label]
 
     saturated = {}
@@ -683,8 +683,15 @@ class TestLayout:
     ])
     def test_gaps(self, was_foot, part, splittable, gaps):
         nodes = list(self._tree(was_foot).walk())
-        assert engine._layout(nodes, part, splittable) == \
+        assert engine._layout(nodes, part, splittable)[:2] == \
             (("ta", "moun", "danse"), gaps)
+
+    def test_sources(self):
+        # the yield span of each open node, and the gaps of the sites
+        nodes = list(self._tree().walk())
+        assert engine._layout(nodes, (), {"S", "NP"})[2:] == \
+            ({(): (0, 3), (1,): (1, 2)}, 0b1000)
+        assert engine._layout(nodes, (2,), {"S", "NP"})[2:] == ({}, 0b1000)
 
 
 class TestOneReader:
@@ -865,7 +872,7 @@ class TestAnchoringIndex:
                                               vocabulary)]
             got = [(inst.history, inst.root, inst.env._map) if klass == INITIAL
                    else (inst[0].history, inst[0].root, inst[0].env._map)
-                   + inst[1:] for inst, _ in menu]
+                   + inst[2:] for inst, _ in menu]  # shape: TestPrediction
             assert got == want, (klass, label)
             # each progresses where it spells a token of the vocabulary,
             # or, with none, where it anchors content

@@ -6,6 +6,7 @@ import random
 import tracemalloc
 import unicodedata
 import weakref
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +16,8 @@ from creoletag import engine
 from creoletag import recognize as recognize_module
 from creoletag.creole import DIALECTS, golden_path, grammar_text
 from creoletag.dsl import load_grammar
-from creoletag.errors import InvalidSpec, NoAnalysis, NoRealization
+from creoletag.errors import (InvalidSpec, NoAnalysis, NoRealization,
+                              UnificationFailure)
 from creoletag.featstruct import EMPTY, FeatureStruct, unify
 from creoletag.generate import (ASPECTS, NUMBERS, TMA, NPSpec, SemSpec,
                                 _goal_for, apply_fusion, fuse_with_sources,
@@ -24,6 +26,7 @@ from creoletag.grammar import FusionRule
 from creoletag.recognize import (GOALS, FusionLattice, MixedReport,
                                  identify_dialect, recognize)
 from creoletag.specialize import specialize
+from creoletag.trees import AUXILIARY, INITIAL
 
 
 class TestRecognize:
@@ -95,17 +98,19 @@ class TestRecognize:
     def test_stack_is_one_search(self, fresh_grammar, engine_calls):
         # one search per decomposition costs this stack 50 searches, 5 862
         # instantiations, 4 408 adjunctions and 1 294 finalizations; a
-        # search without its frontier bound completes 31 derivations
+        # search without its frontier bound completes 31 derivations, and
+        # one that bounds a frontier only after adjoining makes 27
         with pytest.raises(NoAnalysis):
             recognize(fresh_grammar, "ta vap ta vap danse", "Pred")
         assert engine_calls["enumerate_derivations"] <= 2
         assert engine_calls["instantiate"] <= 18
-        assert engine_calls["adjoin"] <= 216
+        assert engine_calls["adjoin"] <= 8
         assert engine_calls["_final"] == 0
 
     def test_ladder_work_is_bounded(self, fresh_grammar, engine_calls):
         # a list of the ladder's 5^7 decompositions peaked at 60 MB; a
-        # frontier read as any subsequence of a path cost 43 adjunctions
+        # frontier read as any subsequence of a path cost 43 adjunctions,
+        # and a frontier bounded only after adjoining 27
         tracemalloc.start()
         try:
             with pytest.raises(NoAnalysis):
@@ -115,16 +120,18 @@ class TestRecognize:
             tracemalloc.stop()
         assert peak < 1 << 20
         assert engine_calls["instantiate"] == 16
-        assert engine_calls["adjoin"] == 27
+        assert engine_calls["adjoin"] == 8
 
     @pytest.mark.parametrize("k", [1, 2, 5, 12, 30])
     @pytest.mark.parametrize("goal, tail, per_pair, base", [
-        ("NP", "", 12, 6), ("S", " ap danse", 18, 12)])
+        ("NP", "", 4, 1), ("S", " ap danse", 10, 0)],
+        ids=["NP--12-6", "S- ap danse-18-12"])  # named by the old pins
     def test_name_stack_work_is_linear(self, fresh_grammar, engine_calls,
                                        k, goal, tail, per_pair, base):
         # stacked proper-name complements: a frontier read as any
         # subsequence of a lattice path lets every subset of the names
-        # in, 2^k live states (129 s at k = 12 under NP)
+        # in, 2^k live states (129 s at k = 12 under NP); bounding a
+        # frontier only after adjoining costs 10k + 5 and 14k + 9
         text = "moun" + " Sentoma Senloran" * k + " yo" + tail
         assert len(recognize(fresh_grammar, text, goal)) == 1
         assert engine_calls["adjoin"] <= per_pair * k + base
@@ -138,12 +145,15 @@ class TestRecognize:
             frozenset({"GF", "GP", "MQ"})
 
     @pytest.mark.parametrize("text, adjunctions", [
-        ("zwazo yo ta vap danse", 78), ("sé zozyo la té ka dansé", 40)])
+        ("zwazo yo ta vap danse", 13), ("sé zozyo la té ka dansé", 4)],
+        ids=["zwazo yo ta vap danse-78",  # named by the old pins
+             "sé zozyo la té ka dansé-40"])
     def test_sentence_tries_one_interleaving(self, fresh_grammar,
                                              engine_calls, text, adjunctions):
         # adjoining anywhere once every site is filled tries the subject's
         # and the predicate's adjunctions in every interleaving: 156 and
-        # 86 adjunctions
+        # 86 adjunctions; bounding a frontier only after adjoining, 27
+        # and 5
         assert recognize(fresh_grammar, text, "S")
         assert engine_calls["enumerate_derivations"] == 1
         assert engine_calls["adjoin"] <= adjunctions
@@ -315,16 +325,16 @@ def _per_decomposition_search(grammar, tokens, targets, goal):
     return hits
 
 
-def _short_golden_strings():
-    """(string, goal) for every golden form of at most three tokens."""
+def _golden_strings(longest=None):
+    """(string, goal) for every golden form of at most `longest` tokens."""
     out = set()
     for name, goal in (("np", "NP"), ("tma", "Pred")):
         rows = golden_path(name).read_text(encoding="utf-8").splitlines()[1:]
         for row in rows:
             for cell in row.split("\t")[1:]:
                 out.update((form, goal) for form in cell.split(" / ")
-                           if len(form.split()) <= 3)
-    return out
+                           if longest is None or len(form.split()) <= longest)
+    return sorted(out)
 
 
 def test_one_search_matches_per_decomposition_oracle(grammar, monkeypatch):
@@ -343,7 +353,7 @@ def test_one_search_matches_per_decomposition_oracle(grammar, monkeypatch):
     stacks = [" ".join(pair) + " danse"
               for pair in itertools.product(("tap", "vap", "ta"), repeat=2)
               if pair != ("ta", "vap")]
-    inputs = sorted(_short_golden_strings()
+    inputs = sorted(set(_golden_strings(3))
                     | {("tap danse", "Pred"), ("ta vap danse", "Pred")}
                     | {(stack, "Pred") for stack in stacks})
 
@@ -361,6 +371,144 @@ def test_one_search_matches_per_decomposition_oracle(grammar, monkeypatch):
     for (text, goal), got in zip(inputs, shared):
         assert got == outcome(text, goal), text
     assert sum(got is None for got in shared) == len(stacks)
+
+
+def _reached(search):
+    """(grammar, state) of each state `search()` reaches by a step."""
+    states = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("adjoin", "substitute"):
+            def recorded(grammar, *args, _real=getattr(engine, name)):
+                states.append((grammar, _real(grammar, *args)))
+                return states[-1][1]
+            patch.setattr(engine, name, recorded)
+        search()
+    return states
+
+
+def _check_predictions(grammar, state, tokens):
+    """At each open node of `state`, every auxiliary of the search's menu
+    that adjoins makes the frontier engine._adjoined predicts, with gaps
+    inside the predicted ones: with the new root's edges, or without
+    them where the new root is taken as closed.  Returns how many."""
+    splittable, checked = grammar.splittable, 0
+    part = next((step.address for step in reversed(state.history)
+                 if step.op == "substitute"), ())
+    layout = engine._layout(state.nodes, part, splittable)
+    for address in layout[2]:
+        label = state.node_at(address).label
+        for (aux, shape, *_), _ in engine._menu(grammar, AUXILIARY, label,
+                                                None, tokens):
+            try:
+                made = engine.adjoin(grammar, state, address, aux)
+            except UnificationFailure:
+                continue
+            frontier, gaps, edges = engine._adjoined(layout, address, shape)
+            got = engine._layout(made.nodes, part, splittable)
+            closed = engine._layout(
+                [(at, replace(node, was_foot=True) if at == address else node)
+                 for at, node in made.nodes], part, splittable)
+            assert (frontier, got[1] & ~(gaps | edges), closed[1] & ~gaps) \
+                == (got[0], 0, 0), (state.history, aux.history)
+            checked += 1
+    return checked
+
+
+class TestPrediction:
+    """Recognition adjoins only where the frontier and gaps the
+    adjunction would make embed in a lattice path.  The prediction,
+    made from the state's layout and the auxiliary's shape, is what
+    adjoining and reading the result would give, at every state a
+    search reaches and for every auxiliary of its menu that adjoins."""
+
+    @staticmethod
+    def _check(grammar, search, tokens, bases):
+        states = [(grammar, base) for base in bases] + _reached(search)
+        return sum(_check_predictions(own, state, tokens)
+                   for own, state in states)
+
+    def _recognized(self, grammar, text, goals):
+        targets = FusionLattice(tuple(text.split()), grammar.fusion_rules)
+        relaxed = recognize_module._relaxed(grammar)
+
+        def search():
+            for goal in goals:
+                _analyses(grammar, text, goal)
+
+        return self._check(grammar, search, targets.tokens, [
+            inst for own in (grammar, relaxed) for goal in goals
+            for inst, _ in engine._menu(own, INITIAL, goal, None,
+                                        targets.tokens)])
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_drawn_strings(self, grammar, data):
+        spellings = sorted({variant.surface for lexeme in grammar.lexicon
+                            for variant in lexeme.variants if variant.surface}
+                           | {"tap", "vap", "ta"})
+        text = " ".join(data.draw(st.lists(st.sampled_from(spellings),
+                                           min_size=1, max_size=12)))
+        self._recognized(grammar, text, GOALS)
+
+    def test_golden_strings(self, grammar):
+        assert sum(self._recognized(grammar, text, (goal,))
+                   for text, goal in _golden_strings()) > 100
+
+    def test_shared_edges_and_inner_gaps(self):
+        # alpha-p's two P nodes share both edges, and aux-r opens a P of
+        # its own right of its foot: a gap at a shared edge stays on
+        # both sides of the tokens an adjunction puts there
+        grammar = load_grammar(NESTED)
+        targets = FusionLattice(("m", "m", "w", "m", "m"), ())
+        bases = [inst for inst, _ in engine._menu(grammar, INITIAL, "P",
+                                                  None, targets.tokens)]
+        assert self._check(grammar, lambda: list(
+            engine.enumerate_derivations(grammar, "P", EMPTY,
+                                         targets=targets)),
+            targets.tokens, bases) > 20
+
+    def test_every_adjunction_lies_on_a_derivation(self, fresh_grammar,
+                                                   monkeypatch):
+        # bounding the frontier only after adjoining, 46 of the 155
+        # adjunctions made on these strings lay on no derivation
+        made, traces = [], []
+        adjoin, search = engine.adjoin, engine.enumerate_derivations
+
+        def recorded_adjoin(*args):
+            made.append(adjoin(*args))
+            return made[-1]
+
+        def recorded_search(*args, **kwargs):
+            pairs = search(*args, **kwargs)
+            traces.extend(derived.history for derived, _ in pairs)
+            return pairs
+
+        monkeypatch.setattr(engine, "adjoin", recorded_adjoin)
+        monkeypatch.setattr(engine, "enumerate_derivations", recorded_search)
+        for text, goal in _golden_strings():
+            del made[:], traces[:]
+            assert recognize(fresh_grammar, text, goal)
+            for prefix in (derived.history for derived in made):
+                assert any(trace[:len(prefix)] == prefix
+                           for trace in traces), (text, prefix)
+
+
+NESTED = """
+(grammar nested (version 1))
+(domain d (+ -))
+(tree alpha-p (class initial)
+  (node P (kind internal)
+    (children (node P (kind internal) (children (node W (kind anchor)))))))
+(tree aux-l (class aux)
+  (node P (kind internal)
+    (children (node M (kind anchor)) (node P (kind foot)))))
+(tree aux-r (class aux)
+  (node P (kind internal)
+    (children (node P (kind foot))
+              (node P (kind internal) (children (node M (kind anchor)))))))
+(lex WORD (cat W) (variant "w"))
+(lex MARK (cat M) (variant "m"))
+"""
 
 
 class TestIdentifyDialect:

@@ -165,11 +165,12 @@ def realized(grammar, spec):
 
 def realized_from(grammar, found, spec):
     """What realizations_from_finals makes of the oracle's finals `found`
-    under the request's goal."""
+    that fit the request's goal."""
     _, goal = _goal_for(grammar, spec)
     return listed(realizations_from_finals(grammar, [
         (engine.FinalizeResult(frontier, features, ()), ())
-        for frontier, features in found], goal))
+        for frontier, features in found
+        if unify(features, goal) is not None], goal))
 
 
 _SHIPPED = load_grammar(grammar_text())
