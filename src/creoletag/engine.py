@@ -64,7 +64,8 @@ variable as the full field, and bindings only narrow.  Recognition
 looks ahead (Schabes & Joshi, ACL 1988): it adjoins only where the
 layout it would make (:func:`_adjoined`) embeds in a path, the new
 root's edges a gap only where the pretest admits an auxiliary there.
-A derived tree is walked once, into :attr:`DerivedTree.nodes`.
+A derived tree is walked once, into :attr:`DerivedTree.nodes`, a list
+:meth:`Node.walk` fills by plain recursion.
 
 Derived trees are immutable; every operation returns a new tree and
 either succeeds or raises without touching its inputs.  A new tree
@@ -126,8 +127,10 @@ class _memo(cached_property):
         return tree.__dict__.setdefault(self.attrname, self.func(tree))
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class DerivedTree:
+    """Not frozen, for plain attribute stores; it hashes by value, as Node."""
+
     root: Node
     klass: str
     env: Bindings
@@ -135,9 +138,8 @@ class DerivedTree:
 
     @_memo
     def nodes(self):
-        """(address, node) pairs in pre-order, the tree's one walk; read-only.
-        A list: freed tuples this long stay on the interpreter's free list."""
-        return list(self.root.walk())
+        """(address, node) pairs in pre-order, the tree's one walk; read-only."""
+        return self.root.walk()
 
     @property
     def pending_sites(self):
@@ -195,7 +197,7 @@ def _splice_in(host: DerivedTree, part: DerivedTree):
             tag + name: tag + value if isinstance(value, str) else value
             for name, value in part.env._map.items()}  # noqa: SLF001
     root, names = part.frames[tag]
-    return root, Bindings({**host.env._map, **names})  # noqa: SLF001
+    return root, Bindings._of({**host.env._map, **names})  # noqa: SLF001
 
 
 def _steps(op, address, part: DerivedTree) -> tuple:
@@ -232,7 +234,7 @@ def instantiate(grammar: Grammar, tree, lexeme_id: Optional[str] = None,
     if isinstance(tree, str):
         tree = grammar.tree(tree)
     root = tree.root
-    env = Bindings()
+    env = UNBOUND
     anchor_addr = tree.anchor_address()
 
     if lexeme_id is not None:

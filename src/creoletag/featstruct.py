@@ -31,7 +31,7 @@ worth its encoding only where one code is tested many times.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional
 
 from .errors import UndeclaredAttribute
 
@@ -94,21 +94,32 @@ class Schema:
             self.domain(attr)
 
     def code(self, fs: "FeatureStruct", env: "Bindings") -> int:
-        """fs as bit fields, its variables resolved through env."""
-        code = self._full
-        for attr, cell in fs.items():
-            if isinstance(cell, Var) and (cell := env.value(cell)) is None:
-                continue
-            mask = self._masks.get((attr, cell))
-            if mask is None:  # first use: a Grammar() is not validated
-                bits = self._bits[self.domain(attr).name]
-                if not cell <= bits.keys():
-                    raise UndeclaredAttribute("%r is not a value of %r" % (
-                        min(cell - bits.keys()), attr))
-                mask = self._masks[attr, cell] = \
-                    self._full - sum(bits.values()) + sum(map(bits.get, cell))
-            code &= mask
+        """fs as bit fields, its variables resolved through env.  The code
+        of fs's constants and its variable cells are kept on fs, for the
+        schema that coded it last."""
+        kept = fs._code
+        if kept is None or kept[0] is not self:
+            code, cells = self._full, ()
+            for item in fs._items:
+                if isinstance(item[1], Var):
+                    cells += (item,)
+                else:
+                    code &= self._masks.get(item) or self._mask(*item)
+            fs._code = self, code, cells
+        else:
+            _, code, cells = kept
+        for attr, var in cells:
+            if (cell := env.value(var)) is not None:
+                code &= self._masks.get((attr, cell)) or self._mask(attr, cell)
         return code
+
+    def _mask(self, attr, cell) -> int:  # first use: a Grammar() is not validated
+        bits = self._bits[self.domain(attr).name]
+        if not cell <= bits.keys():
+            raise UndeclaredAttribute("%r is not a value of %r" % (
+                min(cell - bits.keys()), attr))
+        return self._masks.setdefault((attr, cell), self._full - sum(
+            bits.values()) + sum(map(bits.get, cell)))
 
     def clash(self, a: int, b: int) -> bool:
         """Whether a & b has an empty field: adding the full fields carries
@@ -126,32 +137,40 @@ class Var:
         return "$" + self.name
 
 
-Cell = Union[frozenset, Var]
-
-
 class Bindings:
-    """Immutable variable environment: name -> subset or alias name."""
+    """Immutable variable environment: name -> subset or alias name.
+
+    Each class of aliased variables has one root, which maps to the
+    class's subset or is absent while unbound, and every other member
+    maps straight to the root's name: :meth:`root` and :meth:`value`
+    follow at most one hop.  :func:`unify` keeps that when it merges two
+    classes, by repointing the members of the class it absorbs."""
 
     __slots__ = ("_map",)
 
-    def __init__(self, mapping: Optional[dict] = None):
-        self._map = dict(mapping) if mapping else {}
+    def __init__(self):
+        self._map = {}
+
+    @classmethod
+    def _of(cls, mapping: dict) -> "Bindings":
+        """Adopts `mapping`, whose aliases name roots, without a copy."""
+        env = object.__new__(cls)
+        env._map = mapping
+        return env
 
     def root(self, name: str) -> str:
-        seen = name
-        while isinstance(self._map.get(seen), str):
-            seen = self._map[seen]
-        return seen
+        val = self._map.get(name)
+        return val if isinstance(val, str) else name
 
     def value(self, var: Var) -> Optional[frozenset]:
         """The subset a variable is bound to, or None while unbound."""
-        val = self._map.get(self.root(var.name))
-        return val if isinstance(val, frozenset) else None
+        val = self._map.get(var.name)
+        return self._map.get(val) if isinstance(val, str) else val
 
     def bind(self, name: str, value) -> "Bindings":
         new = dict(self._map)
         new[self.root(name)] = value
-        return Bindings(new)
+        return Bindings._of(new)
 
     def __repr__(self):
         return "Bindings(%r)" % (self._map,)
@@ -160,7 +179,7 @@ class Bindings:
 class FeatureStruct(Mapping):
     """An immutable attribute -> cell mapping."""
 
-    __slots__ = ("_items", "_hash", "__weakref__")
+    __slots__ = ("_items", "_hash", "_code", "__weakref__")
 
     def __init__(self, bindings: Optional[Mapping] = None, **kw):
         merged = dict(bindings or {})
@@ -175,7 +194,7 @@ class FeatureStruct(Mapping):
                 raise ValueError("attribute %r bound to the empty set" % attr)
             items.append((attr, subset))
         self._items = tuple(items)
-        self._hash = None
+        self._hash = self._code = None  # _code: see Schema.code
 
     @classmethod
     def _of(cls, items: tuple) -> "FeatureStruct":
@@ -183,7 +202,7 @@ class FeatureStruct(Mapping):
         a Var or a non-empty frozenset; the constructor checks the rest."""
         fs = object.__new__(cls)
         fs._items = items
-        fs._hash = None
+        fs._hash = fs._code = None
         return fs
 
     def __getitem__(self, attr):
@@ -254,36 +273,6 @@ def meet(a: frozenset, b: frozenset) -> frozenset:
     return b if b <= a else a & b
 
 
-def _meet_cells(a: Cell, b: Cell, env: Bindings):
-    """Unify two cells.  Returns (cell, env) or None on empty meet."""
-    a_var = isinstance(a, Var)
-    b_var = isinstance(b, Var)
-    if not a_var and not b_var:
-        met = meet(a, b)
-        return (met, env) if met else None
-    if a_var and b_var:
-        ra, rb = env.root(a.name), env.root(b.name)
-        if ra == rb:
-            return a, env
-        # b's class joins a's, its value met into a's, in one copy
-        met, vb = env._map.get(ra), env._map.get(rb)
-        if vb is not None:
-            met = vb if met is None else meet(met, vb)
-            if not met:
-                return None
-        new = dict(env._map)
-        new[rb] = ra
-        if met is not None:
-            new[ra] = met
-        return a, Bindings(new)
-    if b_var:
-        a, b = b, a  # now a is the variable, b the subset
-    root = env.root(a.name)
-    bound = env._map.get(root)
-    met = b if bound is None else meet(bound, b)
-    return (a, env.bind(root, met)) if met else None
-
-
 def unify(a: FeatureStruct, b: FeatureStruct,
           env: Optional[Bindings] = None):
     """Unify two feature structures.
@@ -291,22 +280,49 @@ def unify(a: FeatureStruct, b: FeatureStruct,
     Returns ``(result, env)`` on success and ``None`` on failure.  The
     result binds every attribute present in either input; an attribute
     present on one side only is copied through (absent means the full
-    domain, and intersecting with the full domain changes nothing).
+    domain, and intersecting with the full domain changes nothing).  A
+    variable met with a subset or a variable stays in the result, its
+    class narrowed or merged in the returned environment, a copy of
+    `env` made at its first write.
     """
-    env = env or Bindings()
+    env = env or UNBOUND
     if not b or not a:  # nothing to meet: share the other side
         return (b if not a else a), env
-    out = dict(a.items())
-    for attr, cell in b.items():
-        if attr not in out:
-            out[attr] = cell
-            continue
-        met = _meet_cells(out[attr], cell, env)
-        if met is None:
+    out, names, own = dict(a._items), env._map, False
+    for attr, cell in b._items:
+        if (old := out.setdefault(attr, cell)) is cell:
+            continue  # absent from a, or the same cell
+        if not isinstance(old, Var):
+            if not isinstance(cell, Var):
+                if not (met := meet(old, cell)):
+                    return None
+                out[attr] = met
+                continue
+            out[attr], old, cell = cell, cell, old  # the variable first
+        root = r if isinstance(r := names.get(old.name), str) else old.name
+        met = bound = names.get(root)
+        if isinstance(cell, Var):  # cell's class joins old's
+            other = r if isinstance(r := names.get(cell.name), str) else cell.name
+            if other == root:
+                continue
+            if (val := names.get(other)) is not None and \
+                    not (met := val if bound is None else meet(bound, val)):
+                return None
+            if not own:
+                names, own = dict(names), True
+            for name, val in names.items():  # repoint its members
+                if val == other:
+                    names[name] = root
+            names[other] = root
+        elif not (met := cell if bound is None else meet(bound, cell)):
             return None
-        out[attr], env = met
+        if met is not bound:
+            if not own:
+                names, own = dict(names), True
+            names[root] = met
     # attributes are distinct, so sorting never compares cells
-    return FeatureStruct._of(tuple(sorted(out.items()))), env
+    return FeatureStruct._of(tuple(sorted(out.items()))), \
+        Bindings._of(names) if own else env
 
 
 def disjoint(a: FeatureStruct, a_env: Bindings, b: FeatureStruct,

@@ -86,6 +86,12 @@ class SemSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "args", tuple(self.args))
+        if not all(isinstance(arg, NPSpec) for arg in self.args):
+            raise InvalidSpec("args must be NPSpecs, not %r" % (self.args,))
+        if not isinstance(self.tma, TMA):
+            raise InvalidSpec("tma must be a TMA, not %r" % (self.tma,))
+        if isinstance(self.lan, str):  # frozenset() would split it
+            raise InvalidSpec("lan must be a set of codes, not %r" % self.lan)
         if self.lan is not None:
             object.__setattr__(self, "lan", frozenset(self.lan))
             if not self.lan:

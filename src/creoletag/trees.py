@@ -43,11 +43,11 @@ class Node:
     variant: Optional[int] = None
     was_foot: bool = False
 
-    def walk(self, address=()):
-        """Yield (address, node) pairs in pre-order."""
-        yield address, self
-        for i, child in enumerate(self.children):
-            yield from child.walk(address + (i,))
+    def walk(self, address=()) -> list:
+        """(address, node) pairs in pre-order, in one list filled by plain
+        recursion: nested generators cost a frame resume per level."""
+        _walk(self, address, out := [])
+        return out
 
     def node_at(self, address) -> "Node":
         """The node at a Gorn address below this one; KeyError if none."""
@@ -58,6 +58,12 @@ class Node:
             except IndexError:
                 raise KeyError("no node at address %r" % (address,)) from None
         return node
+
+
+def _walk(node, address, out):
+    out.append((address, node))
+    for i, child in enumerate(node.children):
+        _walk(child, address + (i,), out)
 
 
 @dataclass(frozen=True)

@@ -795,6 +795,28 @@ class TestOneWalkPerTree:
         assert calls[0] <= walks
 
 
+def generator_walk(node, address=()):
+    """The nested-generator pre-order walk Node.walk replaced."""
+    yield address, node
+    for i, child in enumerate(node.children):
+        yield from generator_walk(child, address + (i,))
+
+
+NODE_TREES = st.recursive(
+    st.builds(Node, st.sampled_from("XYZ")),
+    lambda below: st.builds(Node, st.sampled_from("XYZ"),
+                            children=st.lists(below, max_size=3).map(tuple)),
+    max_leaves=12)
+
+
+class TestWalk:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(NODE_TREES, st.lists(st.integers(0, 3), max_size=2).map(tuple))
+    def test_walk_is_the_generator_pre_order(self, root, address):
+        assert [(at, id(node)) for at, node in root.walk(address)] == \
+            [(at, id(node)) for at, node in generator_walk(root, address)]
+
+
 def _instantiable(grammar, klass, label, lexemes, spellings):
     """Every instance of (klass, label) that instantiate() makes, trying
     each lexeme variant on each tree, in grammar order."""

@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from creoletag.creole import grammar_text
+from creoletag.dsl import load_grammar, serialize
 from creoletag.errors import UndeclaredAttribute
 from creoletag.featstruct import (EMPTY, AttributeDomain, Bindings,
                                   FeatureStruct, Schema, Var, disjoint,
-                                  erase_attribute, subsumes, unify)
+                                  erase_attribute, meet, subsumes, unify)
+from creoletag.specialize import specialize
 
 LAN = AttributeDomain("lan", ("HT", "GP", "MQ", "GF"))
 SPE = AttributeDomain("spe", ("+", "-"))
@@ -214,9 +217,57 @@ def planes(draw):
     return FeatureStruct(cells), env
 
 
+def fresh_code(schema, structure, env):
+    """`structure`'s code, made anew from the schema's bits."""
+    code = schema._full
+    for attr, cell in structure.items():
+        if isinstance(cell, Var):
+            cell = env.value(cell)
+        if cell is not None:
+            bits = schema._bits[attr]
+            code &= schema._full - sum(bits.values()) + sum(map(bits.get, cell))
+    return code
+
+
 class TestCode:
     """Schema.code and Schema.clash against disjoint, the scan they
-    stand in for."""
+    stand in for, and against a fresh encoding."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(planes(), min_size=1, max_size=4))
+    def test_kept_code_is_a_fresh_one(self, drawn):
+        # planes name their variables alike, so each structure is coded
+        # under every drawn environment in turn, its kept code reused
+        for structure, _ in drawn:
+            for _, env in drawn + drawn:
+                assert code(structure, env) == \
+                    fresh_code(CODE_SCHEMA, structure, env)
+
+    def test_kept_code_follows_the_schema(self):
+        # grammars loaded from text share equal parsed structures, one
+        # object each, which the shipped grammar's layout codes too
+        grammar = load_grammar(grammar_text())
+        text = serialize(specialize(grammar, "HT"))
+        ht, again = load_grammar(text), load_grammar(text)
+
+        def planes_of(g):
+            return [plane for tree in g.trees for _, node in tree.nodes()
+                    for plane in (node.top, node.bottom) if plane]
+        planes = planes_of(ht)
+        assert all(a is b for a, b in zip(planes, planes_of(again)))
+        env = Bindings()
+        for plane in planes:
+            for attr, cell in plane.items():
+                if isinstance(cell, Var):
+                    env = env.bind(cell.name, frozenset(
+                        ht.schema.domain(attr).values[:1]))
+        for schema in (grammar.schema, ht.schema, again.schema, grammar.schema):
+            for plane in planes:
+                for plane_env in (UNBOUND, env):
+                    assert schema.code(plane, plane_env) == \
+                        fresh_code(schema, plane, plane_env)
+        assert grammar.schema.code(EMPTY, UNBOUND) != \
+            ht.schema.code(EMPTY, UNBOUND)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(planes(), planes())
@@ -258,3 +309,151 @@ class TestCode:
             code(FeatureStruct({"q": Var("Q")}), env)
         with pytest.raises(UndeclaredAttribute, match="'s'"):
             code(fs(s=["x"]))
+
+
+# --- the environment against the unification it replaced ---------------------
+
+class ChainBindings:
+    """The environment unify used to thread, kept as an oracle: an alias
+    may name another alias, and a lookup follows the chain."""
+
+    def __init__(self, mapping=None):
+        self._map = dict(mapping) if mapping else {}
+
+    def root(self, name):
+        seen = name
+        while isinstance(self._map.get(seen), str):
+            seen = self._map[seen]
+        return seen
+
+    def value(self, var):
+        val = self._map.get(self.root(var.name))
+        return val if isinstance(val, frozenset) else None
+
+    def bind(self, name, value):
+        new = dict(self._map)
+        new[self.root(name)] = value
+        return ChainBindings(new)
+
+
+def chain_meet_cells(a, b, env):
+    """The oracle's meet of two cells: (cell, env), or None."""
+    a_var, b_var = isinstance(a, Var), isinstance(b, Var)
+    if not a_var and not b_var:
+        met = meet(a, b)
+        return (met, env) if met else None
+    if a_var and b_var:
+        ra, rb = env.root(a.name), env.root(b.name)
+        if ra == rb:
+            return a, env
+        met, vb = env._map.get(ra), env._map.get(rb)
+        if vb is not None:
+            met = vb if met is None else meet(met, vb)
+            if not met:
+                return None
+        new = dict(env._map)
+        new[rb] = ra
+        if met is not None:
+            new[ra] = met
+        return a, ChainBindings(new)
+    if b_var:
+        a, b = b, a
+    root = env.root(a.name)
+    bound = env._map.get(root)
+    met = b if bound is None else meet(bound, b)
+    return (a, env.bind(root, met)) if met else None
+
+
+def chain_unify(a, b, env):
+    """The oracle's unify: a copy of the environment per bound cell."""
+    if not b or not a:
+        return (b if not a else a), env
+    out = dict(a.items())
+    for attr, cell in b.items():
+        if attr not in out:
+            out[attr] = cell
+            continue
+        met = chain_meet_cells(out[attr], cell, env)
+        if met is None:
+            return None
+        out[attr], env = met
+    return FeatureStruct._of(tuple(sorted(out.items()))), env
+
+
+VAR_NAMES = {dom.name: [Var(dom.name + n) for n in "ABC"] for dom in ALG_SCHEMA}
+SUBSETS = {dom.name: [frozenset(c) for n in (1, 2, 3)
+                      for c in combinations(dom.values, n)]
+           for dom in ALG_SCHEMA}
+
+
+@st.composite
+def sharing(draw):
+    """A structure over ALG_SCHEMA whose cells are drawn from few
+    variables, shared with the other draws, and few subsets, equal or the
+    same object; a variable is sometimes a fresh object of a drawn name."""
+    cells = {}
+    for dom in ALG_SCHEMA:
+        how = draw(st.sampled_from(("absent", "constant", "variable",
+                                    "fresh")))
+        if how == "constant":
+            cells[dom.name] = draw(st.sampled_from(SUBSETS[dom.name]))
+        elif how != "absent":
+            var = draw(st.sampled_from(VAR_NAMES[dom.name]))
+            cells[dom.name] = Var(var.name) if how == "fresh" else var
+    return FeatureStruct(cells)
+
+
+def assert_one_hop(env):
+    for name, val in env._map.items():
+        if isinstance(val, str):
+            assert not isinstance(env._map.get(val), str), \
+                "%s -> %s -> %s" % (name, val, env._map[val])
+
+
+def assert_like_oracle(pairs):
+    """Unify each pair in turn, threading one environment as a search
+    does (a failed step leaves it as it was), with unify and with the
+    oracle: the same outcome, result and value for every variable."""
+    env, old = Bindings(), ChainBindings()
+    for a, b in pairs:
+        got, want = unify(a, b, env), chain_unify(a, b, old)
+        assert (got is None) == (want is None)
+        if got is None:
+            continue
+        assert got[0] == want[0]
+        env, old = got[1], want[1]
+        assert_one_hop(env)
+        assert got[0].resolve(env) == want[0].resolve(old)
+        for var in (v for names in VAR_NAMES.values() for v in names):
+            assert env.value(var) == old.value(var)
+
+
+class TestEnvironment:
+    """unify and Bindings against the chain-following oracle above."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(sharing(), sharing()), min_size=1, max_size=8))
+    def test_unification_sequences_match_the_oracle(self, pairs):
+        assert_like_oracle(pairs)
+
+    def test_a_merge_repoints_the_absorbed_class(self):
+        # B's class holds C; A absorbs it, so C must name A directly
+        p = {name: Var(name) for name in ("A", "B", "C")}
+        env = unify(FeatureStruct({"p": p["B"]}),
+                    FeatureStruct({"p": p["C"]}))[1]
+        env = unify(FeatureStruct({"p": p["A"]}),
+                    FeatureStruct({"p": p["B"]}), env)[1]
+        assert env._map == {"C": "A", "B": "A"}
+        assert env.root("C") == "A"
+
+    def test_a_two_hop_alias_is_caught(self):
+        with pytest.raises(AssertionError, match="C -> B -> A"):
+            assert_one_hop(Bindings._of({"C": "B", "B": "A"}))
+
+    def test_a_failed_unification_leaves_the_environment(self):
+        # p narrows A, a write to a copy, before q fails
+        a = FeatureStruct({"p": Var("A"), "q": frozenset("x")})
+        env = Bindings().bind("A", frozenset("12"))
+        before = dict(env._map)
+        assert unify(a, fs(p=["1"], q=["y"]), env) is None
+        assert env._map == before

@@ -789,6 +789,17 @@ class TestSpecValidation:
             SemSpec(args=(NPSpec("PERSON"),), tma=TMA(pas=True))
         assert SemSpec(args=(NPSpec("PERSON"),), tma=TMA()).pred is None
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"args": ("PERSON",)}, "args must be NPSpecs"),
+        ({"pred": "DANCE", "tma": {"pas": True}}, "tma must be a TMA"),
+        ({"args": (NPSpec("PERSON"),), "lan": "HT"}, "lan must be a set"),
+    ], ids=["args", "tma", "lan"])
+    def test_field_types_are_checked(self, fields, message):
+        # they failed in generate with an AttributeError, and a string
+        # lan was split into its letters
+        with pytest.raises(InvalidSpec, match=message):
+            SemSpec(**fields)
+
     def test_dem_normalizes_spe(self):
         assert NPSpec("PERSON", dem=True).spe is True
 
