@@ -16,6 +16,10 @@ unspecified.  Comments run from ``;`` to end of line.  Creole
 orthography uses precomposed characters, and surface tokens compare
 byte-exactly, so a quoted string that is not NFC is a syntax error.
 
+Loading reads the tokens that one regular expression finds in the text
+by one recursive descent.  It knows a token by its index: line and
+column are counted, by scanning again, only when a syntax error is raised.
+
 Serialization is canonical: domains, then trees sorted by name, then
 the lexicon sorted by id, then the fusion rules longest pattern first;
 attribute lists alphabetical; value sets in domain declaration order.
@@ -24,10 +28,10 @@ Loading what serialize produced yields a structurally equal grammar.
 
 from __future__ import annotations
 
+import itertools
 import re
 import unicodedata
 import weakref
-from typing import NamedTuple
 
 from .errors import GrammarSyntaxError, ValidationError
 from .featstruct import EMPTY, AttributeDomain, FeatureStruct, Var
@@ -40,282 +44,275 @@ _KIND_WORDS = {"internal": INTERNAL, "anchor": ANCHOR,
                "subst": SUBST, "foot": FOOT}
 _CLASS_WORDS = {"initial": INITIAL, "aux": AUXILIARY}
 _PARSED = weakref.WeakValueDictionary()  # equal parsed values: one object
-# a string ends on its line; a backslash takes the next character as it is
-_STRING = re.compile(r'"([^"\\\n]*(?:\\.[^"\\\n]*)*)"')
-_WORD = re.compile(r'[^ \t\r\n();"]+')
+# blanks and comments, then a token: a parenthesis, a word, a string (it
+# ends on its line; a backslash takes the next character as it is), a
+# quote that opens none, or "" at the end, once or twice
+_TOKEN = re.compile(r'[ \t\r\n]*(?:;[^\n]*[ \t\r\n]*)*'
+                    r'([()]|[^ \t\r\n();"]+|"[^"\\\n]*(?:\\.[^"\\\n]*)*"|"|\Z)')
 _ESCAPE = re.compile(r"\\(.)")
 
 
-class Atom(NamedTuple):
-    text: str
-    line: int
-    col: int
-    quoted: bool = False
+class _Fault(Exception):
+    """A syntax error at a token index: (message, index)."""
 
 
-class SList(NamedTuple):
-    items: tuple
-    line: int
-    col: int
+def _string(tok, at):
+    """The text of the string token `tok` at index `at`."""
+    if tok == '"':
+        raise _Fault("unterminated string", at)
+    body = tok[1:-1]
+    if "\\" in body:
+        body = _ESCAPE.sub(r"\1", body)
+    if not unicodedata.is_normalized("NFC", body):
+        raise _Fault("string is not NFC-normalized", at)
+    return body
 
 
-def parse_forms(text):
-    """Parse source text into a list of SList/Atom forms, in one scan.
-    A form's column counts characters from the start of its line."""
-    forms = items = []
-    stack = []  # per open list: (enclosing items, line, column)
-    line, line_start = 1, 0
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        col = i - line_start + 1
+def _atom(toks, i, start, what):
+    """The text of toks[i], an atom of the list that opens at toks[start]."""
+    tok = toks[i]
+    if tok == "(":
+        raise _Fault("expected %s" % what, i)
+    if tok == ")" or not tok:
+        raise _Fault("expected %s" % what, start)
+    return _string(tok, i) if tok[0] == '"' else tok
+
+
+def _head(toks, i):
+    """The keyword of the list at toks[i]."""
+    if toks[i] != "(" or toks[i + 1] == ")":
+        raise _Fault("expected a non-empty list", i)
+    return _atom(toks, i + 1, i, "a keyword")
+
+
+def _close(toks, i):
+    """The index past the ")" that closes the items from toks[i] on."""
+    depth = 0
+    while (tok := toks[i]) != ")" or depth:
+        if tok == "(":
+            depth += 1
+        elif tok == ")":
+            depth -= 1
+        elif not tok:
+            raise _Fault("unbalanced '('", i)
+        elif tok[0] == '"':
+            _string(tok, i)
         i += 1
-        if ch == "\n":
-            line, line_start = line + 1, i
-        elif ch == ";":
-            i = text.find("\n", i)
-            if i < 0:
-                break
-        elif ch == "(":
-            stack.append((items, line, col))
-            items = []
-        elif ch == ")":
-            if not stack:
-                raise GrammarSyntaxError("unbalanced ')'", line, col)
-            outer, l0, c0 = stack.pop()
-            outer.append(SList(tuple(items), l0, c0))
-            items = outer
-        elif ch not in " \t\r":
-            if ch == '"':
-                match = _STRING.match(text, i - 1)
-                if match is None:
-                    raise GrammarSyntaxError("unterminated string", line, col)
-                body = match.group(1)
-                if "\\" in body:
-                    body = _ESCAPE.sub(r"\1", body)
-                if not unicodedata.is_normalized("NFC", body):
-                    raise GrammarSyntaxError("string is not NFC-normalized",
-                                             line, col)
-                atom = Atom(body, line, col, True)
-            else:
-                match = _WORD.match(text, i - 1)
-                atom = Atom(match.group(), line, col)
-            if not stack:
-                raise GrammarSyntaxError("top-level atom %r" % atom.text,
-                                         line, col)
-            items.append(atom)
-            i = match.end()
-    if stack:
-        raise GrammarSyntaxError("unbalanced '('", stack[-1][1], stack[-1][2])
-    return forms
+    return i + 1
 
 
-def _want_atom(form, what):
-    if not isinstance(form, Atom):
-        raise GrammarSyntaxError("expected %s" % what, form.line, form.col)
-    return form
+def _first_fault(toks):
+    """The first fault that no form need be read to see: a ")" that closes
+    nothing, a bad string or an atom outside every list, else the
+    innermost "(" left open; None if there is none."""
+    opens = []
+    for i, tok in enumerate(toks):
+        if tok == "(":
+            opens.append(i)
+        elif tok == ")":
+            if not opens:
+                return "unbalanced ')'", i
+            opens.pop()
+        elif tok:
+            try:
+                text = _string(tok, i) if tok[0] == '"' else tok
+            except _Fault as fault:
+                return fault.args
+            if not opens:
+                return "top-level atom %r" % text, i
+    return ("unbalanced '('", opens[-1]) if opens else None
 
 
-def _nth_atom(form, index, what):
-    """The atom at `form.items[index]`; a missing one is a syntax error
-    at the form."""
-    if index >= len(form.items):
-        raise GrammarSyntaxError("expected %s" % what, form.line, form.col)
-    return _want_atom(form.items[index], what)
-
-
-def _head(form):
-    if not isinstance(form, SList) or not form.items:
-        raise GrammarSyntaxError("expected a non-empty list",
-                                 form.line, form.col)
-    return _want_atom(form.items[0], "a keyword").text
-
-
-def _parse_feature_clauses(forms, where):
+def _features(toks, i, where):
+    """The structure of the clauses from toks[i] on, and the index past."""
     bindings = {}
-    for clause in forms:
-        if not isinstance(clause, SList) or not clause.items:
-            raise GrammarSyntaxError("expected (attr value...) in %s" % where,
-                                     clause.line, clause.col)
-        attr = _want_atom(clause.items[0], "attribute name").text
-        values = clause.items[1:]
+    while (tok := toks[i]) != ")":
+        if tok != "(" or toks[i + 1] == ")":
+            raise _Fault("expected (attr value...) in %s" % where, i)
+        start = i
+        attr = _atom(toks, i + 1, i, "attribute name")
+        i += 2
+        values = []
+        while toks[i] != ")":
+            value = _atom(toks, i, start, "value symbol")
+            if value[:1] == "$" and (values or toks[i + 1] != ")"):
+                raise _Fault("variable %s mixed with plain values" % value, i)
+            values.append(value)
+            i += 1
+        i += 1
         if not values:
-            raise GrammarSyntaxError("attribute %r bound to the empty set" % attr,
-                                     clause.line, clause.col)
-        if len(values) == 1 and isinstance(values[0], Atom) \
-                and values[0].text.startswith("$"):
-            bindings[attr] = Var(values[0].text[1:])
+            raise _Fault("attribute %r bound to the empty set" % attr, start)
+        if values[0][:1] == "$":
+            bindings[attr] = Var(values[0][1:])
             continue
-        subset = []
-        for value in values:
-            atom = _want_atom(value, "value symbol")
-            if atom.text.startswith("$"):
-                raise GrammarSyntaxError(
-                    "variable %s mixed with plain values" % atom.text,
-                    atom.line, atom.col)
-            subset.append(atom.text)
-        if len(set(subset)) != len(subset):
-            raise GrammarSyntaxError("attribute %r repeats a value" % attr,
-                                     clause.line, clause.col)
-        cell = frozenset(subset)  # not its own key: the table holds it weakly
-        bindings[attr] = _PARSED.setdefault(tuple(sorted(cell)), cell)
-    return _PARSED.setdefault((fs := FeatureStruct(bindings)).items(), fs)
+        if len(set(values)) != len(values):
+            raise _Fault("attribute %r repeats a value" % attr, start)
+        # a value is not its own key: the table holds it weakly
+        bindings[attr] = _PARSED.setdefault(tuple(sorted(values)),
+                                            frozenset(values))
+    items = tuple(sorted(bindings.items()))
+    return _PARSED.setdefault(items, FeatureStruct._of(items)), i + 1
 
 
-def _parse_node(form):
-    if _head(form) != "node":
-        raise GrammarSyntaxError("expected (node ...)", form.line, form.col)
-    label = _nth_atom(form, 1, "node label").text
-    kind = INTERNAL
-    top = bottom = EMPTY
-    children = []
-    for clause in form.items[2:]:
-        word = _head(clause)
+def _keyword(toks, i, words, what):
+    """The `words` entry the clause at toks[i] names, and the index past."""
+    word = _atom(toks, i + 2, i, what)
+    if word not in words:
+        raise _Fault("unknown %s %r" % (what, word), i)
+    return words[word], _close(toks, i + 3)
+
+
+def _node(toks, i):
+    """The node whose list opens at toks[i], and the index past it."""
+    if _head(toks, i) != "node":
+        raise _Fault("expected (node ...)", i)
+    label = _atom(toks, i + 2, i, "node label")
+    kind, top, bottom, children = INTERNAL, EMPTY, EMPTY, ()
+    i += 3
+    while toks[i] != ")":
+        word = _head(toks, i)
         if word == "kind":
-            kw = _nth_atom(clause, 1, "node kind").text
-            if kw not in _KIND_WORDS:
-                raise GrammarSyntaxError("unknown node kind %r" % kw,
-                                         clause.line, clause.col)
-            kind = _KIND_WORDS[kw]
+            kind, i = _keyword(toks, i, _KIND_WORDS, "node kind")
         elif word == "top":
-            top = _parse_feature_clauses(clause.items[1:], "top")
+            top, i = _features(toks, i + 2, "top")
         elif word == "bottom":
-            bottom = _parse_feature_clauses(clause.items[1:], "bottom")
+            bottom, i = _features(toks, i + 2, "bottom")
         elif word == "children":
-            children = [_parse_node(child) for child in clause.items[1:]]
+            nodes, i = [], i + 2
+            while toks[i] != ")":
+                child, i = _node(toks, i)
+                nodes.append(child)
+            children, i = tuple(nodes), i + 1
         else:
-            raise GrammarSyntaxError("unknown node clause %r" % word,
-                                     clause.line, clause.col)
-    return Node(label, kind, top, bottom, tuple(children))
+            raise _Fault("unknown node clause %r" % word, i)
+    return Node(label, kind, top, bottom, children), i + 1
 
 
-def _parse_tree(form):
-    name = _nth_atom(form, 1, "tree name").text
-    klass = None
-    root = None
-    for clause in form.items[2:]:
-        word = _head(clause)
+def _tree(toks, i):
+    start = i
+    name = _atom(toks, i + 2, i, "tree name")
+    klass = root = None
+    i += 3
+    while toks[i] != ")":
+        word = _head(toks, i)
         if word == "class":
-            kw = _nth_atom(clause, 1, "tree class").text
-            if kw not in _CLASS_WORDS:
-                raise GrammarSyntaxError("unknown tree class %r" % kw,
-                                         clause.line, clause.col)
-            klass = _CLASS_WORDS[kw]
+            klass, i = _keyword(toks, i, _CLASS_WORDS, "tree class")
         elif word == "node":
-            root = _parse_node(clause)
+            root, i = _node(toks, i)
         else:
-            raise GrammarSyntaxError("unknown tree clause %r" % word,
-                                     clause.line, clause.col)
+            raise _Fault("unknown tree clause %r" % word, i)
     if klass is None or root is None:
-        raise GrammarSyntaxError("tree %r lacks a class or a root" % name,
-                                 form.line, form.col)
+        raise _Fault("tree %r lacks a class or a root" % name, start)
     try:
-        return ElementaryTree(name=name, klass=klass, root=root)
+        return ElementaryTree(name, klass, root), i + 1
     except ValueError as exc:
-        raise GrammarSyntaxError(str(exc), form.line, form.col) from None
+        raise _Fault(str(exc), start) from None
 
 
-def _parse_lexeme(form):
-    lid = _nth_atom(form, 1, "lexeme id").text
+def _lexeme(toks, i):
+    start = i
+    lid = _atom(toks, i + 2, i, "lexeme id")
     category = None
     variants = []
-    for clause in form.items[2:]:
-        word = _head(clause)
+    i += 3
+    while toks[i] != ")":
+        word = _head(toks, i)
         if word == "cat":
-            category = _nth_atom(clause, 1, "category").text
+            category = _atom(toks, i + 2, i, "category")
+            i = _close(toks, i + 3)
         elif word == "variant":
-            surface_atom = _nth_atom(clause, 1, "a quoted variant surface")
-            if not surface_atom.quoted:
-                raise GrammarSyntaxError("variant surface must be quoted",
-                                         clause.line, clause.col)
-            features = _parse_feature_clauses(clause.items[2:], "variant")
-            variants.append(Variant(surface=surface_atom.text, features=features))
+            surface = _atom(toks, i + 2, i, "a quoted variant surface")
+            if toks[i + 2][0] != '"':
+                raise _Fault("variant surface must be quoted", i)
+            features, i = _features(toks, i + 3, "variant")
+            variants.append(Variant(surface, features))
         else:
-            raise GrammarSyntaxError("unknown lexeme clause %r" % word,
-                                     clause.line, clause.col)
+            raise _Fault("unknown lexeme clause %r" % word, i)
     if category is None:
-        raise GrammarSyntaxError("lexeme %r lacks a category" % lid,
-                                 form.line, form.col)
-    return Lexeme(id=lid, category=category, variants=tuple(variants))
+        raise _Fault("lexeme %r lacks a category" % lid, start)
+    return Lexeme(lid, category, tuple(variants)), i + 1
 
 
-def _parse_fusion(form):
-    items = list(form.items[1:])
+def _fusion_tokens(toks, i, start, what):
+    """The tokens of the pattern or replacement at toks[i]."""
+    if toks[i] != "(":
+        if toks[i][0] != '"':
+            raise _Fault("expected %s tokens" % what, start)
+        return (_string(toks[i], i),)
+    out = []
+    for j in range(i + 1, _close(toks, i + 1) - 1):
+        out.append(_atom(toks, j, i, what))
+        if toks[j][0] != '"':
+            raise _Fault("%s tokens must be quoted" % what, j)
+    if not out:
+        raise _Fault("empty %s" % what, i)
+    return tuple(out)
+
+
+def _fusion(toks, i):
+    parts, j, end = [], i + 2, _close(toks, i + 2)  # parts: item indices
+    while j < end - 1:
+        parts.append(j)
+        j = _close(toks, j + 1) if toks[j] == "(" else j + 1
     lan = None
-    if items and isinstance(items[0], SList) and items[0].items \
-            and isinstance(items[0].items[0], Atom) \
-            and items[0].items[0].text == "lan" \
-            and not items[0].items[0].quoted:
-        lan = frozenset(_want_atom(a, "language code").text
-                        for a in items[0].items[1:])
+    if parts and toks[parts[0]] == "(" and toks[parts[0] + 1] == "lan":
+        guard = parts.pop(0)
+        lan = frozenset(_atom(toks, k, guard, "language code")
+                        for k in range(guard + 2, _close(toks, guard + 2) - 1))
         if not lan:
-            raise GrammarSyntaxError("fusion rule with empty language guard",
-                                     items[0].line, items[0].col)
-        items = items[1:]
-    if len(items) != 2:
-        raise GrammarSyntaxError("fusion rule needs a pattern and a replacement",
-                                 form.line, form.col)
+            raise _Fault("fusion rule with empty language guard", guard)
+    if len(parts) != 2:
+        raise _Fault("fusion rule needs a pattern and a replacement", i)
+    return FusionRule(_fusion_tokens(toks, parts[0], i, "pattern"),
+                      _fusion_tokens(toks, parts[1], i, "replacement"),
+                      lan), end
 
-    def tokens_of(part, what):
-        if isinstance(part, Atom) and part.quoted:
-            return (part.text,)
-        if isinstance(part, SList):
-            toks = []
-            for a in part.items:
-                atom = _want_atom(a, what)
-                if not atom.quoted:
-                    raise GrammarSyntaxError("%s tokens must be quoted" % what,
-                                             atom.line, atom.col)
-                toks.append(atom.text)
-            if not toks:
-                raise GrammarSyntaxError("empty %s" % what, part.line, part.col)
-            return tuple(toks)
-        raise GrammarSyntaxError("expected %s tokens" % what,
-                                 form.line, form.col)
 
-    pattern = tokens_of(items[0], "pattern")
-    replacement = tokens_of(items[1], "replacement")
-    return FusionRule(pattern=pattern, replacement=replacement, lan=lan)
+def _domain(toks, i):
+    name = _atom(toks, i + 2, i, "domain name")
+    if toks[i + 3] != "(" or toks[end := _close(toks, i + 4)] != ")":
+        raise _Fault("domain %r needs one value list" % name, i)
+    values = tuple(_atom(toks, k, i + 3, "domain value")
+                   for k in range(i + 4, end - 1))
+    try:
+        return AttributeDomain(name, values), end + 1
+    except ValueError as exc:
+        raise _Fault(str(exc), i) from None
+
+
+def _metadata(toks, i):
+    name = _atom(toks, i + 2, i, "grammar name")
+    version = "1"
+    i += 3
+    while toks[i] != ")":
+        if _head(toks, i) == "version":
+            version = _atom(toks, i + 2, i, "version")
+        i = _close(toks, i + 2)
+    return Metadata(name, version), i + 1
+
+
+_READERS = {"grammar": _metadata, "domain": _domain, "tree": _tree,
+            "lex": _lexeme, "fuse": _fusion}
 
 
 def load_grammar(text: str) -> Grammar:
     """Parse, link and validate a grammar; raises on any defect."""
-    domains = []
-    trees = []
-    lexicon = []
-    fusion = []
-    metadata = None
-    for form in parse_forms(text):
-        word = _head(form)
-        if word == "grammar":
-            name = _nth_atom(form, 1, "grammar name").text
-            version = "1"
-            for clause in form.items[2:]:
-                if _head(clause) == "version":
-                    version = _nth_atom(clause, 1, "version").text
-            metadata = Metadata(name=name, version=version)
-        elif word == "domain":
-            name = _nth_atom(form, 1, "domain name").text
-            if len(form.items) != 3 or not isinstance(form.items[2], SList):
-                raise GrammarSyntaxError("domain %r needs one value list" % name,
-                                         form.line, form.col)
-            values = tuple(_want_atom(a, "domain value").text
-                           for a in form.items[2].items)
-            try:
-                domains.append(AttributeDomain(name=name, values=values))
-            except ValueError as exc:
-                raise GrammarSyntaxError(str(exc), form.line, form.col) from None
-        elif word == "tree":
-            trees.append(_parse_tree(form))
-        elif word == "lex":
-            lexicon.append(_parse_lexeme(form))
-        elif word == "fuse":
-            fusion.append(_parse_fusion(form))
-        else:
-            raise GrammarSyntaxError("unknown top-level form %r" % word,
-                                     form.line, form.col)
-    grammar = Grammar(domains=domains, trees=trees, lexicon=lexicon,
-                      fusion_rules=fusion, metadata=metadata)
+    toks = _TOKEN.findall(text)
+    forms = {word: [] for word in _READERS}
+    i = 0
+    try:
+        while toks[i]:
+            if (word := _head(toks, i)) not in _READERS:
+                raise _Fault("unknown top-level form %r" % word, i)
+            form, i = _READERS[word](toks, i)
+            forms[word].append(form)
+    except _Fault as fault:
+        message, at = _first_fault(toks) or fault.args
+        start = next(itertools.islice(_TOKEN.finditer(text), at, None)).start(1)
+        raise GrammarSyntaxError(message, text.count("\n", 0, start) + 1,
+                                 start - text.rfind("\n", 0, start)) from None
+    grammar = Grammar(forms["domain"], forms["tree"], forms["lex"],
+                      forms["fuse"], (forms["grammar"] or [None])[-1])
     findings = validate(grammar)
     if findings:
         raise ValidationError(findings)

@@ -135,54 +135,56 @@ def validate(grammar: Grammar) -> list[str]:
     """Static well-formedness check; returns findings (empty = valid)."""
     findings = []
 
-    seen = set()
-    for tree in grammar.trees:
-        if tree.name in seen:
-            findings.append("duplicate tree name %r" % tree.name)
-        seen.add(tree.name)
-    seen = set()
-    for lexeme in grammar.lexicon:
-        if lexeme.id in seen:
-            findings.append("duplicate lexeme id %r" % lexeme.id)
-        seen.add(lexeme.id)
+    for what, keys in (("tree name", [t.name for t in grammar.trees]),
+                       ("lexeme id", [l.id for l in grammar.lexicon])):
+        seen = set()
+        for key in keys:
+            if key in seen:
+                findings.append("duplicate %s %r" % (what, key))
+            seen.add(key)
 
+    initial_roots = {t.root.label for t in grammar.initial_trees()}
+    lexeme_categories = {l.category for l in grammar.lexicon}
+    sites = []  # findings on substitution sites and anchors: reported later
     for tree in grammar.trees:
-        feet = [(a, n) for a, n in tree.nodes() if n.kind == FOOT]
-        anchors = [(a, n) for a, n in tree.nodes() if n.kind == ANCHOR]
+        feet, anchors, checks = [], 0, []
+        for address, node in tree.nodes():
+            if node.kind == FOOT:
+                feet.append(node)
+            elif node.kind == SUBST and node.label not in initial_roots:
+                sites.append("no initial tree derives substitution site %r "
+                             "in tree %r" % (node.label, tree.name))
+            elif node.kind == ANCHOR:
+                anchors += 1
+                if node.label not in lexeme_categories:
+                    sites.append("no lexeme of category %r fills the anchor "
+                                 "of tree %r" % (node.label, tree.name))
+            for fs in (node.top, node.bottom):
+                for problem in _check_fs(grammar, fs):
+                    checks.append("tree %r node %s %s" % (
+                        tree.name, address or ("root",), problem))
         if tree.klass == INITIAL and feet:
             findings.append("initial tree %r has a foot node" % tree.name)
         if tree.klass == AUXILIARY:
             if len(feet) != 1:
                 findings.append("auxiliary tree %r has %d foot nodes"
                                 % (tree.name, len(feet)))
-            elif feet[0][1].label != tree.root.label:
+            elif feet[0].label != tree.root.label:
                 findings.append("foot/root mismatch in tree %r (%s vs %s)"
-                                % (tree.name, feet[0][1].label, tree.root.label))
-        if len(anchors) > 1:
+                                % (tree.name, feet[0].label, tree.root.label))
+        if anchors > 1:
             findings.append("tree %r has more than one anchor" % tree.name)
-        for address, node in tree.nodes():
-            for fs in (node.top, node.bottom):
-                findings.extend(_check_fs(grammar, fs,
-                                          "tree %r node %s" % (tree.name, address or ("root",))))
+        findings.extend(checks)
 
     for lexeme in grammar.lexicon:
         for i, variant in enumerate(lexeme.variants):
             where = "lexeme %s variant %d (%r)" % (lexeme.id, i, variant.surface)
-            findings.extend(_check_fs(grammar, variant.features, where))
+            for problem in _check_fs(grammar, variant.features):
+                findings.append("%s %s" % (where, problem))
             if grammar.dialects and not isinstance(
                     variant.features.get("lan"), frozenset):
                 findings.append("%s does not bind lan" % where)
-
-    initial_roots = {t.root.label for t in grammar.initial_trees()}
-    lexeme_categories = {l.category for l in grammar.lexicon}
-    for tree in grammar.trees:
-        for address, node in tree.nodes():
-            if node.kind == SUBST and node.label not in initial_roots:
-                findings.append("no initial tree derives substitution site %r in tree %r"
-                                % (node.label, tree.name))
-            if node.kind == ANCHOR and node.label not in lexeme_categories:
-                findings.append("no lexeme of category %r fills the anchor of tree %r"
-                                % (node.label, tree.name))
+    findings.extend(sites)
 
     for rule in grammar.fusion_rules:
         if rule.lan is not None and not rule.lan.issubset(grammar.dialects):
@@ -194,16 +196,14 @@ def validate(grammar: Grammar) -> list[str]:
     return findings
 
 
-def _check_fs(grammar: Grammar, fs: FeatureStruct, where: str) -> list[str]:
+def _check_fs(grammar: Grammar, fs: FeatureStruct) -> list[str]:
+    """What is wrong with fs, each finding to follow the place of fs."""
     findings = []
     for attr, cell in fs.items():
         if attr not in grammar.schema:
-            findings.append("%s uses undeclared attribute %r" % (where, attr))
-            continue
-        if isinstance(cell, Var):
-            continue
-        extra = cell - grammar.schema.full(attr)
-        if extra:
-            findings.append("%s binds %r to values outside its domain: %s"
-                            % (where, attr, ",".join(sorted(extra))))
+            findings.append("uses undeclared attribute %r" % attr)
+        elif not isinstance(cell, Var) and not cell.issubset(
+                values := grammar.schema.domain(attr).values):
+            findings.append("binds %r to values outside its domain: %s"
+                            % (attr, ",".join(sorted(cell.difference(values)))))
     return findings

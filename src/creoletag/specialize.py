@@ -18,6 +18,7 @@ from .errors import EmptyGrammar, InvalidSpec, NoRealization
 from .featstruct import erase_attribute, unify
 from .generate import generate
 from .grammar import Grammar, Metadata
+from .trees import ElementaryTree, Node
 
 
 @dataclass
@@ -38,9 +39,10 @@ def _project(grammar: Grammar, keep: frozenset, suffix: str,
         return not isinstance(lan, frozenset) or bool(lan & keep)
 
     def erased(node):
-        return dc_replace(node, top=erase_attribute(node.top, "lan"),
-                          bottom=erase_attribute(node.bottom, "lan"),
-                          children=tuple(map(erased, node.children)))
+        return Node(node.label, node.kind, erase_attribute(node.top, "lan"),
+                    erase_attribute(node.bottom, "lan"),
+                    tuple(map(erased, node.children)), node.surface,
+                    node.lexeme, node.variant, node.was_foot)
 
     lexicon = []
     anchors = {}  # category -> the features of its kept variants
@@ -71,7 +73,7 @@ def _project(grammar: Grammar, keep: frozenset, suffix: str,
     for tree in grammar.trees:
         if all(admits(node.top.get("lan")) and admits(node.bottom.get("lan"))
                for _, node in tree.nodes()):
-            tree = dc_replace(tree, root=erased(tree.root))
+            tree = ElementaryTree(tree.name, tree.klass, erased(tree.root))
             if anchorable(tree):
                 trees.append(tree)
                 continue

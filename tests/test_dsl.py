@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from creoletag.creole import golden_path, grammar_text
-from creoletag.dsl import Atom, SList, load_grammar, parse_forms, serialize
+from creoletag.dsl import load_grammar, serialize
 from creoletag.errors import GrammarSyntaxError, ValidationError
 from creoletag.grammar import FusionRule, Grammar, validate
 from creoletag.trees import ANCHOR, INITIAL, ElementaryTree, Node
@@ -77,8 +77,10 @@ class TestRoundTrip:
 
 class TestSyntaxErrors:
     def test_unbalanced_paren(self):
-        with pytest.raises(GrammarSyntaxError):
-            parse_forms("(domain lan (HT")
+        with pytest.raises(GrammarSyntaxError,
+                           match="unbalanced '\\('") as err:
+            load_grammar("(domain lan (HT")
+        assert (err.value.line, err.value.column) == (1, 13)
 
     def test_position_reported(self):
         try:
@@ -186,8 +188,9 @@ class TestSyntaxErrors:
             "line %d, column %d: %s" % (line, column, message), line, column)
 
     def test_escaped_characters_are_taken_as_they_are(self):
-        assert parse_forms('(v "\\"q\\\\n")') == [SList(
-            (Atom("v", 1, 2), Atom('"q\\n', 1, 4, True)), 1, 1)]
+        grammar = load_grammar('(tree t (class initial) (node N (kind anchor)))'
+                               '\n(lex X (cat N) (variant "\\"q\\\\n"))')
+        assert grammar.lexeme("X").variants[0].surface == '"q\\n'
 
     def test_unquoted_surface_rejected(self):
         with pytest.raises(GrammarSyntaxError):
@@ -361,3 +364,24 @@ class TestMutatedGrammar:
         reloaded = load_grammar(once)
         assert reloaded == grammar
         assert serialize(reloaded) == once
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(at=st.integers(0, len(SHIPPED_TEXT) - 1),
+           edit=st.sampled_from(["truncate", "delete", "(", ")", '"', ";",
+                                 "\n"]))
+    def test_one_edit_fails_only_as_bad_input(self, at, edit):
+        """The descent indexes a token list: a text cut short, missing a
+        character or with one more delimiter loads or raises a syntax
+        error or findings, never IndexError, KeyError, RecursionError or
+        TypeError, and a syntax error names a place inside the text."""
+        text = SHIPPED_TEXT[:at] if edit == "truncate" else \
+            SHIPPED_TEXT[:at] + SHIPPED_TEXT[at + 1:] if edit == "delete" \
+            else SHIPPED_TEXT[:at] + edit + SHIPPED_TEXT[at:]
+        try:
+            load_grammar(text)
+        except ValidationError:
+            pass
+        except GrammarSyntaxError as exc:
+            lines = text.split("\n")
+            assert 1 <= exc.line <= len(lines)
+            assert 1 <= exc.column <= len(lines[exc.line - 1])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from creoletag import specialize as specialize_module
-from creoletag.dsl import Atom, parse_forms, serialize
+from creoletag.dsl import _TOKEN, serialize
 from creoletag.errors import InvalidSpec
 from creoletag.generate import (NPSpec, SemSpec, TMA, generate, table_np,
                                 table_tma)
@@ -20,17 +20,9 @@ from dialect_claim import (SPACE, generated, goal_of, perturbed,
 DIALECTS = ("HT", "GP", "MQ", "GF")
 
 
-def atoms_of(forms):
-    for form in forms:
-        if isinstance(form, Atom):
-            yield form
-        else:
-            yield from atoms_of(form.items)
-
-
 def unquoted_atoms(text):
-    return [tok.text for tok in atoms_of(parse_forms(text))
-            if not tok.quoted]
+    return [tok for tok in _TOKEN.findall(text)
+            if tok and tok[0] not in '()"']
 
 
 class TestSpecialize:
