@@ -8,7 +8,8 @@
 
 All output is UTF-8 and deterministic: identical inputs produce
 byte-identical output.  Exit codes: 0 success, 1 no result / mismatch,
-2 validation findings, 3 bad input (a usage error among them).
+2 validation findings, 3 bad input (a usage error among them), 4 input
+nested deeper than the recursion limit lets this build follow.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ EXIT_OK = 0
 EXIT_NO_RESULT = 1
 EXIT_FINDINGS = 2
 EXIT_BAD_INPUT = 3
+EXIT_TOO_DEEP = 4
 
 
 class _FileError(Exception):
@@ -232,6 +234,10 @@ def main(argv=None):
     except CreoleTagError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_NO_RESULT
+    except RecursionError:
+        print("the input nests deeper than this build follows",
+              file=sys.stderr)
+        return EXIT_TOO_DEEP
 
 
 if __name__ == "__main__":

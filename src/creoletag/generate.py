@@ -8,12 +8,12 @@ in as a particle wherever the grammar lets it.  A sentence is no
 exception: the grammar's S tree carries its parts' features.  Only the
 request's top tree is searched under its goal; the engine fills its
 sites with parts derived once per grammar and content.  A paradigm
-table reads each row from the grammar's part table for its category
-and content, found under the empty goal, which reads neither lan nor
-the TMA bundle, and fills each dialect's cell from it as a request
-fills its answer from its own search: :func:`realizations_from_finals`
-keeps the derivations whose collapsed features unify with the goal,
-applies the fusion rules and groups the survivors.
+table fills each row in one pass over the grammar's part table for its
+category and content, found under the empty goal: each part is
+pretested once, on its root's code, against the row's goal without
+lan, each dialect's cell keeps the survivors whose root code admits
+that dialect, and :func:`realizations_from_finals` fuses, merges and
+groups a cell as it does a request's own search results.
 
 A request is one goal in every dialect.  How each dialect marks a
 bundle is the grammar's business: the conditional, for one, is the
@@ -167,12 +167,14 @@ def apply_fusion(tokens, lan_set, rules):
     """One left-to-right pass, longest pattern first, once per position.
 
     `rules` come in that order, as :class:`Grammar` keeps them.  Only
-    rules whose language guard covers the whole `lan_set` fire.
-    Generation and recognition fuse by this one rule, so every fused
-    string a derivation yields can be recognized again.
+    rules whose language guard covers the whole `lan_set` fire, and
+    `tokens` come back unchanged when no such rule's first pattern token
+    occurs in them.  Generation and recognition fuse by this one rule,
+    so every fused string a derivation yields can be recognized again.
     """
-    merged = fuse_with_sources([(t, None) for t in tokens], lan_set, rules)
-    return [token for token, _ in merged]
+    entries = [(t, None) for t in tokens]
+    merged = fuse_with_sources(entries, lan_set, rules)
+    return tokens if merged is entries else [token for token, _ in merged]
 
 
 def fuse_with_sources(entries, lan_set, rules):
@@ -182,8 +184,11 @@ def fuse_with_sources(entries, lan_set, rules):
     its payloads and every replacement token carries the combined tuple,
     which is how per-token provenance survives fusion.
     """
-    lan_set = frozenset(lan_set)
-    applicable = [r for r in rules if r.lan is None or lan_set <= r.lan]
+    lan_set, tokens = frozenset(lan_set), {t for t, _ in entries}
+    applicable = [r for r in rules if r.pattern[0] in tokens
+                  and (r.lan is None or lan_set <= r.lan)]
+    if not applicable:
+        return entries
     out = []
     i = 0
     while i < len(entries):
@@ -294,21 +299,16 @@ def realizations_from_finals(grammar, finals, goal):
     results, or the part table entries a variable-free goal's code admits.
     """
     dialects = frozenset(grammar.dialects)
-    goal_lan = goal.get("lan", dialects)
-    hits = []
+    goal_lan, rules = goal.get("lan", dialects), grammar.fusion_rules
+    merged = {}
     for final, trace in finals:
         lan = final.features.get("lan", dialects) & goal_lan
-        tokens = tuple(apply_fusion(list(final.frontier), lan,
-                                    grammar.fusion_rules))
-        hits.append((tokens, lan, final.features, trace))
-
-    merged = {}
-    for tokens, lan, features, trace in hits:
+        tokens = tuple(apply_fusion(final.frontier, lan, rules))
         if tokens in merged:
             old_lan, old_features, old_trace = merged[tokens]
             merged[tokens] = (old_lan | lan, old_features, old_trace)
         else:
-            merged[tokens] = (lan, features, trace)
+            merged[tokens] = (lan, final.features, trace)
 
     realizations = []
     for tokens, (lan, features, trace) in merged.items():
@@ -318,6 +318,8 @@ def realizations_from_finals(grammar, finals, goal):
                 for attr, cell in features.items()))
         realizations.append(Realization(tokens=tokens, lan_set=lan,
                                         trace=trace, features=features))
+    if len(realizations) < 2:
+        return realizations
 
     realizations.sort(key=lambda r: (-len(r.lan_set), -len(r.tokens), r.tokens))
     kept = []
@@ -386,10 +388,20 @@ TMA_ROWS = (
 )
 
 
-def _row(grammar, spec: SemSpec):
-    """(dialect, realizations) per dialect of a request, read from its
-    part table, each part pretested on its root's code: once under the
-    goal without lan, then per dialect cell on the survivors."""
+def _lans(grammar):
+    """Each dialect with the code of its cells' lan value."""
+    code = grammar.schema.code
+    return [(dialect, code(FeatureStruct(lan=(dialect,)), UNBOUND))
+            for dialect in grammar.dialects]
+
+
+def _row(grammar, spec: SemSpec, lans=None):
+    """(dialect, realizations) per dialect of a request, in one pass over
+    its part table: a part is pretested once, on its root's code, under
+    the goal without lan, and a dialect's cell keeps the survivors whose
+    root code admits its lan value (`lans`, made once per table by
+    :func:`_lans`).  After the first test the second is exact: lan is
+    the only field it can newly empty."""
     category, goal = _goal_for(grammar, spec)
     content = _content(grammar, spec)
     # None while another thread builds the table; a row holds no table
@@ -402,10 +414,9 @@ def _row(grammar, spec: SemSpec):
         item for item in goal.items() if item[0] != "lan")
     row = schema.code(FeatureStruct._of(items), UNBOUND)
     parts = [entry for entry in parts if not schema.clash(row, entry[1])]
-    for dialect in grammar.dialects:
+    for dialect, code in lans or _lans(grammar):
         cell = FeatureStruct._of(tuple(sorted(
             items + (("lan", frozenset((dialect,))),))))
-        code = schema.code(cell, UNBOUND)
         yield dialect, realizations_from_finals(grammar, [
             (final, part.history) for part, root, final in parts
             if not schema.clash(code, root)], cell)
@@ -417,10 +428,10 @@ def _table(grammar, rows):
     cell's realizations all have its dialect's set, so they fold into
     one).  A grammar without `lan` has no columns, so no table."""
     check_lan(grammar, frozenset(grammar.dialects))
-    table = []
+    lans, table = _lans(grammar), []
     for row, spec in rows:
         cells = []
-        for dialect, reals in _row(grammar, spec):
+        for dialect, reals in _row(grammar, spec, lans):
             if not reals:
                 raise MissingCell(row, dialect)
             cells.append(" / ".join(map(" ".join, (reals[0].tokens,)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import creoletag
 from creoletag.cli import main
-from creoletag.creole import golden_path, shipped_grammar
+from creoletag.creole import golden_path, grammar_text, shipped_grammar
 from creoletag.dsl import load_grammar, serialize
 from creoletag.grammar import Grammar
 
@@ -233,6 +233,61 @@ class TestRecognize:
 
     def test_bad_goal(self, capsys):
         assert main(["recognize", "--goal", "XP", "moun"]) == 3
+
+
+TOO_DEEP = "the input nests deeper than this build follows\n"
+
+
+def _nested(depth):
+    """A grammar whose one tree nests `depth` internal nodes."""
+    node = "(node N (kind anchor))"
+    for _ in range(depth):
+        node = "(node N (kind internal) (children %s))" % node
+    return ('(tree t (class initial) %s)\n(lex X (cat N) (variant "x"))\n'
+            % node)
+
+
+class TestTooDeep:
+    """An input nested deeper than the recursion limit lets the parser or
+    the recognizer follow exits 4 with one line, not a traceback.  The
+    limit is lowered to 80 frames above the test's own depth, so a
+    shallow input still passes and a deep one fails in milliseconds."""
+
+    @pytest.fixture
+    def shallow_stack(self):
+        frame, depth = sys._getframe(), 0
+        while frame:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        yield lambda: sys.setrecursionlimit(depth + 80)
+        sys.setrecursionlimit(limit)
+
+    def run(self, shallow_stack, capsys, argv):
+        """(exit status, stderr) of main(argv) under the lowered limit."""
+        import creoletag.recognize  # noqa: F401 - imported at full depth
+        shallow_stack()
+        status = main(argv)
+        return status, capsys.readouterr().err
+
+    @pytest.mark.parametrize("depth, status", [(5, 0), (300, 4)])
+    def test_check_nested_tree(self, tmp_path, shallow_stack, capsys,
+                               depth, status):
+        path = tmp_path / "nested.fstag"
+        path.write_text(_nested(depth), encoding="utf-8")
+        assert self.run(shallow_stack, capsys, ["check", str(path)]) == \
+            (status, TOO_DEEP if status else "")
+
+    @pytest.mark.parametrize("names, status", [(2, 0), (40, 4)])
+    def test_recognize_name_stack(self, tmp_path, shallow_stack, capsys,
+                                  names, status):
+        # a grammar of its own: a search cut short leaves no memo behind
+        # on the shipped one
+        path = tmp_path / "own.fstag"
+        path.write_text(grammar_text(), encoding="utf-8")
+        text = "moun" + " Sentoma Senloran" * names + " yo"
+        assert self.run(shallow_stack, capsys, [
+            "recognize", "--grammar", str(path), "--goal", "NP", text]) == \
+            (status, TOO_DEEP if status else "")
 
 
 class TestGrammarOverride:

@@ -17,12 +17,12 @@ from creoletag import generate as generate_module
 from creoletag.creole import DIALECTS, golden_path, grammar_text
 from creoletag.dsl import load_grammar
 from creoletag.errors import InvalidSpec, NoRealization, UndeclaredAttribute
-from creoletag.featstruct import FeatureStruct, Var, unify
-from creoletag.generate import (ASPECTS, NUMBERS, TMA, NPSpec, SemSpec,
-                                _content, _goal_for, _particles, _row,
-                                apply_fusion, format_table, generate,
-                                golden_corpus, semspec_from_json, table_np,
-                                table_tma)
+from creoletag.featstruct import FeatureStruct, Schema, Var, unify
+from creoletag.generate import (ASPECTS, NUMBERS, TMA, TMA_ROWS, NPSpec,
+                                SemSpec, _content, _goal_for, _particles,
+                                _row, apply_fusion, format_table,
+                                fuse_with_sources, generate, golden_corpus,
+                                semspec_from_json, table_np, table_tma)
 from creoletag.grammar import FusionRule, Grammar
 from creoletag.specialize import project_language, specialize
 from creoletag.trees import ANCHOR, Node
@@ -64,6 +64,65 @@ class TestFusion:
                             reversed_.fusion_rules) == ["ta", "vap", "danse"]
         assert apply_fusion(["te", "ap", "danse"], {"HT"},
                             reversed_.fusion_rules) == ["tè", "danse"]
+
+
+def fused_by_reference(entries, lan_set, rules):
+    """The fusion pass as it was before its fast path, kept as an
+    oracle: every rule the guard admits is tried at every position."""
+    applicable = [r for r in rules if r.lan is None or lan_set <= r.lan]
+    out, i = [], 0
+    while i < len(entries):
+        for rule in applicable:
+            window = entries[i:i + len(rule.pattern)]
+            if tuple(t for t, _ in window) == rule.pattern:
+                payloads = tuple(unit for _, p in window if p is not None
+                                 for unit in p)
+                out.extend((token, payloads or None)
+                           for token in rule.replacement)
+                i += len(window)
+                break
+        else:
+            out.append(entries[i])
+            i += 1
+    return out
+
+
+def _spellings():
+    grammar = load_grammar(grammar_text())
+    particles = sorted({variant.surface for lexeme in grammar.lexicon
+                        if lexeme.id in _particles(grammar)
+                        for variant in lexeme.variants if variant.surface})
+    return grammar.fusion_rules, particles + ["danse", "moun", "tap", "x"]
+
+
+FUSION_RULES, FUSION_TOKENS = _spellings()
+# half the tokens drawn are a rule's, so most strings have a rule to fire
+FUSION_TOKEN = st.sampled_from(sorted({
+    token for rule in FUSION_RULES for token in rule.pattern})) | \
+    st.sampled_from(FUSION_TOKENS)
+LAN_SUBSETS = [frozenset(subset) for k in range(len(DIALECTS) + 1)
+               for subset in itertools.combinations(DIALECTS, k)]
+
+
+class TestFusionFastPath:
+    """Fusion returns its input when no admitted rule's first token occurs
+    in it, and tries only rules whose first token does: the same result
+    as the full pass, payloads included, under every language set."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(FUSION_TOKEN,
+                              st.none() | st.tuples(st.integers(0, 9))),
+                    max_size=8))
+    def test_fusion_equals_the_full_pass(self, entries):
+        tokens = [token for token, _ in entries]
+        unguarded = tuple(rule._replace(lan=None) for rule in FUSION_RULES)
+        for rules in (FUSION_RULES, unguarded):
+            for lan in LAN_SUBSETS:
+                assert fuse_with_sources(entries, lan, rules) == \
+                    fused_by_reference(entries, lan, rules)
+                assert apply_fusion(tokens, lan, rules) == [
+                    token for token, _ in fused_by_reference(
+                        [(t, None) for t in tokens], lan, rules)]
 
 
 class TestRecordRepr:
@@ -465,6 +524,22 @@ class TestTableLookup:
             for label, share, *_ in keys:
                 assert {grammar.lexeme(lexeme).category
                         for lexeme in share} <= anchors[label], (label, share)
+
+
+def test_warm_table_codes_each_row_and_dialect_once(fresh_grammar,
+                                                    monkeypatch):
+    # one code per row and one per dialect; a code per cell makes 60
+    table_tma(fresh_grammar)
+    coded = [0]
+    real = Schema.code
+
+    def code(schema, fs, env):
+        coded[0] += 1
+        return real(schema, fs, env)
+
+    monkeypatch.setattr(Schema, "code", code)
+    table_tma(fresh_grammar)
+    assert coded[0] <= len(TMA_ROWS) + len(DIALECTS)
 
 
 def without_pretest(patch, grammar):
