@@ -19,11 +19,12 @@ open filler's pending sites become the host's, and :func:`finalize`
 refuses a tree with a pending site.  A spliced part's own steps enter
 the host's trace flat, re-addressed under the site.
 
-A search derives top-down, in one recursion.  It starts from instances
-of the goal's initial trees, the goal unified into the root's top
-(which an adjunction at the root keeps), fills the pending sites in
-pre-order and adjoins only into the part substituted last (the whole
-tree before the first substitution); filling the next site finishes
+A search derives top-down, depth first from an explicit stack, so a
+step adds no Python frame.  It starts from instances of the goal's
+initial trees, the goal unified into the root's top (which an
+adjunction at the root keeps), fills the pending sites in pre-order
+and adjoins only into the part substituted last (the whole tree
+before the first substitution); filling the next site finishes
 that part for good.  A derivation tree is context-free: what adjoins
 inside a part depends on its host only through the site (Schabes &
 Shieber, CL 1994).  So every derivation is still reached, and the
@@ -36,8 +37,8 @@ the pretests of the parts after it.  One reader, :func:`_final`, reads
 a complete derivation under those bindings.  So generation derives a
 part once per grammar, as chart generators do (Kay, ACL 1996): a site
 takes finished parts anchoring some of the content lexemes left that
-its label can reach (:func:`_parts`), found by this recursion under
-the empty goal when first reached, and none takes an adjunction.
+its label can reach (:func:`_parts`), found by a search of their own
+under the empty goal when first reached, and none takes an adjunction.
 Recognition, whose frontier bound reads the whole tree, fills a site
 in place.
 
@@ -177,27 +178,25 @@ def _splice_in(host: DerivedTree, part: DerivedTree):
     and the tagged copy is made once per (part, frame), kept in
     `part.frames`."""
     tag = "%d;" % len(host.history)
-
-    def tagged(fs):
-        items = tuple((item[0], Var(tag + item[1].name))
-                      if isinstance(item[1], Var) else item
-                      for item in fs.items())
-        return fs if items == fs.items() else FeatureStruct._of(items)
-
-    def node(n):
-        copy = Node(n.label, n.kind, tagged(n.top), tagged(n.bottom),
-                    tuple(node(c) for c in n.children), n.surface,
-                    n.lexeme, n.variant, n.was_foot)
-        return n if copy == n else copy
-
-    # the closures are made on a hit too: the cycles they leave pace the
-    # collector, and with it the peak memory
     if tag not in part.frames:
-        part.frames[tag] = node(part.root), {
+        part.frames[tag] = _tagged_node(part.root, tag), {
             tag + name: tag + value if isinstance(value, str) else value
             for name, value in part.env._map.items()}  # noqa: SLF001
     root, names = part.frames[tag]
     return root, Bindings._of({**host.env._map, **names})  # noqa: SLF001
+
+
+def _tagged(fs, tag):
+    items = tuple((item[0], Var(tag + item[1].name))
+                  if isinstance(item[1], Var) else item for item in fs.items())
+    return fs if items == fs.items() else FeatureStruct._of(items)
+
+
+def _tagged_node(n, tag):
+    copy = Node(n.label, n.kind, _tagged(n.top, tag), _tagged(n.bottom, tag),
+                tuple(_tagged_node(c, tag) for c in n.children), n.surface,
+                n.lexeme, n.variant, n.was_foot)
+    return n if copy == n else copy
 
 
 def _steps(op, address, part: DerivedTree) -> tuple:
@@ -580,61 +579,70 @@ def _parts(grammar, label, share, particles):
     return entries
 
 
-def _derive(grammar, goal_label, goal_fs, lexemes, targets, content):
-    """Yield each complete derivation with the bindings that collapse
-    every node of it, for :func:`_final` to read."""
-    vocabulary = None if targets is None else targets.tokens
-    lexemes = None if lexemes is None else frozenset(lexemes)  # a memo key
-    splittable = grammar.splittable
-    schema, code = grammar.schema, grammar.schema.code
-    if targets is None:  # the lexemes a part may anchor besides its share
-        particles = frozenset(lexemes if lexemes is not None else (
-            lexeme.id for lexeme in grammar.lexicon)).difference(content)
-    menus, closures = ({}, {}) if targets is not None else (
-        grammar._menus, grammar._ends)  # noqa: SLF001 - they read no input
+def _passing(passed, address, label, codes, tree):
+    """`passed` and a step of `tree` from a state: (address, label, codes,
+    tree, passed), where `codes()` makes the state's codes, called only
+    where a label and an address match."""
+    chain = passed
+    while chain is not None:
+        at, seen, seen_codes, first, chain = chain
+        if seen == label and address[:len(at)] == at and \
+                seen_codes() == codes():
+            raise DivergentGrammar(first, label)
+    return address, label, codes, tree, passed
 
-    def instances(klass, label):  # the search's menu, made on first reach
-        key = (klass, label, lexemes, vocabulary, content)
-        if key not in menus:
-            menus[key] = _menu(grammar, *key)
-        return menus[key]
 
-    def ends(label, start):  # (root bottom, tops met) of each stack on it
-        key = (label, lexemes, start)
-        if key not in closures:
-            menu = [coded for coded, _ in instances(AUXILIARY, label)]
+class _Search:
+    """One search's inputs, menus and stack closures, and its steps."""
+
+    def __init__(self, grammar, lexemes, targets, content):
+        self.grammar, self.targets, self.content = grammar, targets, content
+        self.vocabulary = None if targets is None else targets.tokens
+        self.lexemes = None if lexemes is None else frozenset(lexemes)  # a key
+        # the lexemes a part may anchor besides its share
+        self.particles = None if targets is not None else frozenset(
+            lexemes if lexemes is not None else
+            (lexeme.id for lexeme in grammar.lexicon)).difference(content)
+        self.menus, self.closures = ({}, {}) if targets is not None else (
+            grammar._menus, grammar._ends)  # noqa: SLF001 - they read no input
+
+    def instances(self, klass, label):  # the menu, made on first reach
+        key = (klass, label, self.lexemes, self.vocabulary, self.content)
+        if key not in self.menus:
+            self.menus[key] = _menu(self.grammar, *key)
+        return self.menus[key]
+
+    def ends(self, label, start):  # (root bottom, tops met) per stack on it
+        key = (label, self.lexemes, start)
+        if key not in self.closures:
+            clash = self.grammar.schema.clash
+            menu = [coded for coded, _ in self.instances(AUXILIARY, label)]
             reach = [(start, -1)]  # no top met yet; stored whole, as shared
             for below, met in reach:  # grows as it is read
                 reach += {(bottom & (below | ~thru), met & top)
                           for _, _, top, foot, bottom, thru in menu
-                          if not schema.clash(below, foot)}.difference(reach)
-            closures[key] = reach
-        return closures[key]
+                          if not clash(below, foot)}.difference(reach)
+            self.closures[key] = reach
+        return self.closures[key]
 
-    def unanchored(nodes):  # None where one is anchored too often
-        left = sorted(content)
+    def unanchored(self, nodes):  # None where one is anchored too often
+        left = sorted(self.content)
         for _, node in nodes:
-            if node.kind == ANCHOR and node.lexeme in content:
+            if node.kind == ANCHOR and node.lexeme in self.content:
                 if node.lexeme not in left:
                     return None
                 left.remove(node.lexeme)
         return tuple(left)
 
-    def passing(passed, address, label, codes, tree):
-        # `passed` and a step of `tree` from a state: (address, label,
-        # codes, tree, passed), where `codes()` makes the state's codes,
-        # called only where a label and an address match
-        chain = passed
-        while chain is not None:
-            at, seen, seen_codes, first, chain = chain
-            if seen == label and address[:len(at)] == at and \
-                    seen_codes() == codes():
-                raise DivergentGrammar(first, label)
-        return address, label, codes, tree, passed
-
-    def explore(derived, part, passed, gaps=-1):  # passed: see passing
+    def successors(self, derived, part, passed, gaps):
+        """Each state a step on from `derived`, as (derived, part, passed,
+        gaps), or `derived` complete, as (derived, env), in search order;
+        `passed` is :func:`_passing`'s, `gaps` as the step here predicted."""
+        grammar, targets, content = self.grammar, self.targets, self.content
+        schema, code, splittable = grammar.schema, grammar.schema.code, \
+            grammar.splittable
         nodes = derived.nodes
-        left = unanchored(nodes) if content else ()
+        left = self.unanchored(nodes) if content else ()
         if left is None:
             return
         if targets is not None:  # within the gaps the step here predicted
@@ -652,7 +660,7 @@ def _derive(grammar, goal_label, goal_fs, lexemes, targets, content):
                     node.label not in splittable or node.was_foot or \
                     address[:len(part)] != part:
                 continue
-            candidates = instances(AUXILIARY, node.label)
+            candidates = self.instances(AUXILIARY, node.label)
             if candidates:  # each plane encoded once per state
                 top, bottom = code(node.top, env), code(node.bottom, env)
             for (aux, shape, aux_top, foot, aux_bottom, thru), progress in \
@@ -663,14 +671,14 @@ def _derive(grammar, goal_label, goal_fs, lexemes, targets, content):
                 start, met = aux_bottom & (bottom | ~thru), top & aux_top
                 if schema.clash(bottom, foot) or schema.clash(met, start) \
                         and all(schema.clash(met & tops, end)
-                                for end, tops in ends(node.label, start)):
+                                for end, tops in self.ends(node.label, start)):
                     continue
                 if targets is not None:  # the layout it would make embeds
                     frontier, after, edges = _adjoined(layout, address, shape)
                     # the new root's edges, where a stack begun on it can
                     # end: where the pretest admits an auxiliary there
                     if any(not schema.clash(met & tops, end)
-                           for end, tops in ends(node.label, start)[1:]):
+                           for end, tops in self.ends(node.label, start)[1:]):
                         after |= edges
                     if not targets.bounds(frontier, after)[1]:
                         continue
@@ -678,10 +686,10 @@ def _derive(grammar, goal_label, goal_fs, lexemes, targets, content):
                     nxt = adjoin(grammar, derived, address, aux)
                 except UnificationFailure:
                     continue
-                yield from explore(nxt, part, None if progress else passing(
+                yield nxt, part, None if progress else _passing(
                     passed, address, node.label,
-                    lambda codes=(top, bottom): codes, aux.history[0].tree),
-                    -1 if targets is None else after)
+                    lambda codes=(top, bottom): codes, aux.history[0].tree), \
+                    -1 if targets is None else after
         if not sites and (left or not exact):
             return
         # collapse the finished part (one from a table is collapsed
@@ -695,7 +703,7 @@ def _derive(grammar, goal_label, goal_fs, lexemes, targets, content):
         host = DerivedTree(derived.root, derived.klass, env, derived.history)
         # no adjunction follows a finished part: the last one anchors all
         tables = None if targets is not None else [
-            _parts(grammar, site.label, share, particles)
+            _parts(grammar, site.label, share, self.particles)
             for share in sorted({left} if len(sites) == 1 else {
                 share for k in range(len(left) + 1)
                 for share in combinations(left, k)})
@@ -703,8 +711,8 @@ def _derive(grammar, goal_label, goal_fs, lexemes, targets, content):
         # recognition, or a table in the making, fills in place; a
         # finished part adds no state, and none follows one with content
         if tables is None or None in tables:
-            fillers = [(filler, progress, address)
-                       for filler, progress in instances(INITIAL, site.label)]
+            fillers = [(filler, progress, address) for filler, progress
+                       in self.instances(INITIAL, site.label)]
         else:
             top = code(site.top, env)
             fillers = [(filler, False, None) for table in tables
@@ -715,13 +723,17 @@ def _derive(grammar, goal_label, goal_fs, lexemes, targets, content):
                 nxt = substitute(grammar, host, address, filler)
             except UnificationFailure:
                 continue
-            yield from explore(nxt, opened, None if progress else passed
-                               if opened is None else passing(
-                                   passed, address, site.label,
-                                   partial(code, site.top, env),
-                                   filler.history[0].tree))
+            yield nxt, opened, None if progress else passed \
+                if opened is None else _passing(
+                    passed, address, site.label, partial(code, site.top, env),
+                    filler.history[0].tree), -1
 
-    for base, _ in instances(INITIAL, goal_label):
+
+def _derive(grammar, goal_label, goal_fs, lexemes, targets, content):
+    """Yield each complete derivation, depth first, with the bindings
+    that collapse every node of it, for :func:`_final` to read."""
+    search = _Search(grammar, lexemes, targets, content)
+    for base, _ in search.instances(INITIAL, goal_label):
         # the goal enters at the root's top, which an adjunction at the
         # root keeps, and is checked when the root collapses
         unified = unify(base.root.top, goal_fs, base.env)
@@ -734,12 +746,15 @@ def _derive(grammar, goal_label, goal_fs, lexemes, targets, content):
                                     root.children, root.surface, root.lexeme,
                                     root.variant, root.was_foot),
                                base.klass, env, base.history)
-        yield from explore(base, (), None)
-    # explore refers to itself, so this frame's closures outlive the call
-    # until the cycle collector runs; empty what they hold now
-    if targets is not None:
-        menus.clear()
-        closures.clear()
+        stack = [search.successors(base, (), None, -1)]
+        while stack:
+            found = next(stack[-1], None)
+            if found is None:
+                stack.pop()
+            elif len(found) == 2:  # complete
+                yield found
+            else:  # a state: all its successors before its next sibling
+                stack.append(search.successors(*found))
 
 
 def enumerate_derivations(grammar: Grammar, goal_label: str,

@@ -30,6 +30,13 @@ class SpecializationReport:
     dropped_rules: int = 0
 
 
+def _erased(node: Node) -> Node:
+    return Node(node.label, node.kind, erase_attribute(node.top, "lan"),
+                erase_attribute(node.bottom, "lan"),
+                tuple(map(_erased, node.children)), node.surface, node.lexeme,
+                node.variant, node.was_foot)
+
+
 def _project(grammar: Grammar, keep: frozenset, suffix: str,
              report: SpecializationReport) -> Grammar:
     """Erase lan, dropping whatever admits no dialect of `keep` and the
@@ -37,12 +44,6 @@ def _project(grammar: Grammar, keep: frozenset, suffix: str,
     `report`, trees in name order."""
     def admits(lan):
         return not isinstance(lan, frozenset) or bool(lan & keep)
-
-    def erased(node):
-        return Node(node.label, node.kind, erase_attribute(node.top, "lan"),
-                    erase_attribute(node.bottom, "lan"),
-                    tuple(map(erased, node.children)), node.surface,
-                    node.lexeme, node.variant, node.was_foot)
 
     lexicon = []
     anchors = {}  # category -> the features of its kept variants
@@ -73,7 +74,7 @@ def _project(grammar: Grammar, keep: frozenset, suffix: str,
     for tree in grammar.trees:
         if all(admits(node.top.get("lan")) and admits(node.bottom.get("lan"))
                for _, node in tree.nodes()):
-            tree = ElementaryTree(tree.name, tree.klass, erased(tree.root))
+            tree = ElementaryTree(tree.name, tree.klass, _erased(tree.root))
             if anchorable(tree):
                 trees.append(tree)
                 continue

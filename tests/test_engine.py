@@ -1,5 +1,6 @@
 """Derivation engine tests: operations, errors, replay, enumeration."""
 
+import gc
 import itertools
 
 import pytest
@@ -7,20 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from creoletag import engine
-from creoletag.creole import golden_path, grammar_text
+from creoletag.creole import DIALECTS, golden_path, grammar_text
 from creoletag.dsl import load_grammar
 from creoletag.errors import (AnchorUnificationFailure, CollapseFailure,
-                              LabelMismatch, NoAnalysis, NotAnAdjunctionSite,
-                              NotASubstitutionSite, PendingSite,
+                              LabelMismatch, NoAnalysis, NoRealization,
+                              NotAnAdjunctionSite, NotASubstitutionSite,
+                              PendingSite,
                               UndeclaredAttribute, UnificationFailure)
 from creoletag.featstruct import (EMPTY, AttributeDomain, FeatureStruct,
                                   Schema, Var, unify)
 from creoletag.generate import (TMA, NPSpec, SemSpec, generate, golden_corpus,
-                                table_tma)
+                                table_np, table_tma)
 from creoletag.grammar import Grammar
 from creoletag.recognize import FusionLattice, recognize
 from creoletag.specialize import project_language, specialize
 from creoletag.trees import ANCHOR, AUXILIARY, FOOT, INITIAL, SUBST, Node
+from dialect_claim import SPACE
+from test_recognizer import _golden_strings
 from test_reference import _canonical
 
 TOY = """
@@ -770,6 +774,48 @@ class TestSplicesCopyOncePerFrame:
         monkeypatch.setattr(Node, "__init__", init)
         work(grammar)
         assert calls[0] <= built
+
+
+def _generate_sample(grammar):
+    for spec in SPACE[::20]:
+        try:
+            generate(grammar, spec)
+        except NoRealization:
+            pass
+
+
+def _recognize_golden(grammar):
+    # the last one mixes dialects, so it takes the relaxed grammar's path
+    for text, goal in _golden_strings() + [("zwazo la tap danse", "S")]:
+        assert recognize(grammar, text, goal)
+
+
+class TestNoCyclicGarbage:
+    """What a search makes is freed by reference counting alone: none of
+    it waits for the cycle collector, so memory follows what is live."""
+
+    @pytest.mark.parametrize("work", [
+        _generate_sample, table_np, table_tma, _recognize_golden,
+        lambda grammar: [specialize(grammar, d) for d in DIALECTS],
+    ], ids=["generate", "table_np", "table_tma", "recognize", "specialize"])
+    def test_no_cyclic_garbage(self, work):
+        # a nested function that names itself or a sibling is a cycle
+        # made per call: here 15 275, 1 385, 230, 4 905 and 12 objects
+        grammar = load_grammar(grammar_text())
+        enabled, debug = gc.isenabled(), gc.get_debug()
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            work(grammar)
+            gc.collect()
+            garbage = len(gc.garbage)
+        finally:
+            gc.garbage.clear()
+            gc.set_debug(debug)
+            if enabled:
+                gc.enable()
+        assert garbage == 0
 
 
 class TestOneWalkPerTree:
